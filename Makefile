@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test lint lint-json lint-sarif lint-graph lint-report check \
-	bench bench-smoke bench-guard obs-demo monitor-demo chaos-smoke \
+	bench bench-smoke obs-demo monitor-demo chaos-smoke \
 	bottlenecks-demo counters-demo
 
 test:
@@ -30,11 +30,10 @@ check: lint test
 bench:
 	$(PYTHON) benchmarks/bench.py --out BENCH_pr10.json
 
+# Exits non-zero on any failed check: every workload's seed-1 output
+# digest is pinned in perfbench/run.py.
 bench-smoke:
-	$(PYTHON) benchmarks/bench.py --smoke --out bench_smoke.json
-
-bench-guard: bench-smoke
-	$(PYTHON) benchmarks/check_regression.py bench_smoke.json BENCH_pr10.json
+	$(PYTHON) perfbench/run.py --smoke --out perfbench_smoke.json
 
 chaos-smoke:
 	$(PYTHON) -m repro chaos --plan kill-and-partition \

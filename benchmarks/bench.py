@@ -5,12 +5,8 @@ artifact (``BENCH_pr10.json`` at the repo root is the committed record):
 
 1. **Engine hot path** — the self-rescheduling churn loop from
    ``benchmarks/test_simulator_speed.py`` (50k events through the
-   dispatch loop) plus a cancel-heavy variant that exercises handle
-   pooling and lazy-delete reclamation.  Both are measured A/B against
-   an in-harness *reference heap engine* — a faithful port of the
-   pre-calendar-queue binary-heap dispatch loop — interleaved
-   rep-by-rep so the baseline is same-host, same-minute, same-process.
-   A stored constant from another machine is metadata, not a baseline.
+   dispatch loop).  This is a diagnostic, not a goal: the end-to-end
+   numbers live in ``perfbench/``.
 2. **Parallel fan-out** — a 4-replication LU sweep executed serially and
    through ``repro.parallel`` worker processes, with the serial and
    parallel profile exports hashed to prove bit-identity alongside the
@@ -43,7 +39,7 @@ Honesty note: speedup is reported next to ``cpu_count`` and a host
 fingerprint (CPU model, python version).  On a single-CPU host the
 parallel sweep *cannot* beat serial (expect ~1x minus fork overhead);
 the committed artifact records whatever the machine really did.  Churn
-comparisons report **min-of-N from interleaved reps** as the primary
+rows report **min-of-N from interleaved reps** as the primary
 statistic: on shared hosts the mean is dominated by scheduling noise
 (identical code has been observed to vary 2x rep-to-rep here), while
 the interleaved minimum is the closest observable to the code's true
@@ -58,13 +54,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import heapq
 import json
 import os
 import platform
 import statistics
 import time
-from sys import getrefcount
 
 from repro.analysis.export import profiles_to_json
 from repro.analysis.profiles import harvest_job
@@ -77,9 +71,7 @@ from repro.workloads.lu import LuParams, lu_app
 
 #: Mean of test_engine_raw_event_throughput immediately before the PR-5
 #: hot-path rewrite, on the *seed container* — a different machine than
-#: whatever runs this harness.  Kept as provenance metadata only; every
-#: speedup figure below is computed against the same-host reference
-#: engine measured in the same process.
+#: whatever runs this harness.  Kept as provenance metadata only.
 SEED_CONTAINER_PRE_PR5_CHURN_MEAN_S = 0.06763
 
 SWEEP_LU = LuParams(niters=3, iter_compute_ns=8 * MSEC, halo_bytes=8192,
@@ -106,117 +98,6 @@ def host_fingerprint() -> dict:
     }
 
 
-class _HeapEngine:
-    """The pre-PR8 binary-heap engine, kept as the measurement reference.
-
-    A faithful port — not an idealisation — of the old engine's hot
-    paths, including the per-event costs the calendar queue was built
-    to shed: the ``schedule`` → ``schedule_at`` delegation frame, the
-    per-schedule interceptor test, the ``in_queue``/``_active``
-    bookkeeping, per-event ``until``/``max_events`` bound tests, and
-    heap push/pop per event.  Only the obs publishing (disabled during
-    the A/B anyway) is omitted.  Living inside the harness rather than
-    importing an old git revision keeps ``make bench`` self-contained
-    and the baseline measured under identical rules.
-    """
-
-    class _Handle:
-        __slots__ = ("time", "seq", "fn", "cancelled", "label", "engine",
-                     "in_queue")
-
-        def __init__(self, time, seq, fn, label):
-            self.time = time
-            self.seq = seq
-            self.fn = fn
-            self.cancelled = False
-            self.label = label
-            self.engine = None
-            self.in_queue = False
-
-        def cancel(self):
-            if self.cancelled:
-                return
-            self.cancelled = True
-            self.fn = None
-            if self.in_queue and self.engine is not None:
-                self.engine._note_cancel()
-
-    def __init__(self):
-        self.now = 0
-        self._queue = []
-        self._seq = 0
-        self._active = 0
-        self._cancelled_in_queue = 0
-        self._free = []
-        self.schedule_interceptor = None
-        self.events_processed = 0
-
-    def _note_cancel(self):
-        self._active -= 1
-        self._cancelled_in_queue += 1
-
-    def schedule_at(self, time, fn, label=""):
-        if time < self.now:
-            raise ValueError("cannot schedule in the past")
-        if self.schedule_interceptor is not None:
-            fn = self.schedule_interceptor(fn, label)
-        seq = self._seq + 1
-        self._seq = seq
-        free = self._free
-        if free:
-            handle = free.pop()
-            handle.time = time
-            handle.seq = seq
-            handle.fn = fn
-            handle.cancelled = False
-            handle.label = label
-        else:
-            handle = self._Handle(time, seq, fn, label)
-            handle.engine = self
-        handle.in_queue = True
-        self._active += 1
-        heapq.heappush(self._queue, (time, seq, handle))
-        return handle
-
-    def schedule(self, delay, fn, label=""):
-        if delay < 0:
-            raise ValueError("negative delay")
-        return self.schedule_at(self.now + delay, fn, label)
-
-    def run_until_idle(self, until=None, max_events=None):
-        queue = self._queue
-        free = self._free
-        pop = heapq.heappop
-        processed = 0
-        while True:
-            if max_events is not None and processed >= max_events:
-                return
-            if not queue:
-                break
-            entry = queue[0]
-            handle = entry[2]
-            if handle.cancelled:
-                pop(queue)
-                self._cancelled_in_queue -= 1
-                if len(free) < 1024 and getrefcount(handle) == 3:
-                    free.append(handle)
-                continue
-            time_ = entry[0]
-            if until is not None and time_ > until:
-                break
-            pop(queue)
-            self.now = time_
-            fn = handle.fn
-            handle.fn = None
-            handle.in_queue = False
-            self._active -= 1
-            self.events_processed += 1
-            processed += 1
-            fn()
-            if len(free) < 1024 and getrefcount(handle) == 3:
-                free.append(handle)
-
-
 def _interleaved(variants: dict, rounds: int) -> dict:
     """Time each no-arg callable ``rounds`` times, interleaving variants
     within every rep so host-load drift hits all of them equally.
@@ -234,9 +115,9 @@ def _interleaved(variants: dict, rounds: int) -> dict:
             for name, ts in times.items()}
 
 
-def _churn(events: int, make_engine=Engine) -> None:
+def _churn(events: int) -> None:
     """The raw dispatch loop: one self-rescheduling event chain."""
-    engine = make_engine()
+    engine = Engine()
     count = events
 
     def reschedule():
@@ -250,90 +131,16 @@ def _churn(events: int, make_engine=Engine) -> None:
     assert engine.events_processed == events
 
 
-def _cancel_churn(events: int, make_engine=Engine) -> None:
-    """Schedule/cancel-heavy load: every event cancels a decoy, so the
-    free list and lazy-delete reclamation carry half the traffic."""
-    engine = make_engine()
-    count = events
-
-    def reschedule():
-        nonlocal count
-        count -= 1
-        decoy = engine.schedule(1000, reschedule)
-        decoy.cancel()
-        if count > 0:
-            engine.schedule(10, reschedule)
-
-    engine.schedule(1, reschedule)
-    engine.run_until_idle()
-
-
 def bench_engine_churn(events: int, rounds: int) -> dict:
-    """Calendar-queue churn vs the in-harness reference heap, interleaved."""
-    ab = _interleaved({
-        "calendar": lambda: _churn(events),
-        "heap_baseline": lambda: _churn(events, _HeapEngine),
-    }, rounds)
-    cal, heap = ab["calendar"], ab["heap_baseline"]
+    """The raw dispatch loop, min-of-N over ``rounds`` reps."""
+    churn = _churn_stats(events, rounds)
     return {
         "events": events,
         "rounds": rounds,
-        "min_s": cal["min_s"],
-        "mean_s": cal["mean_s"],
-        "events_per_s": events / cal["min_s"],
-        "heap_baseline_min_s": heap["min_s"],
-        "heap_baseline_mean_s": heap["mean_s"],
-        "speedup_vs_heap_baseline": heap["min_s"] / cal["min_s"],
+        "min_s": churn["min_s"],
+        "mean_s": churn["mean_s"],
+        "events_per_s": events / churn["min_s"],
         "seed_container_pre_pr5_mean_s_50k": SEED_CONTAINER_PRE_PR5_CHURN_MEAN_S,
-    }
-
-
-def bench_cancel_churn(events: int, rounds: int) -> dict:
-    """Cancel-heavy churn vs the reference heap, interleaved."""
-    ab = _interleaved({
-        "calendar": lambda: _cancel_churn(events),
-        "heap_baseline": lambda: _cancel_churn(events, _HeapEngine),
-    }, rounds)
-    cal, heap = ab["calendar"], ab["heap_baseline"]
-    return {
-        "events": events,
-        "rounds": rounds,
-        "min_s": cal["min_s"],
-        "mean_s": cal["mean_s"],
-        "events_per_s": events / cal["min_s"],
-        "heap_baseline_min_s": heap["min_s"],
-        "heap_baseline_mean_s": heap["mean_s"],
-        "speedup_vs_heap_baseline": heap["min_s"] / cal["min_s"],
-    }
-
-
-def bench_interceptor_overhead(events: int, rounds: int) -> dict:
-    """Churn with the schedule interceptor detached vs armed with a
-    pass-through hook, interleaved.
-
-    Detached is the structural zero: arming swaps the engine's class, so
-    the detached schedule path contains no hook test at all.  The armed
-    row prices the real cost of shardsan-style wrapping (one extra call
-    per schedule); ``armed_passthrough`` minus ``detached`` is what a
-    user pays to turn the sanitizer on.
-    """
-    def make_armed():
-        engine = Engine()
-        engine.schedule_interceptor = lambda fn, label: fn
-        return engine
-
-    ab = _interleaved({
-        "detached": lambda: _churn(events),
-        "armed_passthrough": lambda: _churn(events, make_armed),
-    }, rounds)
-    det, armed = ab["detached"], ab["armed_passthrough"]
-    return {
-        "events": events,
-        "rounds": rounds,
-        "detached_min_s": det["min_s"],
-        "armed_passthrough_min_s": armed["min_s"],
-        "armed_overhead_pct": 100.0 * (armed["min_s"] - det["min_s"])
-        / det["min_s"],
     }
 
 
@@ -653,15 +460,11 @@ def main(argv: list[str] | None = None) -> int:
             "host": host_fingerprint(),
             "cpu_count": cpus,
             "note": ("parallel speedup is bounded by cpu_count; on a "
-                     "1-CPU host ~1x is the honest ceiling.  Churn "
-                     "speedups compare against the in-process reference "
-                     "heap engine, interleaved min-of-N; artifacts from "
-                     "different hosts are not comparable (see meta.host)"),
+                     "1-CPU host ~1x is the honest ceiling.  Churn rows "
+                     "are interleaved min-of-N; artifacts from different "
+                     "hosts are not comparable (see meta.host)"),
         },
         "engine_churn": bench_engine_churn(churn_events, churn_rounds),
-        "engine_cancel_churn": bench_cancel_churn(churn_events, churn_rounds),
-        "interceptor_overhead": bench_interceptor_overhead(churn_events,
-                                                           churn_rounds),
         "parallel_sweep": bench_parallel_sweep(nreps, worker_counts),
         "obs_overhead": bench_obs_overhead(churn_events, churn_rounds),
         "monitor_overhead": bench_monitor_overhead(churn_events,

@@ -14,9 +14,8 @@ when the bound is hit.
 in-simulation clients (KTAUD) when the procfs layer reports a transient
 fault: those clients sleep ``backoff_ns * attempt`` between attempts, so
 degradation under fault injection costs virtual time on the faulted node
-the way a real collector's retry loop costs wall time.  The policy is
-re-exported as :mod:`repro.faults.retry`, the fault subsystem's public
-home for it.
+the way a real collector's retry loop costs wall time.  The fault
+subsystem re-exports the policy from :mod:`repro.faults`.
 """
 
 from __future__ import annotations

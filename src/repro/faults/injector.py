@@ -116,8 +116,7 @@ class FaultInjector:
                 self._wire_hook)
         engine = self.cluster.engine
         for fault in self.plan.faults:
-            engine.schedule_at(fault.at_ns,
-                               self._fire_cb(fault), f"fault-{fault.kind}")
+            engine.schedule_at(fault.at_ns, self._fire_cb(fault))
 
     def _fire_cb(self, fault):
         def fire() -> None:
@@ -150,16 +149,14 @@ class FaultInjector:
             node = self.cluster.nodes[fault.node]
             node.kernel.ktau_proc.failing = True
             self.cluster.engine.schedule_at(
-                fault.until_ns, self._procfs_heal_cb(node),
-                "fault-procfs-heal")
+                fault.until_ns, self._procfs_heal_cb(node))
         elif isinstance(fault, TracePressure):
             node = self.cluster.nodes[fault.node]
             task = start_pressure_daemon(
                 node, period_ns=fault.period_ns,
                 burst_syscalls=fault.burst_syscalls)
             self.cluster.engine.schedule_at(
-                fault.until_ns, self._kill_task_cb(node, task),
-                "fault-pressure-end")
+                fault.until_ns, self._kill_task_cb(node, task))
         elif isinstance(fault, ClockDrift):
             node = self.cluster.nodes[fault.node]
             node.kernel.clock.set_drift(fault.ppm, fault.at_ns)
@@ -176,7 +173,7 @@ class FaultInjector:
                 kernel.send_signal(task, 9)
         if fault.reboot_at_ns is not None:
             self.cluster.engine.schedule_at(
-                fault.reboot_at_ns, self._reboot_cb(node), "fault-reboot")
+                fault.reboot_at_ns, self._reboot_cb(node))
 
     def _reboot_cb(self, node: "Node"):
         def reboot() -> None:

@@ -90,9 +90,9 @@ class BlockDevice:
                     for task in self.flush_waitq.wake_all():
                         kernel.sched.wake(task)
 
-            engine.schedule_at(finish, wake_waiters, "blk-wake")
+            engine.schedule_at(finish, wake_waiters)
 
-        engine.schedule_at(done, on_complete, "blk-complete")
+        engine.schedule_at(done, on_complete)
         return done
 
     @property

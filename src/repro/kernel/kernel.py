@@ -134,8 +134,7 @@ class Kernel:
         # Start through a zero-delay event: spawn returns before the task
         # executes its first instruction, so callers can attach profilers
         # or other state to the fresh task deterministically.
-        self.engine.schedule(0, lambda: self.sched.start_task(task, start_cpu),
-                             "task-start")
+        self.engine.schedule(0, lambda: self.sched.start_task(task, start_cpu))
         return task
 
     def on_task_exited(self, task: Task) -> None:
@@ -183,8 +182,7 @@ class Kernel:
         backlog = max(0, self._softirq_busy_until[cpu] - now) + defer
         if backlog > 0:
             # Queue behind earlier softirq work (and ksoftirqd latency).
-            self.engine.schedule(backlog, lambda: self._net_rx_bh(sock, segments, cpu),
-                                 "softirq-backlog")
+            self.engine.schedule(backlog, lambda: self._net_rx_bh(sock, segments, cpu))
             self._softirq_busy_until[cpu] = now + backlog + sum(
                 t.total_ns() for t in tcp_mod.build_rx_trees(self, sock, segments, cpu))
             return
@@ -196,7 +194,7 @@ class Kernel:
         if done > self._softirq_busy_until[cpu]:
             self._softirq_busy_until[cpu] = done
         nbytes = sum(segments)
-        self.engine.schedule_at(done, lambda: sock.deliver(nbytes), "net-deliver")
+        self.engine.schedule_at(done, lambda: sock.deliver(nbytes))
 
     # ------------------------------------------------------------------
     # Timer tick
@@ -207,7 +205,7 @@ class Kernel:
         ncpus = self.params.online_cpus
         for cpu_idx in range(ncpus):
             stagger = ((cpu_idx + 1) * period) // (ncpus + 1)
-            self.engine.schedule(stagger, self._tick_cb(cpu_idx), "tick")
+            self.engine.schedule(stagger, self._tick_cb(cpu_idx))
 
     def _tick_cb(self, cpu_idx: int):
         def on_tick() -> None:
@@ -221,7 +219,7 @@ class Kernel:
             self.sched.tick_balance(cpu_idx)
             period = self.params.timer_tick_ns
             assert period is not None
-            self.engine.schedule(period, self._tick_cb(cpu_idx), "tick")
+            self.engine.schedule(period, self._tick_cb(cpu_idx))
         return on_tick
 
     # ------------------------------------------------------------------

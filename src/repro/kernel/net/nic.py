@@ -68,7 +68,7 @@ class Nic:
         def on_serialized() -> None:
             sock.release_sndbuf(nbytes)
 
-        engine.schedule_at(done, on_serialized, "nic-tx-done")
+        engine.schedule_at(done, on_serialized)
 
         latency = self.kernel.params.net.latency_ns
         dst = sock.dst_kernel
@@ -97,9 +97,8 @@ class Nic:
             rx_done = rx_start + (nbytes * SEC) // rx_bw
             rx_nic.rx_busy_until = rx_done
             rx_nic.rx_bytes_total += nbytes
-            engine.schedule_at(rx_done, lambda: dst.net_rx(sock, segments),
-                               "nic-rx-done")
+            engine.schedule_at(rx_done, lambda: dst.net_rx(sock, segments))
 
         # First byte reaches the destination one link latency after
         # transmission begins.
-        engine.schedule_at(start + latency, on_first_byte, "nic-arrival")
+        engine.schedule_at(start + latency, on_first_byte)

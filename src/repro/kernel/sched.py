@@ -164,12 +164,12 @@ class Scheduler:
         if cpu.burst_handle is not None and cpu.burst_handle.active:
             cpu.burst_handle.cancel()
             end = cpu.burst_started + cpu.burst_planned + cpu.burst_stolen
-            cpu.burst_handle = engine.schedule_at(end, self._burst_done_cb(cpu), "burst")
+            cpu.burst_handle = engine.schedule_at(end, self._burst_done_cb(cpu))
         if cpu.expiry_handle is not None and cpu.expiry_handle.active:
             cpu.expiry_handle.cancel()
             cpu.expiry_deadline += delta_ns
             cpu.expiry_handle = engine.schedule_at(
-                cpu.expiry_deadline, self._expiry_cb(cpu), "expiry")
+                cpu.expiry_deadline, self._expiry_cb(cpu))
 
     # ==================================================================
     # CPU selection and enqueueing
@@ -360,7 +360,7 @@ class Scheduler:
                 if cpu.current is None:
                     self._cpu_reschedule(cpu)
             cpu.steal_retry_handle = self.kernel.engine.schedule_at(
-                earliest_cool, retry, "steal-retry")
+                earliest_cool, retry)
         return None
 
     def _run_task(self, cpu: Cpu, task: Task) -> None:
@@ -391,7 +391,7 @@ class Scheduler:
         assert task is not None
         cpu.expiry_deadline = self.kernel.engine.now + max(task.timeslice_ns, 1)
         cpu.expiry_handle = self.kernel.engine.schedule_at(
-            cpu.expiry_deadline, self._expiry_cb(cpu), "expiry")
+            cpu.expiry_deadline, self._expiry_cb(cpu))
 
     def _expiry_cb(self, cpu: Cpu):
         def on_expiry() -> None:
@@ -521,7 +521,7 @@ class Scheduler:
         cpu.burst_stolen = 0
         cpu.burst_kernel = task.pending_burst_kernel
         cpu.burst_handle = self.kernel.engine.schedule(
-            cpu.burst_planned, self._burst_done_cb(cpu), "burst")
+            cpu.burst_planned, self._burst_done_cb(cpu))
 
     def _burst_done_cb(self, cpu: Cpu):
         def on_done() -> None:
@@ -560,7 +560,7 @@ class Scheduler:
         task.state = TaskState.BLOCKED
         if effect.timeout_ns is not None:
             task.wake_handle = self.kernel.engine.schedule(
-                effect.timeout_ns, self._timeout_cb(task), "block-timeout")
+                effect.timeout_ns, self._timeout_cb(task))
         self._deschedule(cpu, voluntary=True, requeue=False)
         self._cpu_reschedule(cpu)
 

@@ -30,6 +30,27 @@ from repro.lint.engine import SourceFile
 _FUNC_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
+def _import_map(tree: ast.Module, module: str) -> dict[str, tuple[str, Optional[str]]]:
+    """local name -> (source module, symbol or None for whole-module)."""
+    out: dict[str, tuple[str, Optional[str]]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = (
+                    alias.name, None)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative: resolve against this module
+                parts = module.split(".")
+                parts = parts[:len(parts) - node.level]
+                base = ".".join(parts + ([node.module] if node.module else []))
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                out[alias.asname or alias.name] = (base, alias.name)
+    return out
+
+
 class CallRef:
     """One unresolved call site inside a function body."""
 
@@ -84,7 +105,6 @@ class CallGraph:
 
     # -- construction -----------------------------------------------------
     def _index_source(self, src: SourceFile) -> None:
-        from repro.lint.sharing import _import_map
         self.imports[src.module] = _import_map(src.tree, src.module)
         for node in src.tree.body:
             if isinstance(node, _FUNC_DEFS):

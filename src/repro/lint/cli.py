@@ -32,8 +32,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=("ktaulint: static analysis for instrumentation "
                      "balance, determinism, registry consistency, API "
-                     "hygiene, shard sharing, import structure, and "
-                     "IRQ-context safety"))
+                     "hygiene, import structure, and IRQ-context "
+                     "safety"))
     parser.add_argument("paths", nargs="*", default=["src/repro"],
                         help="files or directories to lint "
                              "(default: src/repro)")

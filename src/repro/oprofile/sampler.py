@@ -66,8 +66,7 @@ class OProfileSampler:
         for cpu_idx in range(self.kernel.params.online_cpus):
             stagger = (cpu_idx + 1) * self.period_ns // (
                 self.kernel.params.online_cpus + 1)
-            self.kernel.engine.schedule(stagger, self._tick_cb(cpu_idx),
-                                        "oprofile-sample")
+            self.kernel.engine.schedule(stagger, self._tick_cb(cpu_idx))
 
     def stop(self) -> None:
         self._running = False
@@ -77,8 +76,7 @@ class OProfileSampler:
             if not self._running:
                 return
             self._take_sample(cpu_idx)
-            self.kernel.engine.schedule(self.period_ns, self._tick_cb(cpu_idx),
-                                        "oprofile-sample")
+            self.kernel.engine.schedule(self.period_ns, self._tick_cb(cpu_idx))
         return fire
 
     # ------------------------------------------------------------------

@@ -1,11 +1,10 @@
-"""Queue-semantics equivalence tests for the calendar-queue engine.
+"""Queue-semantics equivalence tests for the engine.
 
-The engine's dispatch order contract — ascending ``(time, seq)`` with
-FIFO ties — predates the calendar queue; these tests pin the new
-structure to the old contract by replaying randomized workloads against
-a straightforward reference heap and demanding identical logs, and by
-exercising each structural edge (bucket epochs, far-future overflow,
-``until`` boundaries, mid-run recalibration) directly.
+The engine's dispatch order contract is ascending ``(time, seq)`` with
+FIFO ties.  These tests pin the engine to that contract by replaying
+randomized workloads against a minimal reference heap and demanding
+identical logs, and by exercising same-time ties and ``until``
+boundaries directly.
 """
 
 import random
@@ -17,8 +16,8 @@ from repro.sim.engine import Engine
 
 
 class _ReferenceHeap:
-    """The old engine's semantics, reduced to their essence: a binary
-    heap of ``(time, seq, tag)`` with lazy-deleted cancels."""
+    """The engine's semantics reduced to their essence: a binary heap of
+    ``(time, seq, tag)`` with lazy-deleted cancels."""
 
     def __init__(self):
         self.now = 0
@@ -48,9 +47,8 @@ def test_randomized_equivalence_vs_reference_heap(seed):
     identical to the reference heap — same events, same order, same
     observed clock values.
 
-    The delay palette deliberately spans every routing path: the lane
-    (0/1), near buckets, bucket-epoch crossings, and the far-future
-    overflow heap (``1 << 40``).
+    The delay palette spans same-time ties (0), dense near-future
+    traffic, and far-future events (``1 << 40``).
     """
     rng = random.Random(seed)
     ref = _ReferenceHeap()
@@ -89,7 +87,7 @@ def test_randomized_equivalence_vs_reference_heap(seed):
 
 def test_same_timestamp_fifo_spanning_lane_and_bucket():
     """FIFO ties must hold even when the tied events are scheduled from
-    different contexts: some up-front, some mid-run into the active lane."""
+    different contexts: some up-front, some mid-run."""
     engine = Engine()
     order = []
     t = 5000
@@ -97,7 +95,7 @@ def test_same_timestamp_fifo_spanning_lane_and_bucket():
     engine.schedule_at(t, lambda: order.append("b"))
 
     def inject():
-        # lands in the *current* lane (same bucket, insort path)
+        # scheduled mid-run, after a, b and c: must fire after them
         engine.schedule_at(t, lambda: order.append("d"))
 
     engine.schedule_at(t - 1, inject)
@@ -118,21 +116,6 @@ def test_cancel_then_reschedule_same_time():
     assert engine.events_cancelled == 1
 
 
-def test_far_future_events_cross_bucket_epochs():
-    """Events past the wheel span live in the overflow heap and must
-    migrate into the wheel — in order — as the clock approaches."""
-    engine = Engine()
-    order = []
-    # Far beyond any initial horizon, deliberately scheduled out of order.
-    for t in (1 << 41, 1 << 40, (1 << 40) + 1, 3 << 40):
-        engine.schedule_at(t, lambda t=t: order.append(t))
-    # plus a near event to force normal wheel traffic first
-    engine.schedule(10, lambda: order.append(10))
-    engine.run_until_idle()
-    assert order == [10, 1 << 40, (1 << 40) + 1, 1 << 41, 3 << 40]
-    assert engine.now == 3 << 40
-
-
 def test_run_until_boundary_is_exact():
     engine = Engine()
     fired = []
@@ -148,53 +131,13 @@ def test_run_until_boundary_is_exact():
 
 
 def test_run_until_segments_resume_mid_bucket():
-    """Stopping at an ``until`` that lands inside a bucket must leave the
-    remaining lane entries intact for the next run."""
+    """Stopping at an ``until`` between queued events must leave the
+    remaining entries intact for the next run."""
     engine = Engine()
     fired = []
-    # All of these share one bucket at the default width (16..24 < 1024).
     for t in range(16, 25):
         engine.schedule_at(t, lambda t=t: fired.append(t))
     engine.run(until=20)
     assert fired == [16, 17, 18, 19, 20]
     engine.run(until=24)
     assert fired == list(range(16, 25))
-
-
-def test_recalibration_mid_run_preserves_order():
-    """A workload sparse enough to trigger bucket-width recalibration
-    must still dispatch in exact (time, seq) order."""
-    engine = Engine()
-    fired = []
-    # One event every ~64k ns: far below the occupancy band at the
-    # starting width, so the engine widens its buckets as it drains.
-    times = [i * 65_536 + (i % 7) for i in range(400)]
-    for t in sorted(set(times)):
-        engine.schedule_at(t, lambda t=t: fired.append(t))
-    engine.run_until_idle()
-    assert fired == sorted(set(times))
-    assert engine.recalibrations >= 1
-
-
-def test_interceptor_arm_disarm_roundtrip():
-    """Arming the schedule interceptor must wrap callbacks; disarming
-    must restore the plain engine with zero residue."""
-    engine = Engine()
-    base_cls = type(engine)
-    seen = []
-
-    def hook(fn, label):
-        def wrapped():
-            seen.append(label or "?")
-            fn()
-        return wrapped
-
-    fired = []
-    engine.schedule_interceptor = hook
-    engine.schedule(5, lambda: fired.append("a"), label="tagged")
-    engine.schedule_interceptor = None
-    assert type(engine) is base_cls  # class-swap fully reversed
-    engine.schedule(6, lambda: fired.append("b"), label="untagged")
-    engine.run_until_idle()
-    assert fired == ["a", "b"]
-    assert seen == ["tagged"]  # only the armed-window event was wrapped

@@ -177,56 +177,6 @@ class TestApiRules:
         assert run_on(tmp_path) == []
 
 
-class TestSharingRules:
-    def test_bad_sharing_exact_findings(self):
-        findings = run_on(FIXTURES / "bad_sharing.py")
-        assert locations(findings) == [
-            ("KTAU501", 7),   # PENDING = [] at module level
-            ("KTAU501", 8),   # STATS = dict() at module level
-            ("KTAU502", 13),  # Accumulator.history class-level list
-            ("KTAU503", 21),  # global rebind of counter
-            ("KTAU503", 25),  # PENDING.append(...) from function scope
-            ("KTAU503", 29),  # STATS[key] = ... from function scope
-        ]
-        assert all(f.severity is Severity.ERROR for f in findings)
-
-    def test_messages_name_the_binding(self):
-        findings = run_on(FIXTURES / "bad_sharing.py")
-        by_loc = {(f.rule_id, f.line): f.message for f in findings}
-        assert "'PENDING'" in by_loc[("KTAU501", 7)]
-        assert "'Accumulator.history'" in by_loc[("KTAU502", 13)]
-        assert "allowlist" in by_loc[("KTAU503", 25)]
-
-    def test_clean_patterns_prove_clean(self):
-        # Tuples, frozen dataclasses, immutable class attrs, instance
-        # state created in __init__: no false positives.
-        assert run_on(FIXTURES / "good_sharing.py") == []
-
-    def test_manifest_sanctions_state_and_audits_itself(self):
-        # REGISTRY/TABLE/CACHE are allowlisted (no KTAU501/503 in the
-        # state module) but the manifest's own bad entries are caught.
-        findings = LintEngine().run([FIXTURES / "allowed_sharing.py",
-                                     FIXTURES / "sharing_manifest.py"])
-        assert locations(findings) == [
-            ("KTAU504", 10),  # classification "global" is not recognised
-            ("KTAU504", 12),  # empty reason
-            ("KTAU504", 14),  # allowed_sharing.GONE is stale
-        ]
-        assert all(f.path.endswith("sharing_manifest.py") for f in findings)
-
-    def test_injected_allowlist_overrides_discovery(self, tmp_path):
-        from repro.lint.sharing import SharedStateRule
-        kdir = tmp_path / "repro" / "kernel"
-        kdir.mkdir(parents=True)
-        (kdir / "state.py").write_text("CACHE = {}\n")
-        flagged = LintEngine(rules=[SharedStateRule()]).run([tmp_path])
-        assert locations(flagged) == [("KTAU501", 1)]
-        waived = LintEngine(rules=[SharedStateRule(
-            allowlist={"repro.kernel.state.CACHE":
-                       ("singleton", "test fixture")})]).run([tmp_path])
-        assert waived == []
-
-
 class TestImportGraphRules:
     @staticmethod
     def _tree(tmp_path, files):
@@ -277,37 +227,6 @@ class TestImportGraphRules:
         assert findings[0].line == 1
         assert ("repro.kernel.use -> repro.sim.helper -> "
                 "repro.analysis.stats") in findings[0].message
-
-    def test_module_level_shard_state_instantiation(self, tmp_path):
-        root = self._tree(tmp_path, {
-            "sim/engine.py": "class Engine:\n    pass\n",
-            "cluster/boot.py": ("from repro.sim.engine import Engine\n"
-                                "\n"
-                                "ENGINE = Engine()\n")})
-        findings = run_on(root, select=["KTAU603"])
-        assert locations(findings) == [("KTAU603", 3)]
-        assert "repro.sim.engine" in findings[0].message
-
-    def test_reexported_shard_class_resolved(self, tmp_path):
-        # `from repro.kernel import Kernel` through the package __init__
-        # must still resolve to the defining module.
-        root = self._tree(tmp_path, {
-            "kernel/core.py": "class Kernel:\n    pass\n",
-            "kernel/__init__.py": "from repro.kernel.core import Kernel\n",
-            "cluster/boot.py": ("from repro.kernel import Kernel\n"
-                                "\n"
-                                "K = Kernel()\n")})
-        findings = run_on(root, select=["KTAU603"])
-        assert locations(findings) == [("KTAU603", 3)]
-
-    def test_construction_inside_a_function_is_fine(self, tmp_path):
-        root = self._tree(tmp_path, {
-            "sim/engine.py": "class Engine:\n    pass\n",
-            "cluster/boot.py": ("from repro.sim.engine import Engine\n"
-                                "\n"
-                                "def build():\n"
-                                "    return Engine()\n")})
-        assert run_on(root, select=["KTAU603"]) == []
 
 
 class TestContextRules:
@@ -467,7 +386,7 @@ class TestCli:
         assert all(r["level"] == "error" for r in results)
         # Every emitted rule ID has a driver descriptor.
         described = {d["id"] for d in run["tool"]["driver"]["rules"]}
-        assert {"KTAU201", "KTAU501", "KTAU601", "KTAU701",
+        assert {"KTAU201", "KTAU601", "KTAU602", "KTAU701",
                 "KTAU000"} <= described
 
     def test_graph_out_writes_dot(self, tmp_path, capsys):
@@ -531,6 +450,7 @@ class TestSelfCheck:
                 "KTAU201", "KTAU202", "KTAU203", "KTAU204",
                 "KTAU301", "KTAU302", "KTAU303", "KTAU304",
                 "KTAU401", "KTAU402",
-                "KTAU501", "KTAU502", "KTAU503", "KTAU504",
-                "KTAU601", "KTAU602", "KTAU603",
+                "KTAU601", "KTAU602",
                 "KTAU701", "KTAU702", "KTAU703"} <= ids
+        assert not any(i.startswith("KTAU5") for i in ids)
+        assert "KTAU603" not in ids

@@ -294,8 +294,7 @@ def silenced_run():
     victim = cluster.nodes[1]
     cluster.engine.schedule_at(
         70 * MSEC,
-        lambda: victim.kernel.send_signal(victim.ktaud.task, 9),
-        "test.kill-ktaud")
+        lambda: victim.kernel.send_signal(victim.ktaud.task, 9))
     watched = [node.kernel.spawn(_idle(400 * MSEC), f"app.{node.index}")
                for node in cluster.nodes]
     cluster.run_until_complete(watched, limit_ns=10 * SEC)

@@ -114,13 +114,14 @@ def test_zero_delay_event_fires_at_now():
     assert times == [7]
 
 
-def test_max_events_limit():
+def test_run_until_fires_only_due_events():
     engine = Engine()
     fired = []
     for i in range(10):
         engine.schedule(i + 1, lambda i=i: fired.append(i))
-    engine.run(max_events=3)
+    engine.run(until=3)
     assert fired == [0, 1, 2]
+    assert engine.pending == 7
 
 
 def test_pending_counts_active_events_only():
@@ -130,6 +131,17 @@ def test_pending_counts_active_events_only():
     assert engine.pending == 2
     h1.cancel()
     assert engine.pending == 1
+
+
+@pytest.mark.parametrize("until", [None, 100])
+def test_pending_is_exact_inside_callbacks(until):
+    engine = Engine()
+    seen = []
+    for i in range(3):
+        engine.schedule(i + 1, lambda: seen.append(
+            (engine.pending, engine.events_processed)))
+    engine.run(until=until)
+    assert seen == [(2, 1), (1, 2), (0, 3)]
 
 
 def test_events_processed_counter():
@@ -143,7 +155,7 @@ def test_events_processed_counter():
 def test_pending_consistent_after_fire_and_cancel():
     engine = Engine()
     handles = [engine.schedule(i + 1, lambda: None) for i in range(6)]
-    engine.run(max_events=2)
+    engine.run(until=2)
     assert engine.pending == 4
     handles[0].cancel()  # already fired: inert, must not change pending
     assert engine.pending == 4
@@ -166,28 +178,24 @@ def test_cancel_after_fire_is_harmless():
     assert engine.pending == before == 0
 
 
-def test_mass_cancellation_is_swept_out_of_the_queue():
+def test_cancelled_far_future_events_never_fire():
     engine = Engine()
-    keep = engine.schedule(50_000_000, lambda: None)
-    # Park a large batch of cancellations in far-out buckets so they
-    # cannot be consumed by normal lane draining — only a sweep can
-    # reclaim them.
-    doomed = [engine.schedule(1_000_000 + i, lambda: None) for i in range(1000)]
+    fired = []
+    keep = engine.schedule(50_000_000, lambda: fired.append("kept"))
+    doomed = [engine.schedule(1_000_000 + i, lambda: fired.append("doomed"))
+              for i in range(1000)]
     for handle in doomed:
         handle.cancel()
     assert engine.pending == 1
-    del doomed  # engine holds the only refs; sweep may pool them
-    # The next bucket advance notices cancellations outnumber live
-    # events and sweeps the wheel in bulk.
+    assert engine.events_cancelled == 1000
     engine.run(until=100)
-    assert engine.queue_sweeps >= 1
-    assert engine._physical_size() < 250
-    fired = []
-    keep2 = engine.schedule_at(50_000_000, lambda: fired.append("kept"))
+    assert engine.pending == 1
     engine.run_until_idle()
+    assert fired == ["kept"]
     assert engine.now == 50_000_000
-    assert fired == ["kept"]  # survivors fire despite the sweep
-    assert keep.active and keep2.active  # never cancelled
+    assert engine.pending == 0
+    assert engine.events_cancelled == 1000
+    assert keep.active
 
 
 def test_held_handle_is_never_recycled():
