@@ -28,7 +28,7 @@ lint-report:
 check: lint test
 
 bench:
-	$(PYTHON) benchmarks/bench.py --out BENCH_pr10.json
+	$(PYTHON) perfbench/run.py --out perfbench_full.json
 
 # Exits non-zero on any failed check: every workload's seed-1 output
 # digest is pinned in perfbench/run.py.

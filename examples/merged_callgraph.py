@@ -87,8 +87,8 @@ def main() -> None:
     print(phases.report(hz))
 
     print("=== performance counters per kernel event ===")
-    for name, (count, insn, l2) in sorted(kdump.counters.items(),
-                                          key=lambda kv: -kv[1][1])[:6]:
+    by_insn = sorted(kdump.counters.items(), key=lambda kv: -kv[1][2])
+    for name, (count, _cycles, insn, l2, _minflt, _majflt) in by_insn[:6]:
         print(f"  {name:<20} x{count:<4} {insn:>12} insn {l2:>8} L2 misses")
 
     print("\n=== dynamic point control at boot ===")

@@ -499,8 +499,6 @@ class Ktau:
                     trace.total_records)
                 REGISTRY.counter("tracebuf.records_lost").inc(
                     trace.lost_count)
-                REGISTRY.counter("tracebuf.batched_flushes").inc(
-                    trace.flush_count)
 
     # ------------------------------------------------------------------
     # Snapshot access (backing for /proc/ktau reads)

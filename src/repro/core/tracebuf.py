@@ -5,20 +5,12 @@ each process; entries are (timestamp, event, kind, value) records.  If
 user-space (KTAUD or a self-tracing client) does not drain the buffer fast
 enough, the oldest records are overwritten and *lost* — the paper calls
 this out explicitly, and tests exercise it.
-
-Hot-path note: tracing doubles the per-event measurement work, so
-:meth:`TraceBuffer.append` batches — records land in a plain pending list
-(one ``list.append`` per record) and are folded into the ring in bulk,
-with slice assignment instead of per-record modulo arithmetic, when the
-batch fills or the buffer is read.  Every observable (``peek``, ``drain``,
-``len``, ``lost_count``, ``total_records``) flushes first, so the
-batching is invisible to clients; strict mode bypasses it entirely so
-overflow raises at the exact offending append.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -56,10 +48,6 @@ class TraceOverflowError(RuntimeError):
     """
 
 
-#: Pending records folded into the ring once this many accumulate.
-_BATCH = 128
-
-
 class TraceBuffer:
     """Fixed-capacity circular buffer of :class:`TraceRecord`.
 
@@ -74,99 +62,32 @@ class TraceBuffer:
             raise ValueError("trace buffer capacity must be positive")
         self.capacity = capacity
         self.strict = strict
-        self._buf: list[TraceRecord | None] = [None] * capacity
-        self._head = 0  # next write slot
-        self._count = 0  # valid records currently in the ring
-        self._lost = 0  # cumulative overwrites
-        self._total = 0  # cumulative writes
-        self._pending: list[TraceRecord] = []  # batched, not yet in the ring
-        #: cumulative batched folds into the ring (observability; strict
-        #: mode never batches, so it stays 0 there)
-        self.flush_count = 0
+        self._buf: deque[TraceRecord] = deque(maxlen=capacity)
+        self.lost_count = 0  # cumulative records overwritten unread
+        self.total_records = 0  # cumulative records ever written
 
     def append(self, record: TraceRecord) -> None:
-        if self.strict:
-            # Strict mode trades the batching away for an exact raise
-            # point: the sanitizer must name the first offending append.
-            if self._count == self.capacity:
+        if len(self._buf) == self.capacity:
+            if self.strict:
                 raise TraceOverflowError(
                     f"trace buffer overflow: capacity {self.capacity} "
                     f"reached, oldest record would be lost unread "
-                    f"(total written: {self._total})")
-            self._count += 1
-            self._buf[self._head] = record
-            self._head = (self._head + 1) % self.capacity
-            self._total += 1
-            return
-        pending = self._pending
-        pending.append(record)
-        if len(pending) >= _BATCH:
-            self._flush()
-
-    def _flush(self) -> None:
-        """Fold the pending batch into the ring in bulk."""
-        pending = self._pending
-        n = len(pending)
-        if not n:
-            return
-        cap = self.capacity
-        self.flush_count += 1
-        self._total += n
-        overflow = self._count + n - cap
-        if overflow > 0:
-            self._lost += overflow
-            self._count = cap
-        else:
-            self._count += n
-        buf = self._buf
-        head = self._head
-        i = 0
-        if n > cap:
-            # Only the last ``cap`` records survive; skip straight to
-            # them, advancing head as if each dropped record was written.
-            i = n - cap
-            head = (head + i) % cap
-        while i < n:
-            k = min(cap - head, n - i)
-            buf[head:head + k] = pending[i:i + k]
-            head += k
-            if head == cap:
-                head = 0
-            i += k
-        self._head = head
-        self._pending = []
-
-    @property
-    def lost_count(self) -> int:
-        """Cumulative records overwritten before being read."""
-        self._flush()
-        return self._lost
-
-    @property
-    def total_records(self) -> int:
-        """Cumulative records ever written."""
-        self._flush()
-        return self._total
+                    f"(total written: {self.total_records})")
+            self.lost_count += 1
+        self._buf.append(record)
+        self.total_records += 1
 
     def __len__(self) -> int:
-        self._flush()
-        return self._count
+        return len(self._buf)
 
     def peek(self) -> list[TraceRecord]:
         """Buffered records oldest-first, without removing them."""
-        self._flush()
-        start = (self._head - self._count) % self.capacity
-        out: list[TraceRecord] = []
-        for i in range(self._count):
-            rec = self._buf[(start + i) % self.capacity]
-            assert rec is not None
-            out.append(rec)
-        return out
+        return list(self._buf)
 
     def drain(self) -> list[TraceRecord]:
         """Remove and return all buffered records, oldest-first."""
-        out = self.peek()
-        self._count = 0
+        out = list(self._buf)
+        self._buf.clear()
         return out
 
     def __iter__(self) -> Iterator[TraceRecord]:

@@ -18,12 +18,10 @@ behaviour unless a caller asks for fan-out.
 """
 
 from repro.parallel.merge import group_results, merge_mappings, sum_counters
-from repro.parallel.runner import (PartialSweepResult, ReplicationError,
-                                   default_workers, parallel_map,
-                                   run_replications)
+from repro.parallel.runner import (ReplicationError, default_workers,
+                                   parallel_map, run_replications)
 
 __all__ = [
-    "PartialSweepResult",
     "ReplicationError",
     "default_workers",
     "group_results",

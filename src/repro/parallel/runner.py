@@ -30,7 +30,6 @@ import os
 import pickle
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 try:  # cloudpickle serialises closures/lambdas; pickle handles the rest
@@ -66,26 +65,6 @@ class ReplicationError(RuntimeError):
         super().__init__(message)
         self.key = key
         self.worker_tb = worker_tb
-
-
-@dataclass
-class PartialSweepResult:
-    """Outcome of a sweep allowed to lose cells (``partial=True``).
-
-    ``results`` has the same shape as the fail-fast return — a list for
-    :func:`parallel_map` (``None`` at failed indices), a dict without
-    the failed keys for :func:`run_replications` — and ``failures`` maps
-    each failed cell's key to its :class:`ReplicationError` (worker
-    traceback included).
-    """
-
-    results: Any
-    failures: dict = field(default_factory=dict)
-
-    @property
-    def complete(self) -> bool:
-        """True when no cell failed."""
-        return not self.failures
 
 
 def default_workers() -> int:
@@ -151,25 +130,10 @@ def _observe_task(task_s: float, wait_s: Optional[float] = None) -> None:
         REGISTRY.histogram("parallel.queue_wait_s").observe(max(0.0, wait_s))
 
 
-def _observe_failure() -> None:
-    """Count one cell failure (final, after any retries)."""
-    if _obs.metrics_on:
-        from repro.obs.metrics import REGISTRY
-        REGISTRY.counter("parallel.failures").inc()
-
-
-def _observe_retry() -> None:
-    """Count one cell retry."""
-    if _obs.metrics_on:
-        from repro.obs.metrics import REGISTRY
-        REGISTRY.counter("parallel.retries").inc()
-
-
 def parallel_map(fn: Callable[[T], R], items: Iterable[T], *,
                  workers: Optional[int] = None,
                  keys: Optional[Sequence[Any]] = None,
-                 label: str = "sweep",
-                 retries: int = 0, partial: bool = False):
+                 label: str = "sweep") -> list[R]:
     """``[fn(x) for x in items]``, optionally sharded across processes.
 
     Results are returned in item order regardless of completion order.
@@ -178,42 +142,24 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T], *,
     and carrying the worker-side traceback.  ``label`` names the sweep
     in progress lines and trace spans when observability
     (:mod:`repro.obs`) is enabled; it never affects results.
-
-    Degradation is opt-in and off by default (fail-fast): ``retries``
-    re-runs a failed cell up to that many extra times, and
-    ``partial=True`` returns a :class:`PartialSweepResult` instead of
-    raising, with ``None`` at failed indices and the errors keyed by
-    cell.  A cell that fails is retried from scratch — replications are
-    self-contained closures, so a re-run is exactly a first run.
     """
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
     items = list(items)
     n = len(items)
     nworkers = resolve_workers(workers, n)
     if nworkers <= 1 or n <= 1:
-        return _serial_map(fn, items, keys, label, retries, partial)
+        return _serial_map(fn, items, keys, label)
     observed = _obs.enabled()
     payloads = [_pickler.dumps((fn, item)) for item in items]
     results: list[Any] = [None] * n
-    failures: dict[Any, ReplicationError] = {}
-    attempts = [0] * n
     context = multiprocessing.get_context(_start_method())
     from repro import obs
     with obs.span(f"parallel_map:{label}", "parallel", n=n,
                   workers=nworkers):
         with ProcessPoolExecutor(max_workers=nworkers,
                                  mp_context=context) as pool:
-            submitted_at: dict[int, float] = {}
-            pending: dict = {}
-
-            def submit(index: int) -> None:
-                pending[pool.submit(_run_payload, payloads[index])] = index
-                if observed:
-                    submitted_at[index] = _obs.wall_clock()
-
-            for index in range(n):
-                submit(index)
+            submitted_at = _obs.wall_clock() if observed else 0.0
+            pending = {pool.submit(_run_payload, payload): index
+                       for index, payload in enumerate(payloads)}
             done = 0
             while pending:
                 finished, _running = wait(list(pending),
@@ -228,25 +174,11 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T], *,
                         # not unpickle): no worker traceback to show.
                         tag, value, extra = "error", exc, None
                     if tag == "error":
-                        if attempts[index] < retries:
-                            attempts[index] += 1
-                            _observe_retry()
-                            submit(index)
-                            continue
-                        _observe_failure()
-                        error = ReplicationError(key, value, extra)
-                        if not partial:
-                            raise error from value
-                        failures[key] = error
-                        done += 1
-                        if observed:
-                            _obs.progress(label, done, n)
-                        continue
+                        raise ReplicationError(key, value, extra) from value
                     results[index], task_s = value, extra
                     done += 1
                     if observed:
-                        wait_s = (_obs.wall_clock()
-                                  - submitted_at[index]) - task_s
+                        wait_s = (_obs.wall_clock() - submitted_at) - task_s
                         if _obs.metrics_on:
                             _observe_task(task_s, wait_s)
                             from repro.obs.metrics import REGISTRY
@@ -254,48 +186,28 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T], *,
                         obs.instant(f"task_done:{key}", "parallel",
                                     task_s=task_s)
                         _obs.progress(label, done, n)
-    if partial:
-        return PartialSweepResult(results, failures)
     return results
 
 
-def _serial_map(fn, items, keys, label, retries, partial):
-    """In-process execution path of :func:`parallel_map`."""
-    n = len(items)
-    if not _obs.enabled() and retries == 0 and not partial:
-        # The historical fast path: no pool, no wrapping — a cell
-        # exception propagates raw, exactly like the comprehension.
+def _serial_map(fn, items, keys, label):
+    """In-process execution path of :func:`parallel_map`.
+
+    A cell exception propagates raw, exactly like the comprehension.
+    """
+    if not _obs.enabled():
         return [fn(item) for item in items]
     from repro import obs
-    results: list[Any] = [None] * n
-    failures: dict[Any, ReplicationError] = {}
+    n = len(items)
+    results: list[Any] = []
     with obs.span(f"parallel_map:{label}", "parallel", n=n, workers=1):
         for index, item in enumerate(items):
             key = keys[index] if keys is not None else index
-            for attempt in range(retries + 1):
-                t0 = _obs.wall_clock()
-                try:
-                    with obs.span(f"task:{key}", "parallel"):
-                        results[index] = fn(item)
-                except Exception as exc:
-                    if attempt < retries:
-                        _observe_retry()
-                        continue
-                    _observe_failure()
-                    error = ReplicationError(key, exc,
-                                             traceback.format_exc())
-                    if not partial:
-                        if retries == 0:
-                            raise  # historical behaviour: the raw error
-                        raise error from exc
-                    failures[key] = error
-                    break
-                if _obs.metrics_on:
-                    _observe_task(_obs.wall_clock() - t0)
-                break
+            t0 = _obs.wall_clock()
+            with obs.span(f"task:{key}", "parallel"):
+                results.append(fn(item))
+            if _obs.metrics_on:
+                _observe_task(_obs.wall_clock() - t0)
             _obs.progress(label, index + 1, n)
-    if partial:
-        return PartialSweepResult(results, failures)
     return results
 
 
@@ -307,24 +219,14 @@ def _call_thunk(thunk: Callable[[], R]) -> R:
 def run_replications(cells: Mapping[Any, Callable[[], R]] |
                      Sequence[tuple[Any, Callable[[], R]]], *,
                      workers: Optional[int] = None,
-                     label: str = "replications",
-                     retries: int = 0, partial: bool = False):
+                     label: str = "replications") -> dict[Any, R]:
     """Run keyed zero-argument replications; returns ``{key: result}``.
 
     The returned dict preserves the input key order (not completion
-    order), so iterating it is deterministic.  ``retries`` and
-    ``partial`` degrade like :func:`parallel_map`: with ``partial=True``
-    the return value is a :class:`PartialSweepResult` whose ``results``
-    dict simply omits the failed cells.
+    order), so iterating it is deterministic.
     """
     pairs = list(cells.items()) if isinstance(cells, Mapping) else list(cells)
     keys = [key for key, _ in pairs]
     thunks = [thunk for _, thunk in pairs]
-    outcome = parallel_map(_call_thunk, thunks, workers=workers, keys=keys,
-                           label=label, retries=retries, partial=partial)
-    if partial:
-        results = {key: result
-                   for key, result in zip(keys, outcome.results)
-                   if key not in outcome.failures}
-        return PartialSweepResult(results, outcome.failures)
-    return dict(zip(keys, outcome))
+    return dict(zip(keys, parallel_map(_call_thunk, thunks, workers=workers,
+                                       keys=keys, label=label)))

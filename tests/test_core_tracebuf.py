@@ -1,5 +1,7 @@
 """Tests for the circular trace buffer."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -52,15 +54,41 @@ class TestTraceBuffer:
         assert buf.total_records == 10
 
 
-@given(capacity=st.integers(1, 32), n=st.integers(0, 200))
-def test_property_last_capacity_records_survive(capacity, n):
-    """The buffer always holds the most recent min(n, capacity) records,
+def test_allocation_does_not_scale_with_capacity():
+    """A large buffer costs memory only for the records it holds."""
+    records = [rec(i) for i in range(100)]
+    tracemalloc.start()
+    try:
+        buf = TraceBuffer(65_536)
+        for r in records:
+            buf.append(r)
+        allocated, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(buf) == 100
+    assert allocated < 16 * 1024
+
+
+@given(capacity=st.integers(1, 32),
+       bursts=st.lists(st.tuples(st.integers(0, 80), st.booleans()),
+                       max_size=6))
+def test_property_last_capacity_records_survive(capacity, bursts):
+    """Across bursts of appends, some followed by a drain, the buffer
+    always holds the most recent undrained records up to its capacity,
     in order, and accounts for every overwrite."""
     buf = TraceBuffer(capacity)
-    for i in range(n):
-        buf.append(rec(i))
-    kept = [r.cycles for r in buf.peek()]
-    expected = list(range(max(0, n - capacity), n))
-    assert kept == expected
-    assert buf.lost_count == max(0, n - capacity)
-    assert buf.total_records == n
+    model, lost, written = [], 0, 0
+    for n, drain in bursts:
+        for _ in range(n):
+            buf.append(rec(written))
+            model.append(written)
+            written += 1
+        lost += max(0, len(model) - capacity)
+        model = model[-capacity:]
+        assert [r.cycles for r in buf.peek()] == model
+        assert buf.lost_count == lost
+        if drain:
+            assert [r.cycles for r in buf.drain()] == model
+            assert len(buf) == 0
+            model = []
+    assert buf.total_records == written

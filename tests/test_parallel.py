@@ -10,9 +10,9 @@ import os
 
 import pytest
 
-from repro.parallel import (PartialSweepResult, ReplicationError,
-                            default_workers, group_results, merge_mappings,
-                            parallel_map, run_replications, sum_counters)
+from repro.parallel import (ReplicationError, default_workers, group_results,
+                            merge_mappings, parallel_map, run_replications,
+                            sum_counters)
 from repro.parallel.runner import WORKERS_ENV, resolve_workers
 
 
@@ -97,7 +97,7 @@ def test_serial_failure_raises_plainly():
 
 
 # ---------------------------------------------------------------------------
-# degradation: worker tracebacks, retries, partial sweeps
+# worker tracebacks
 # ---------------------------------------------------------------------------
 def _boom(_x):
     raise ValueError("kaboom in worker")
@@ -111,77 +111,6 @@ def test_pool_failure_carries_worker_traceback():
     assert "_boom" in excinfo.value.worker_tb
     assert "kaboom in worker" in excinfo.value.worker_tb
     assert "worker traceback" in str(excinfo.value)
-
-
-def test_retries_rejects_negative():
-    with pytest.raises(ValueError):
-        parallel_map(_square, [1, 2], retries=-1)
-
-
-def test_partial_pool_sweep_collects_failures():
-    out = parallel_map(_fail_on_two, [1, 2, 3], workers=2, partial=True,
-                       keys=["one", "two", "three"])
-    assert isinstance(out, PartialSweepResult)
-    assert not out.complete
-    assert out.results == [1, None, 3]
-    assert set(out.failures) == {"two"}
-    assert isinstance(out.failures["two"], ReplicationError)
-    assert "boom" in str(out.failures["two"])
-
-
-def test_partial_serial_sweep_matches_pool_shape():
-    out = parallel_map(_fail_on_two, [1, 2, 3], workers=1, partial=True)
-    assert isinstance(out, PartialSweepResult)
-    assert out.results == [1, None, 3]
-    assert set(out.failures) == {1}  # indexed: no keys given
-
-
-def test_partial_sweep_with_no_failures_is_complete():
-    out = parallel_map(_square, [1, 2, 3], workers=2, partial=True)
-    assert out.complete and out.failures == {}
-    assert out.results == [1, 4, 9]
-
-
-def test_serial_retries_eventually_succeed():
-    calls = []
-
-    def flaky(x):
-        calls.append(x)
-        if len(calls) < 3:
-            raise RuntimeError("transient")
-        return x * 10
-
-    assert parallel_map(flaky, [5], workers=1, retries=2) == [50]
-    assert len(calls) == 3
-
-
-def test_pool_retries_eventually_succeed(tmp_path):
-    def flaky(x):
-        # per-cell cross-process attempt marker: first run fails,
-        # the resubmitted run sees the marker and succeeds
-        marker = tmp_path / f"attempts-{x}"
-        if not marker.exists():
-            marker.write_text("tried")
-            raise RuntimeError("transient")
-        return x * 10
-
-    assert parallel_map(flaky, [5, 6], workers=2, retries=1) == [50, 60]
-
-
-def test_retries_exhausted_still_fails():
-    with pytest.raises(ReplicationError):
-        parallel_map(_boom, [1], workers=1, retries=2, keys=["cell"])
-
-
-def test_run_replications_partial_omits_failed_keys():
-    def bad():
-        raise RuntimeError("sim exploded")
-
-    out = run_replications({"ok": lambda: 1, "bad": bad}, workers=2,
-                           partial=True)
-    assert isinstance(out, PartialSweepResult)
-    assert out.results == {"ok": 1}
-    assert set(out.failures) == {"bad"}
 
 
 # ---------------------------------------------------------------------------
