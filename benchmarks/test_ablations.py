@@ -37,7 +37,7 @@ def _mean_flow_us(data):
     return float(np.mean(values))
 
 
-def test_ablation_cache_mismatch_factor(benchmark):
+def test_ablation_cache_mismatch_factor():
     """Without the SMP cache-locality dilation the Figure 10 cost shift
     between matched and mismatched receive processing disappears."""
 
@@ -46,15 +46,13 @@ def test_ablation_cache_mismatch_factor(benchmark):
         return params.with_(net=replace(params.net, cache_mismatch_factor=1.0))
 
     with_model = run_lu(irq_balance=True)
-    without = benchmark.pedantic(
-        lambda: run_lu(irq_balance=True, tweak=no_mismatch),
-        rounds=1, iterations=1)
+    without = run_lu(irq_balance=True, tweak=no_mismatch)
     assert _mean_flow_us(with_model) > _mean_flow_us(without) * 1.04
     print(f"\nper-call TCP cost: with cache model {_mean_flow_us(with_model):.2f}us, "
           f"ablated {_mean_flow_us(without):.2f}us")
 
 
-def test_ablation_smp_compute_dilation(benchmark):
+def test_ablation_smp_compute_dilation():
     """Without memory-system contention, the residual 2-ranks-per-node
     penalty largely vanishes (Table 2's pinned-vs-128x1 gap)."""
 
@@ -62,14 +60,13 @@ def test_ablation_smp_compute_dilation(benchmark):
         return params.with_(smp_compute_dilation=0.0)
 
     normal = run_lu()
-    ablated = benchmark.pedantic(lambda: run_lu(tweak=no_dilation),
-                                 rounds=1, iterations=1)
+    ablated = run_lu(tweak=no_dilation)
     assert ablated.exec_time_s < normal.exec_time_s * 0.97
     print(f"\n64x2 pinned exec: full model {normal.exec_time_s:.3f}s, "
           f"no SMP dilation {ablated.exec_time_s:.3f}s")
 
 
-def test_ablation_interrupt_coalescing(benchmark):
+def test_ablation_interrupt_coalescing():
     """Coalescing is a fidelity/efficiency trade: fewer interrupts with
     larger groups, identical bytes delivered."""
     from repro.kernel.net.nic import Nic
@@ -79,9 +76,7 @@ def test_ablation_interrupt_coalescing(benchmark):
         Nic.coalesce_segments = 1
         fine = run_lu(nranks=8, procs_per_node=1)
         Nic.coalesce_segments = 8
-        coarse = benchmark.pedantic(
-            lambda: run_lu(nranks=8, procs_per_node=1),
-            rounds=1, iterations=1)
+        coarse = run_lu(nranks=8, procs_per_node=1)
     finally:
         Nic.coalesce_segments = original
     fine_irqs = sum(sum(c) for c in fine.node_irq_counts.values())
@@ -94,23 +89,21 @@ def test_ablation_interrupt_coalescing(benchmark):
     print(f"\nhard IRQs: per-segment {fine_irqs}, coalesced x8 {coarse_irqs}")
 
 
-def test_ablation_wavefront_pipelining(benchmark):
+def test_ablation_wavefront_pipelining():
     """The pipeline-fill fraction is the LU-fidelity knob: a coarse
     (unpipelined) sweep serialises the diagonal and inflates execution."""
     from dataclasses import replace
 
     pipelined = run_lu(nranks=16, procs_per_node=1, pin=False)
     coarse_params = replace(ABLATION_LU, pipeline_fill_frac=1.0)
-    coarse = benchmark.pedantic(
-        lambda: run_lu(nranks=16, procs_per_node=1, pin=False,
-                       params=coarse_params),
-        rounds=1, iterations=1)
+    coarse = run_lu(nranks=16, procs_per_node=1, pin=False,
+                    params=coarse_params)
     assert coarse.exec_time_s > pipelined.exec_time_s * 1.15
     print(f"\nLU exec: pipelined sweep {pipelined.exec_time_s:.3f}s, "
           f"serialised sweep {coarse.exec_time_s:.3f}s")
 
 
-def test_ablation_tickless_idle_balance(benchmark):
+def test_ablation_tickless_idle_balance():
     """Tick-driven idle balancing is what rescues work queued behind a
     busy CPU; without ticks two tasks spawned on one CPU serialise."""
     from repro.kernel.kernel import Kernel
@@ -135,7 +128,7 @@ def test_ablation_tickless_idle_balance(benchmark):
         return max(finish)
 
     with_ticks = race(10 * MSEC)
-    without = benchmark.pedantic(lambda: race(None), rounds=1, iterations=1)
+    without = race(None)
     assert with_ticks < 150 * MSEC
     assert without >= 200 * MSEC
     print(f"\n2 tasks, 1 start CPU: ticks {with_ticks/1e6:.1f}ms, "

@@ -15,8 +15,8 @@ from repro.experiments import fig9_10
 from benchmarks.conftest import write_report
 
 
-def test_fig10_tcp_cost(benchmark, fig9_runs):
-    result = benchmark(fig9_10.build_fig10, fig9_runs)
+def test_fig10_tcp_cost(fig9_runs):
+    result = fig9_10.build_fig10(fig9_runs)
 
     base = result.median_us("128x1")
     control = result.median_us("128x1 Pin,IRQ CPU1")

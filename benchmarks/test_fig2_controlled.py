@@ -25,8 +25,8 @@ def fig2ab():
     return f2.run_fig2ab()
 
 
-def test_fig2ab_kernel_wide_and_process_views(benchmark, fig2ab):
-    text = benchmark(f2.render_ab, fig2ab)
+def test_fig2ab_kernel_wide_and_process_views(fig2ab):
+    text = f2.render_ab(fig2ab)
     invol = fig2ab.invol_by_node
     others = [v for n, v in invol.items() if n != fig2ab.perturbed_node]
     assert invol[fig2ab.perturbed_node] > 2 * max(others, default=0.0)
@@ -37,8 +37,8 @@ def test_fig2ab_kernel_wide_and_process_views(benchmark, fig2ab):
     print("\n" + text)
 
 
-def test_fig2c_voluntary_vs_involuntary(benchmark):
-    result = benchmark.pedantic(f2.run_fig2c, rounds=1, iterations=1)
+def test_fig2c_voluntary_vs_involuntary():
+    result = f2.run_fig2c()
     vols = [v for v, _ in result.sched]
     invs = [i for _, i in result.sched]
     victim = int(np.argmax(invs))
@@ -50,8 +50,8 @@ def test_fig2c_voluntary_vs_involuntary(benchmark):
     print("\n" + text)
 
 
-def test_fig2d_merged_profile(benchmark, fig2ab):
-    result = benchmark(f2.build_fig2d, fig2ab.data, 0)
+def test_fig2d_merged_profile(fig2ab):
+    result = f2.build_fig2d(fig2ab.data, 0)
     kernel_names = {r.name for r in result.kernel_rows()}
     assert {"schedule_vol", "tcp_sendmsg"} <= kernel_names
     tau_recv = result.tau_only_excl_s["MPI_Recv()"]
@@ -66,8 +66,8 @@ def test_fig2d_merged_profile(benchmark, fig2ab):
     print("\n" + text)
 
 
-def test_fig2e_merged_trace(benchmark):
-    result = benchmark.pedantic(f2.run_fig2e, rounds=1, iterations=1)
+def test_fig2e_merged_trace():
+    result = f2.run_fig2e()
     assert result.window
     for expected in ("sys_writev", "sock_sendmsg", "tcp_sendmsg"):
         assert expected in result.kernel_events_in_window

@@ -11,8 +11,8 @@ from repro.experiments import fig3
 from benchmarks.conftest import write_report
 
 
-def test_fig3_recv_histogram(benchmark, anomaly_lu):
-    result = benchmark(fig3.build, anomaly_lu)
+def test_fig3_recv_histogram(anomaly_lu):
+    result = fig3.build(anomaly_lu)
     times = np.array(result.recv_excl_s)
 
     # the faulty node's ranks are low outliers

@@ -14,8 +14,8 @@ from repro.experiments import fig5_6
 from benchmarks.conftest import write_report
 
 
-def test_fig5_voluntary_cdf(benchmark, lu_runs):
-    result = benchmark(fig5_6.build, lu_runs, "voluntary")
+def test_fig5_voluntary_cdf(lu_runs):
+    result = fig5_6.build(lu_runs, "voluntary")
 
     anomaly = np.array(result.values["64x2 Anomaly"])
     plain = np.array(result.values["64x2"])

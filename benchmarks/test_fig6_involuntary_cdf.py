@@ -15,8 +15,8 @@ from repro.experiments import fig5_6
 from benchmarks.conftest import write_report
 
 
-def test_fig6_involuntary_cdf(benchmark, lu_runs):
-    result = benchmark(fig5_6.build, lu_runs, "involuntary")
+def test_fig6_involuntary_cdf(lu_runs):
+    result = fig5_6.build(lu_runs, "involuntary")
 
     anomaly = np.array(result.values["64x2 Anomaly"])
     plain = np.array(result.values["64x2"])

@@ -9,8 +9,8 @@ from repro.experiments import fig7
 from benchmarks.conftest import write_report
 
 
-def test_fig7_node_activity(benchmark, anomaly_lu):
-    result = benchmark(fig7.build, anomaly_lu)
+def test_fig7_node_activity(anomaly_lu):
+    result = fig7.build(anomaly_lu)
 
     assert len(result.lu_pids) == 2  # ranks 61 and 125 live here
     # daemons are minuscule next to the LU tasks

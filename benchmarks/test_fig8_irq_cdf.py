@@ -12,8 +12,8 @@ from repro.experiments import fig8
 from benchmarks.conftest import write_report
 
 
-def test_fig8_irq_cdf(benchmark, lu_runs):
-    result = benchmark(fig8.build, lu_runs)
+def test_fig8_irq_cdf(lu_runs):
+    result = fig8.build(lu_runs)
 
     pinned = result.bimodality["64x2 Pinned"]
     balanced = result.bimodality["64x2 Pin,I-Bal"]

@@ -15,8 +15,8 @@ from repro.experiments import fig9_10
 from benchmarks.conftest import write_report
 
 
-def test_fig9_tcp_in_compute(benchmark, fig9_runs):
-    result = benchmark(fig9_10.build_fig9, fig9_runs)
+def test_fig9_tcp_in_compute(fig9_runs):
+    result = fig9_10.build_fig9(fig9_runs)
 
     base = np.array(result.values["128x1"], dtype=float)
     control = np.array(result.values["128x1 Pin,IRQ CPU1"], dtype=float)

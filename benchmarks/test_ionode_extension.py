@@ -12,11 +12,10 @@ from repro.sim.units import MSEC
 from benchmarks.conftest import write_report
 
 
-def test_ionode_scaling(benchmark):
+def test_ionode_scaling():
     params = IoNodeParams(nrequests=12, request_bytes=65_536,
                           think_ns=4 * MSEC, fsync_every=6)
-    results = benchmark.pedantic(
-        lambda: scaling_sweep((1, 2, 4, 8), params), rounds=1, iterations=1)
+    results = scaling_sweep((1, 2, 4, 8), params)
 
     latencies = [r.mean_latency_ms() for r in results]
     # monotone degradation with fan-in, super-linear by 8 clients

@@ -13,11 +13,9 @@ from repro.sim.units import MSEC
 from benchmarks.conftest import write_report
 
 
-def test_noise_amplification(benchmark):
+def test_noise_amplification():
     params = NoiseParams(steps=60, quantum_ns=2 * MSEC)
-    results = benchmark.pedantic(
-        lambda: amplification_sweep((4, 16, 64), params),
-        rounds=1, iterations=1)
+    results = amplification_sweep((4, 16, 64), params)
 
     slowdowns = [r.slowdown_pct for r in results]
     # fixed per-node noise, growing global cost: the amplification curve

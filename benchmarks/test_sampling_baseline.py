@@ -14,8 +14,8 @@ from repro.oprofile.compare import render_comparison, sampling_blindness_s
 from benchmarks.conftest import write_report
 
 
-def test_sampling_baseline(benchmark):
-    rows, daemon = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
+def test_sampling_baseline():
+    rows, daemon = run_comparison()
     by = {r.symbol: r for r in rows}
 
     # 1. long on-CPU routines converge within statistical error

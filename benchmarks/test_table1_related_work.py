@@ -10,8 +10,8 @@ from repro.analysis.related_work import (TABLE1, render_table1,
 from benchmarks.conftest import write_report
 
 
-def test_table1_related_work(benchmark):
-    text = benchmark(render_table1)
+def test_table1_related_work():
+    text = render_table1()
     assert len(TABLE1) == 11
     # the paper's discussion: only KTAU+TAU offers full merged
     # user/kernel data and explicit parallel support

@@ -19,9 +19,9 @@ def table2_rows(lu_runs, sweep_runs):
     return table2.build()
 
 
-def test_table2_exec_time(benchmark, table2_rows):
+def test_table2_exec_time(table2_rows):
     rows = table2_rows
-    text = benchmark(table2.render, rows)
+    text = table2.render(rows)
     by = {r.config: r for r in rows}
 
     # LU ordering (paper: 0 / 73.2 / 36.1 / 31.7 / 13.6)

@@ -22,9 +22,9 @@ def table3_rows():
     return table3.build(nranks=16, seeds=(1, 2, 3))
 
 
-def test_table3_perturbation(benchmark, table3_rows):
+def test_table3_perturbation(table3_rows):
     rows = table3_rows
-    text = benchmark(table3.render, rows)
+    text = table3.render(rows)
     by = {r.config: r for r in rows}
 
     assert by["Base"].pct_avg_slow == 0.0
@@ -37,9 +37,8 @@ def test_table3_perturbation(benchmark, table3_rows):
     print("\n" + text)
 
 
-def test_table3_sweep3d_row(benchmark):
-    base_avg, inst_avg, slow_pct = benchmark.pedantic(
-        table3.build_sweep3d, rounds=1, iterations=1)
+def test_table3_sweep3d_row():
+    base_avg, inst_avg, slow_pct = table3.build_sweep3d()
     # paper: 0.49% — full instrumentation on Sweep3D stays under a few %
     assert 0.0 <= slow_pct < 4.0
     text = (f"Table 3 (Sweep3D): Base {base_avg:.3f}s, ProfAll+Tau "

@@ -11,8 +11,8 @@ from repro.experiments import table4
 from benchmarks.conftest import write_report
 
 
-def test_table4_direct_overhead(benchmark):
-    rows = benchmark(table4.build, 100_000)
+def test_table4_direct_overhead():
+    rows = table4.build(100_000)
     start, stop = rows
 
     paper = table4.PAPER_TABLE4

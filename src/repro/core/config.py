@@ -142,10 +142,6 @@ class KtauRuntimeControl:
         self._enabled.clear()
         self.version += 1
 
-    def enable_all(self) -> None:
-        self._enabled = set(self.build.compiled_groups)
-        self.version += 1
-
     def disable_points(self, *names: str) -> None:
         """Silence individual instrumentation points at runtime."""
         self._disabled_points.update(names)

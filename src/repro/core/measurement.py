@@ -32,11 +32,13 @@ from contextlib import contextmanager
 from typing import Iterator, Optional
 
 from repro.core.config import KtauBuildConfig, KtauRuntimeControl
+from repro.core.counters import TaskCounters, rates_for_path
 from repro.core.overhead import OverheadModel, ZeroOverheadModel
 from repro.core.registry import EventRegistry, InstrumentationPoint, PointKind
 from repro.core.tracebuf import TraceBuffer, TraceKind, TraceRecord
 from repro.obs import runtime as _obs
 from repro.sim.clock import CycleClock
+from repro.sim.units import SEC
 
 
 class InstrumentationImbalanceError(RuntimeError):
@@ -98,14 +100,15 @@ class _StackEntry:
     __slots__ = ("event_id", "entry_cycles", "child_cycles", "user_ctx",
                  "entry_pmc")
 
-    def __init__(self, event_id: int, entry_cycles: int, user_ctx: Optional[str]):
+    def __init__(self, event_id: int, entry_cycles: int, user_ctx: Optional[str],
+                 entry_pmc: Optional[tuple[int, int, int, int, int]]):
         self.event_id = event_id
         self.entry_cycles = entry_cycles
         self.child_cycles = 0
         self.user_ctx = user_ctx
         #: PMC register snapshot taken at entry (cycles, insn, l2 misses,
         #: minor faults, major faults); None when counters are off
-        self.entry_pmc: Optional[tuple[int, int, int, int, int]] = None
+        self.entry_pmc = entry_pmc
 
 
 class KtauTaskData:
@@ -166,17 +169,6 @@ class KtauTaskData:
         #: context at a stack root, or "" for a bare root
         self.callgraph: dict[tuple[str, int], list[int]] = {}
 
-    @property
-    def depth(self) -> int:
-        return len(self.stack)
-
-    def perf(self, event_id: int) -> PerfData:
-        data = self.profile.get(event_id)
-        if data is None:
-            data = PerfData()
-            self.profile[event_id] = data
-        return data
-
 
 class Ktau:
     """One kernel's KTAU measurement system.
@@ -217,13 +209,16 @@ class Ktau:
         self.tasks: dict[int, KtauTaskData] = {}
         self.zombies: dict[int, KtauTaskData] = {}
         self.total_overhead_cycles = 0
-        # Hot-path accelerators: firing state per point is invariant until
-        # the runtime control changes, so cache it against the control's
-        # version counter; a zero overhead model never charges anything,
-        # so its sampler calls can be skipped outright.
-        self._no_overhead = isinstance(self.overhead, ZeroOverheadModel)
+        # Hot-path accelerators.  Firing state is invariant until the
+        # runtime control changes, so it is cached against the control's
+        # version counter, by point and (for span trees) by name.  Span
+        # costs take few distinct values, so their cycle counts are
+        # memoised.  Each charge rounds its own cycles to ns in line, the
+        # same expression as ``clock.ns_for_cycles``.
         self._state_cache: dict[InstrumentationPoint, int] = {}
+        self._span_cache: dict[str, tuple[InstrumentationPoint, int]] = {}
         self._state_cache_version = -1
+        self._cycles_of: dict[int, int] = {}
         # Harness observability (repro.obs): always-on plain counters for
         # the firing-state cache, published as deltas at flush points
         # (task exit, /proc snapshot) — never per firing.
@@ -272,22 +267,23 @@ class Ktau:
     # ------------------------------------------------------------------
     # The three instrumentation macros
     # ------------------------------------------------------------------
-    def _charge(self, data: KtauTaskData, cycles: int) -> None:
+    def _flag_check(self, data: KtauTaskData) -> None:
+        """Charge a disabled point's flag check (the enabled paths charge
+        their draws in line)."""
+        cycles = self.overhead.disabled_check_cycles
         if cycles:
             data.pending_overhead_ns += self.clock.ns_for_cycles(cycles)
             data.overhead_cycles += cycles
             self.total_overhead_cycles += cycles
 
-    def _firing_state(self, point: InstrumentationPoint, data: KtauTaskData) -> int:
-        """0 = no-op, 1 = compiled but disabled (flag check), 2 = enabled."""
-        if data.frozen:
-            return 0
-        self._firings += 1
+    def _resolve_state(self, point: InstrumentationPoint) -> int:
+        """Firing state of ``point`` when the in-line cache check misses:
+        0 = no-op, 1 = compiled but disabled (flag check), 2 = enabled."""
         control = self.control
-        version = control.version
-        if version != self._state_cache_version:
+        if control.version != self._state_cache_version:
             self._state_cache.clear()
-            self._state_cache_version = version
+            self._span_cache.clear()
+            self._state_cache_version = control.version
             self._cache_invalidations += 1
         state = self._state_cache.get(point)
         if state is None:
@@ -311,36 +307,36 @@ class Ktau:
         of time (interrupt/softirq sequences) stamp events at their true
         positions instead of the current TSC.
         """
-        state = self._firing_state(point, data)
-        if state == 0:
+        if data.frozen:
             return
-        if state == 1:
-            self._charge(data, self.overhead.disabled_check_cycles)
+        self._firings += 1
+        state = (self._state_cache.get(point)
+                 if self.control.version == self._state_cache_version else None)
+        if state is None:
+            state = self._resolve_state(point)
+        if state != 2:
+            if state:
+                self._flag_check(data)
             return
         event_id = point.event_id
         if event_id is None:
             event_id = self.registry.bind(point)
-        now = self.clock.read() if at_cycles is None else at_cycles
-        frame = _StackEntry(event_id, now, data.user_context)
-        if self.build.counters and data.counter_source is not None:
-            frame.entry_pmc = data.counter_source()
-        data.stack.append(frame)
-        data.active_counts[event_id] = data.active_counts.get(event_id, 0) + 1
-        cost = 0 if self._no_overhead else self.overhead.start_cycles()
-        if data.trace is not None:
-            data.trace.append(TraceRecord(now, event_id, TraceKind.ENTRY))
-            cost += self.overhead.trace_extra_cycles
-        if cost:
-            self._charge(data, cost)
+        self._open(data, event_id,
+                   self.clock.read() if at_cycles is None else at_cycles)
 
     def exit(self, data: KtauTaskData, point: InstrumentationPoint,
              at_cycles: Optional[int] = None) -> None:
         """Entry/exit macro: exit side."""
-        state = self._firing_state(point, data)
-        if state == 0:
+        if data.frozen:
             return
-        if state == 1:
-            self._charge(data, self.overhead.disabled_check_cycles)
+        self._firings += 1
+        state = (self._state_cache.get(point)
+                 if self.control.version == self._state_cache_version else None)
+        if state is None:
+            state = self._resolve_state(point)
+        if state != 2:
+            if state:
+                self._flag_check(data)
             return
         event_id = point.event_id
         if event_id is None:
@@ -366,13 +362,36 @@ class Ktau:
                     f"unmatched exit for '{point.name}' in task {data.pid} "
                     f"({data.comm}): {detail}")
             return
-        frame = data.stack.pop()
-        now = self.clock.read() if at_cycles is None else at_cycles
+        self._close(data, self.clock.read() if at_cycles is None else at_cycles)
+
+    def _open(self, data: KtauTaskData, event_id: int, now: int) -> None:
+        """Push an activation frame for an enabled entry stamped ``now``."""
+        data.stack.append(_StackEntry(
+            event_id, now, data.user_context,
+            data.counter_source() if self.build.counters
+            and data.counter_source is not None else None))
+        active = data.active_counts
+        active[event_id] = active.get(event_id, 0) + 1
+        cost = self.overhead.start_cycles()
+        if data.trace is not None:
+            data.trace.append(TraceRecord(now, event_id, TraceKind.ENTRY))
+            cost += self.overhead.trace_extra_cycles
+        if cost:
+            data.pending_overhead_ns += round(cost * SEC / self.clock.hz)
+            data.overhead_cycles += cost
+            self.total_overhead_cycles += cost
+
+    def _close(self, data: KtauTaskData, now: int) -> None:
+        """Close the innermost frame (the caller checked it is the exiting
+        point's) with an enabled exit stamped ``now``."""
+        stack = data.stack
+        frame = stack.pop()
+        event_id = frame.event_id
         incl = now - frame.entry_cycles
         excl = incl - frame.child_cycles
         if excl < 0:
             excl = 0
-        perf = data.profile.get(event_id)  # inlined data.perf()
+        perf = data.profile.get(event_id)
         if perf is None:
             perf = PerfData()
             data.profile[event_id] = perf
@@ -382,8 +401,8 @@ class Ktau:
         if remaining == 0:
             perf.incl_cycles += incl
         perf.excl_cycles += excl
-        if data.stack:
-            data.stack[-1].child_cycles += incl
+        if stack:
+            stack[-1].child_cycles += incl
         if self.build.merge_context and frame.user_ctx is not None:
             key = (frame.user_ctx, event_id)
             pair = data.context_pairs.get(key)
@@ -410,8 +429,8 @@ class Ktau:
                 stats[5] += pmc[4] - base[4]
             self._counter_samples += 1
         if self.build.callgraph:
-            if data.stack:
-                parent = f"K:{self.registry.name_of(data.stack[-1].event_id)}"
+            if stack:
+                parent = f"K:{self.registry.name_of(stack[-1].event_id)}"
             elif frame.user_ctx is not None:
                 parent = f"U:{frame.user_ctx}"
             else:
@@ -422,23 +441,30 @@ class Ktau:
             else:
                 edge[0] += 1
                 edge[1] += incl
-        cost = 0 if self._no_overhead else self.overhead.stop_cycles()
+        cost = self.overhead.stop_cycles()
         if data.trace is not None:
             data.trace.append(TraceRecord(now, event_id, TraceKind.EXIT))
             cost += self.overhead.trace_extra_cycles
         if cost:
-            self._charge(data, cost)
+            data.pending_overhead_ns += round(cost * SEC / self.clock.hz)
+            data.overhead_cycles += cost
+            self.total_overhead_cycles += cost
 
     def atomic(self, data: KtauTaskData, point: InstrumentationPoint, value: int,
                at_cycles: Optional[int] = None) -> None:
         """Atomic-event macro: a stand-alone event carrying a value."""
         if point.kind != PointKind.ATOMIC:
             raise ValueError(f"{point.name} is not an atomic point")
-        state = self._firing_state(point, data)
-        if state == 0:
+        if data.frozen:
             return
-        if state == 1:
-            self._charge(data, self.overhead.disabled_check_cycles)
+        self._firings += 1
+        state = (self._state_cache.get(point)
+                 if self.control.version == self._state_cache_version else None)
+        if state is None:
+            state = self._resolve_state(point)
+        if state != 2:
+            if state:
+                self._flag_check(data)
             return
         event_id = point.event_id
         if event_id is None:
@@ -448,13 +474,78 @@ class Ktau:
             stats = AtomicData()
             data.atomic[event_id] = stats
         stats.record(value)
-        cost = 0 if self._no_overhead else self.overhead.atomic_cycles()
+        cost = self.overhead.atomic_cycles()
         if data.trace is not None:
             stamp = self.clock.read() if at_cycles is None else at_cycles
             data.trace.append(TraceRecord(stamp, event_id, TraceKind.ATOMIC, value))
             cost += self.overhead.trace_extra_cycles
         if cost:
-            self._charge(data, cost)
+            data.pending_overhead_ns += round(cost * SEC / self.clock.hz)
+            data.overhead_cycles += cost
+            self.total_overhead_cycles += cost
+
+    # ------------------------------------------------------------------
+    # Kernel span trees
+    # ------------------------------------------------------------------
+    def record_tree(self, data: KtauTaskData, tree, t_cycles: int,
+                    counters: Optional[TaskCounters] = None,
+                    end_cycles: Optional[int] = None) -> int:
+        """Record a kernel span tree's events from ``t_cycles`` on.
+
+        ``tree`` is read by duck typing (a :class:`~repro.kernel.irq.KSpan`:
+        ``name``, ``cost_ns``, ``children``, ``atomics``, ``rates``).  A
+        span's own cost is laid out before its children, so its exclusive
+        time is its ``cost_ns``; its atomics fire just before it exits.
+        With counters built in, each span advances ``counters`` by its own
+        cost at its path's rates between its entry and exit snapshots.
+        ``end_cycles``, when given, is the stamp the root and its chain of
+        last children close on, instead of the sum of the laid-out costs.
+        Returns the closing stamp.
+        """
+        live = not data.frozen
+        if live:
+            self._firings += 1
+            hit = (self._span_cache.get(tree.name)
+                   if self.control.version == self._state_cache_version
+                   else None)
+            if hit is None:
+                point = self.registry.point(tree.name)
+                hit = self._span_cache[tree.name] = (
+                    point, self._resolve_state(point))
+            point, state = hit
+            if state == 2:
+                event_id = point.event_id
+                if event_id is None:
+                    event_id = self.registry.bind(point)
+                self._open(data, event_id, t_cycles)
+            elif state:
+                self._flag_check(data)
+        cost_cycles = self._cycles_of.get(tree.cost_ns)
+        if cost_cycles is None:
+            cost_cycles = self._cycles_of[tree.cost_ns] = \
+                self.clock.cycles_for_ns(tree.cost_ns)
+        if cost_cycles and counters is not None and self.build.counters:
+            rates = tree.rates
+            counters.advance(cost_cycles, True, rates if rates is not None
+                             else rates_for_path(tree.name))
+        t = t_cycles + cost_cycles
+        children = tree.children
+        if children:
+            for child in children[:-1]:
+                t = self.record_tree(data, child, t, counters)
+            t = self.record_tree(data, children[-1], t, counters, end_cycles)
+        if end_cycles is not None:
+            t = end_cycles
+        for name, value in tree.atomics:
+            self.atomic(data, self.registry.point(name, PointKind.ATOMIC),
+                        value, t)
+        if live:
+            self._firings += 1
+            if state == 2:
+                self._close(data, t)
+            elif state:
+                self._flag_check(data)
+        return t
 
     @contextmanager
     def span(self, data: KtauTaskData, point: InstrumentationPoint) -> Iterator[None]:

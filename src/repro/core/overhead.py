@@ -21,11 +21,14 @@ TLB misses.  We model each cost as ``min + Gamma(k, theta)`` with ``k`` and
 When instrumentation is compiled in but disabled at boot/runtime the only
 cost is a flag check (a load + branch), modelled as a small constant.
 
-Sampling is batched through numpy for speed; the model is deterministic
+Sampling is batched through numpy for speed and handed out as Python
+ints, one refill of ``batch`` draws at a time; the model is deterministic
 given its RNG stream.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -41,20 +44,20 @@ class _GammaTail:
         self.minimum = float(minimum)
         self.k = (excess / std) ** 2
         self.theta = std * std / excess
-        self.mean = float(mean)
-        self.std = float(std)
         self._rng = rng
         self._batch = batch
-        self._buf = np.empty(0)
-        self._pos = 0
+        self._draws: Iterator[int] = iter(())
 
     def sample(self) -> int:
-        if self._pos >= len(self._buf):
-            self._buf = self.minimum + self._rng.gamma(self.k, self.theta, size=self._batch)
-            self._pos = 0
-        value = self._buf[self._pos]
-        self._pos += 1
-        return int(value)
+        # Truncating a batch to int64 once equals int() of each positive
+        # float draw; iterating a memoryview of it yields Python ints
+        # without keeping a list of int objects alive.
+        try:
+            return next(self._draws)
+        except StopIteration:
+            self._draws = iter(memoryview((self.minimum + self._rng.gamma(
+                self.k, self.theta, size=self._batch)).astype(np.int64)))
+            return next(self._draws)
 
     def sample_array(self, n: int) -> np.ndarray:
         """Draw ``n`` samples at once (used by the Table 4 harness)."""
@@ -93,19 +96,11 @@ class OverheadModel:
         self._stop = _GammaTail(rng, *stop)
         self.disabled_check_cycles = int(disabled_check_cycles)
         self.trace_extra_cycles = int(trace_extra_cycles)
-
-    # -- sampling -------------------------------------------------------
-    def start_cycles(self) -> int:
-        """Cost of one enabled entry-point measurement, in cycles."""
-        return self._start.sample()
-
-    def stop_cycles(self) -> int:
-        """Cost of one enabled exit-point measurement, in cycles."""
-        return self._stop.sample()
-
-    def atomic_cycles(self) -> int:
-        """Cost of one atomic-event measurement (modelled like a start)."""
-        return self._start.sample()
+        # The per-event draws, in cycles, bound straight to the samplers
+        # (one call per draw): an enabled entry costs a start, an exit a
+        # stop, and an atomic event is modelled like a start.
+        self.start_cycles = self.atomic_cycles = self._start.sample
+        self.stop_cycles = self._stop.sample
 
     # -- bulk access for the Table 4 experiment --------------------------
     def sample_start_array(self, n: int) -> np.ndarray:
@@ -113,14 +108,6 @@ class OverheadModel:
 
     def sample_stop_array(self, n: int) -> np.ndarray:
         return self._stop.sample_array(n)
-
-    @property
-    def start_params(self) -> tuple[float, float, float]:
-        return (self._start.minimum, self._start.mean, self._start.std)
-
-    @property
-    def stop_params(self) -> tuple[float, float, float]:
-        return (self._stop.minimum, self._stop.mean, self._stop.std)
 
 
 class ZeroOverheadModel(OverheadModel):
@@ -134,18 +121,4 @@ class ZeroOverheadModel(OverheadModel):
     def __init__(self) -> None:  # noqa: D107 - no RNG needed
         self.disabled_check_cycles = 0
         self.trace_extra_cycles = 0
-
-    def start_cycles(self) -> int:
-        return 0
-
-    def stop_cycles(self) -> int:
-        return 0
-
-    def atomic_cycles(self) -> int:
-        return 0
-
-    def sample_start_array(self, n: int) -> np.ndarray:  # pragma: no cover
-        return np.zeros(n)
-
-    def sample_stop_array(self, n: int) -> np.ndarray:  # pragma: no cover
-        return np.zeros(n)
+        self.start_cycles = self.stop_cycles = self.atomic_cycles = lambda: 0

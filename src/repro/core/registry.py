@@ -80,14 +80,8 @@ class EventRegistry:
         return point.event_id
 
     # -- lookups ---------------------------------------------------------
-    def by_id(self, event_id: int) -> InstrumentationPoint:
-        return self._by_id[event_id]
-
     def name_of(self, event_id: int) -> str:
         return self._by_id[event_id].name
-
-    def group_of_id(self, event_id: int) -> Group:
-        return self._by_id[event_id].group
 
     def id_of(self, name: str) -> Optional[int]:
         """ID of a point by name, or ``None`` if never fired."""

@@ -9,7 +9,8 @@ net_rx_action { tcp_v4_rcv ... } }``).  Delivering a tree to a CPU:
    KTAU's process-centric attribution of interrupt work to whatever
    process context it happens to run in;
 2. records KTAU entry/exit events for every span with explicit timestamps
-   (the whole sequence is computed synchronously at delivery time);
+   through :meth:`~repro.core.measurement.Ktau.record_tree` (the whole
+   sequence is computed synchronously at delivery time);
 3. *stretches* whatever the CPU was executing by the tree's total cost
    plus the measurement overhead the recording charged — the mechanism by
    which interrupt load (and instrumentation perturbation) delays
@@ -24,8 +25,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.counters import rates_for_path
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
     from repro.kernel.task import Task
@@ -39,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: module) or ``module.function``.
 IRQ_CONTEXT_ROOTS: tuple[str, ...] = (
     "IrqController.deliver",
-    "IrqController._record",
     "Kernel.net_rx",
     "Kernel._net_rx_bh",
     "Nic.transmit_group",
@@ -144,7 +142,9 @@ class IrqController:
             before = data.pending_overhead_ns
             t = kernel.clock.cycles_at(now_ns)
             for tree in trees:
-                t = self._record(data, tree, t, target)
+                # Interrupt time is stolen from the victim's burst (never
+                # charged by ``_charge_time``): only the spans advance PMCs.
+                t = kernel.ktau.record_tree(data, tree, t, target.counters)
             overhead_ns = data.pending_overhead_ns - before
             # Interrupt-context measurement cost is paid immediately (it
             # extends the interrupt, not the task's next burst).
@@ -156,35 +156,3 @@ class IrqController:
         if cpu.current is not None:
             kernel.sched.stretch(cpu_idx, total)
         return now_ns + total
-
-    def _record(self, data, tree: KSpan, t_cycles: int,
-                task: Optional["Task"] = None) -> int:
-        """Record KTAU events for ``tree`` starting at ``t_cycles``.
-
-        Returns the end timestamp in cycles.  Own cost is charged before
-        children, so exclusive time per span equals its ``cost_ns``.
-
-        When the counters extension is built in, each span advances the
-        target task's simulated PMCs by its own cost at the span's
-        per-path rates *between* the KTAU entry and exit snapshots, so
-        per-event inclusive counter deltas land in the counter profile —
-        and since interrupt time stretches the victim's burst as
-        *stolen* time (never charged by ``_charge_time``), this is the
-        only place it reaches the counters.
-        """
-        kernel = self.kernel
-        point = kernel.point(tree.name)
-        kernel.ktau.entry(data, point, at_cycles=t_cycles)
-        cost_cycles = kernel.clock.cycles_for_ns(tree.cost_ns)
-        if task is not None and cost_cycles and kernel.params.ktau.counters:
-            task.counters.advance(
-                cost_cycles, True,
-                tree.rates if tree.rates is not None
-                else rates_for_path(tree.name))
-        t = t_cycles + cost_cycles
-        for child in tree.children:
-            t = self._record(data, child, t, task)
-        for atomic_name, value in tree.atomics:
-            kernel.ktau.atomic(data, kernel.atomic_point(atomic_name), value, at_cycles=t)
-        kernel.ktau.exit(data, point, at_cycles=t)
-        return t

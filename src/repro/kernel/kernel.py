@@ -49,7 +49,6 @@ class Kernel:
                                                        params.boot_cmdline)
         self.ktau = Ktau(self.clock, params.ktau, control=control,
                          overhead=overhead)
-        self._points: dict[str, InstrumentationPoint] = {}
         if params.sched.policy == "legacy24":
             from repro.kernel.sched24 import Scheduler24
             self.sched: Scheduler = Scheduler24(self)
@@ -90,23 +89,15 @@ class Kernel:
             self._start_ticks()
 
     # ------------------------------------------------------------------
-    # Instrumentation point cache
+    # Instrumentation points
     # ------------------------------------------------------------------
     def point(self, name: str) -> InstrumentationPoint:
         """The entry/exit instrumentation point called ``name``."""
-        pt = self._points.get(name)
-        if pt is None:
-            pt = self.ktau.registry.point(name, PointKind.ENTRY_EXIT)
-            self._points[name] = pt
-        return pt
+        return self.ktau.registry.point(name, PointKind.ENTRY_EXIT)
 
     def atomic_point(self, name: str) -> InstrumentationPoint:
         """The atomic instrumentation point called ``name``."""
-        pt = self._points.get(name)
-        if pt is None:
-            pt = self.ktau.registry.point(name, PointKind.ATOMIC)
-            self._points[name] = pt
-        return pt
+        return self.ktau.registry.point(name, PointKind.ATOMIC)
 
     # ------------------------------------------------------------------
     # Process management

@@ -74,47 +74,29 @@ def record_tx_spans(kernel: "Kernel", task: "Task", segments: list[int]) -> int:
     nesting (``tcp_sendmsg`` under the open ``sock_sendmsg`` span) even
     though the whole group is simulated as one kernel-compute burst.
     """
+    cost = kernel.params.net.tcp_tx_cost_ns
     data = task.ktau
-    net = kernel.params.net
-    counters_on = kernel.params.ktau.counters
-    total = 0
-    t = kernel.clock.read()
-    for seg in segments:
-        cost = net.tcp_tx_cost_ns
-        total += cost
-        if data is None:
-            continue
-        offsets = [(name, int(cost * frac)) for name, frac in TX_SPLIT]
-
-        # Advance each leg's PMCs after its entry snapshot so the
-        # inclusive counter deltas nest exactly like the time spans; the
-        # cost itself is folded into the caller's upcoming kernel burst,
-        # so mark the cycles as already advanced (pmc_ahead_cycles).
-        def _advance(leg_name: str, leg_ns: int) -> None:
-            leg_cycles = kernel.clock.cycles_for_ns(leg_ns)
-            if leg_cycles:
-                task.counters.advance(leg_cycles, True,
-                                      rates_for_path(leg_name))
-                task.pmc_ahead_cycles += leg_cycles
-
-        # tcp_sendmsg { ip_queue_xmit { dev_queue_xmit } }
-        kernel.ktau.entry(data, kernel.point("tcp_sendmsg"), at_cycles=t)
-        if counters_on:
-            _advance("tcp_sendmsg", offsets[0][1])
-        t_inner = t + kernel.clock.cycles_for_ns(offsets[0][1])
-        kernel.ktau.entry(data, kernel.point("ip_queue_xmit"), at_cycles=t_inner)
-        if counters_on:
-            _advance("ip_queue_xmit", offsets[1][1])
-        t_inner2 = t_inner + kernel.clock.cycles_for_ns(offsets[1][1])
-        kernel.ktau.entry(data, kernel.point("dev_queue_xmit"), at_cycles=t_inner2)
-        if counters_on:
-            _advance("dev_queue_xmit",
-                     cost - offsets[0][1] - offsets[1][1])
-        t_end = t + kernel.clock.cycles_for_ns(cost)
-        kernel.ktau.atomic(data, kernel.atomic_point("net.pkt_tx_bytes"), seg,
-                           at_cycles=t_end)
-        kernel.ktau.exit(data, kernel.point("dev_queue_xmit"), at_cycles=t_end)
-        kernel.ktau.exit(data, kernel.point("ip_queue_xmit"), at_cycles=t_end)
-        kernel.ktau.exit(data, kernel.point("tcp_sendmsg"), at_cycles=t_end)
-        t = t_end
-    return total
+    if data is not None and segments:
+        clock = kernel.clock
+        (send, send_frac), (queue, queue_frac), (dev, _) = TX_SPLIT
+        send_ns = int(cost * send_frac)
+        queue_ns = int(cost * queue_frac)
+        leaf = KSpan(dev, cost - send_ns - queue_ns)
+        tree = KSpan(send, send_ns,
+                     children=[KSpan(queue, queue_ns, children=[leaf])])
+        # Each segment ends at its whole cost in cycles, which can differ
+        # from the sum of the legs' rounded cycles at some clock rates.
+        seg_cycles = clock.cycles_for_ns(cost)
+        t = clock.read()
+        for seg in segments:
+            leaf.atomics = [("net.pkt_tx_bytes", seg)]
+            t = kernel.ktau.record_tree(data, tree, t, task.counters,
+                                        end_cycles=t + seg_cycles)
+        if kernel.params.ktau.counters:
+            # The legs advanced the PMCs inside their spans; the cost is
+            # folded into the caller's upcoming kernel burst, so mark
+            # those cycles as already advanced.
+            task.pmc_ahead_cycles += len(segments) * sum(
+                clock.cycles_for_ns(ns)
+                for ns in (send_ns, queue_ns, leaf.cost_ns))
+    return cost * len(segments)

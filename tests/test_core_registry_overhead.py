@@ -70,6 +70,25 @@ class TestEventRegistry:
         assert reg.id_of("never_declared") is None
 
 
+class _Float64Tail:
+    """A sampler as it was before int64 batches: ``int()`` of each
+    element of a float64 batch drawn from the shared stream."""
+
+    def __init__(self, tail, rng):
+        self.tail, self.rng = tail, rng
+        self.buf, self.pos, self.refills = [], 0, 0
+
+    def sample(self) -> int:
+        if self.pos >= len(self.buf):
+            tail = self.tail
+            self.buf = tail.minimum + self.rng.gamma(tail.k, tail.theta,
+                                                     size=tail._batch)
+            self.pos = 0
+            self.refills += 1
+        self.pos += 1
+        return int(self.buf[self.pos - 1])
+
+
 class TestOverheadModel:
     def test_matches_paper_statistics(self):
         model = OverheadModel(RngHub(3).stream("ovh"))
@@ -94,6 +113,24 @@ class TestOverheadModel:
         b = OverheadModel(RngHub(7).stream("x"))
         assert [a.start_cycles() for _ in range(50)] == \
                [b.start_cycles() for _ in range(50)]
+
+    def test_draws_equal_int_of_each_float64_draw(self):
+        """The int64 batches hand out exactly ``int()`` of each float64
+        draw, with start and stop sharing one stream and refilling at the
+        same points."""
+        model = OverheadModel(RngHub(11).stream("ovh"))
+        rng = RngHub(11).stream("ovh")
+        old = {"start": _Float64Tail(model._start, rng),
+               "stop": _Float64Tail(model._stop, rng)}
+        draws = (("start", model.start_cycles), ("stop", model.stop_cycles),
+                 ("start", model.atomic_cycles))
+        order = RngHub(5).stream("order").integers(0, 3, size=26_000)
+        for pick in order:
+            which, draw = draws[pick]
+            value = draw()
+            assert type(value) is int
+            assert value == old[which].sample()
+        assert old["start"].refills >= 3 and old["stop"].refills >= 3
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):

@@ -143,6 +143,16 @@ class TestKernelFacade:
         # bases differ (seeded per node name/seed); both non-zero
         assert a.pid > 0 and b.pid > 0
 
+    def test_point_lookups_keep_the_registry_kind_check(self):
+        _engine, kernel = make_kernel()
+        atomic = kernel.atomic_point("net.pkt_tx_bytes")
+        assert kernel.atomic_point("net.pkt_tx_bytes") is atomic
+        with pytest.raises(ValueError):
+            kernel.point("net.pkt_tx_bytes")
+        kernel.point("tcp_sendmsg")
+        with pytest.raises(ValueError):
+            kernel.atomic_point("tcp_sendmsg")
+
     def test_swapper_is_idle_task(self):
         engine, kernel = make_kernel()
         assert kernel.swapper.pid == 0
