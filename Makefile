@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-json lint-sarif lint-graph lint-report check \
+.PHONY: test lint lint-json check \
 	bench bench-smoke obs-demo monitor-demo chaos-smoke \
 	bottlenecks-demo counters-demo
 
@@ -13,17 +13,6 @@ lint:
 
 lint-json:
 	$(PYTHON) -m repro.lint src/repro --format=json
-
-lint-sarif:
-	$(PYTHON) -m repro.lint src/repro --format=sarif
-
-lint-graph:
-	$(PYTHON) -m repro.lint src/repro --graph-out lint_imports.dot
-
-lint-report:
-	$(PYTHON) -m repro.lint src/repro --format=json \
-		--graph-out lint_imports.dot > lint_findings.json
-	$(PYTHON) -m repro.lint src/repro --format=sarif > lint_findings.sarif
 
 check: lint test
 

@@ -73,13 +73,6 @@ class MergedCallgraph:
     def lookup(self, key: str) -> Optional[CallNode]:
         return self._nodes.get(key)
 
-    def kernel_children_of(self, user_routine: str) -> list[CallNode]:
-        """The kernel subtree roots triggered by one user routine."""
-        node = self.lookup(f"U:{user_routine}")
-        if node is None:
-            return []
-        return [c for c in node.children.values() if c.layer == "kernel"]
-
 
 def build_merged_callgraph(udump: Optional[TauProfileDump],
                            kdump: TaskProfileDump) -> MergedCallgraph:

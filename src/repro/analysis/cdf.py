@@ -34,14 +34,6 @@ def median(values) -> float:
     return quantile(values, 0.5)
 
 
-def fraction_below(values, threshold: float) -> float:
-    """Fraction of ranks whose metric is below ``threshold``."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        return float("nan")
-    return float(np.mean(arr < threshold))
-
-
 def bimodality_gap(values) -> float:
     """A simple bimodality indicator: the largest relative gap between
     consecutive sorted values, as a fraction of the full range.

@@ -13,8 +13,7 @@ from typing import Optional
 
 from repro.cluster.launch import MpiJob
 from repro.core.libktau import LibKtau
-from repro.core.points import (SCHED_INVOLUNTARY_POINT, SCHED_VOLUNTARY_POINT,
-                               TCP_CALL_POINTS)
+from repro.core.points import SCHED_INVOLUNTARY_POINT, SCHED_VOLUNTARY_POINT
 from repro.core.wire import TaskProfileDump
 from repro.tau.profiler import TauProfileDump
 
@@ -52,20 +51,6 @@ class RankData:
         """Total involuntary scheduling (preemption/runqueue) time."""
         return self._perf_s(SCHED_INVOLUNTARY_POINT)
 
-    def group_time_s(self, group: str, inclusive: bool = False) -> float:
-        """Summed kernel time over one instrumentation group."""
-        if self.kprofile is None:
-            return 0.0
-        total = 0
-        for name, (count, incl, excl) in self.kprofile.perf.items():
-            if self.kprofile.groups.get(name) == group:
-                total += incl if inclusive else excl
-        return total / self.hz
-
-    def irq_time_s(self) -> float:
-        """Hard-interrupt handler time experienced in this rank's context."""
-        return self.group_time_s("irq", inclusive=True)
-
     def interrupt_activity_s(self) -> float:
         """Figure 8's metric: total interrupt-context time (hard IRQs plus
         bottom halves) that ran in this rank's context."""
@@ -77,25 +62,6 @@ class RankData:
             if perf is not None:
                 total += perf[1]
         return total / self.hz
-
-    def tcp_calls(self) -> int:
-        """Total kernel TCP operations in this rank's context."""
-        if self.kprofile is None:
-            return 0
-        return sum(self.kprofile.perf[name][0]
-                   for name in TCP_CALL_POINTS if name in self.kprofile.perf)
-
-    def tcp_excl_s(self) -> float:
-        if self.kprofile is None:
-            return 0.0
-        return sum(self.kprofile.perf[name][2]
-                   for name in TCP_CALL_POINTS if name in self.kprofile.perf) / self.hz
-
-    def tcp_time_per_call_us(self) -> float:
-        calls = self.tcp_calls()
-        if calls == 0:
-            return float("nan")
-        return self.tcp_excl_s() / calls * 1e6
 
     def flow_rx_per_call_us(self) -> float:
         """Mean kernel time per TCP receive operation on this rank's flows."""
@@ -111,14 +77,6 @@ class RankData:
         if perf is None:
             return 0.0
         return perf[2] / self.hz
-
-    def user_incl_s(self, routine: str) -> float:
-        if self.uprofile is None:
-            return 0.0
-        perf = self.uprofile.perf.get(routine)
-        if perf is None:
-            return 0.0
-        return perf[1] / self.hz
 
 
 @dataclass

@@ -131,16 +131,3 @@ def cross_validate(profile: TaskProfileDump, trace: TraceDump,
             issues.append(ValidationIssue(name, "excl", p_excl, t_excl))
     return issues
 
-
-def render_states(reduction: TraceReduction, hz: float, top: int = 10) -> str:
-    """Text table of the largest states by total duration."""
-    from repro.analysis.render import ascii_table
-
-    rows = []
-    for state in sorted(reduction.states.values(),
-                        key=lambda s: -s.total_cycles)[:top]:
-        rows.append((state.name, state.count, state.total_cycles / hz,
-                     (state.min_cycles or 0) / hz, (state.max_cycles or 0) / hz))
-    return ascii_table(("state", "count", "total(s)", "min(s)", "max(s)"),
-                       rows, floatfmt=".6f",
-                       title="trace state statistics (Jumpshot-style)")

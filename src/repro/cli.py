@@ -170,19 +170,6 @@ def _cmd_compare_sampling(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    """ktaulint: the instrumentation/determinism static-analysis pass."""
-    from repro.lint.cli import main as lint_main
-
-    argv = list(args.paths)
-    argv += ["--format", args.format]
-    if args.select:
-        argv += ["--select", args.select]
-    if args.graph_out:
-        argv += ["--graph-out", args.graph_out]
-    return lint_main(argv)
-
-
 def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.analysis.stats import (kernel_event_stats, most_imbalanced,
                                       render_stats, user_event_stats)
@@ -563,15 +550,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="direct measurement vs OProfile-like sampling")
     cmp_.set_defaults(func=_cmd_compare_sampling)
 
-    lint = add_parser("lint", help="run ktaulint static analysis")
-    lint.add_argument("paths", nargs="*", default=["src/repro"])
-    lint.add_argument("--format", choices=("text", "json", "sarif"),
-                      default="text")
-    lint.add_argument("--select", default=None,
-                      help="comma-separated rule IDs to report")
-    lint.add_argument("--graph-out", default=None, metavar="FILE",
-                      help="write the module dependency graph (DOT)")
-    lint.set_defaults(func=_cmd_lint)
+    # main() hands everything after "lint" to repro.lint.cli verbatim;
+    # this entry only lists the subcommand in --help.
+    sub.add_parser("lint", add_help=False,
+                   help="run ktaulint static analysis "
+                        "(same arguments as python -m repro.lint)")
 
     stats = add_parser("stats",
                        help="ParaProf-style cross-rank statistics")
@@ -685,7 +668,12 @@ def main(argv: list[str] | None = None) -> int:
     span, and on the way out the trace (plus a run manifest) is written
     and/or the metrics snapshot is printed.  Without the flags this adds
     two boolean checks to the run — observability stays zero-cost off.
+    ``repro lint ARGS`` runs ``python -m repro.lint ARGS`` unchanged.
     """
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] == ["lint"]:
+        from repro.lint.cli import main as lint_main
+        return lint_main(argv[1:])
     args = build_parser().parse_args(argv)
     _configure_logging(getattr(args, "log_level", "warning"))
     metrics = getattr(args, "metrics", False)
@@ -701,7 +689,6 @@ def main(argv: list[str] | None = None) -> int:
     obs.runtime.enable(metrics=True, tracing=bool(trace_out))
     started_utc = obs.runtime.wall_time_iso()
     t0 = obs.runtime.wall_clock()
-    argv_used = list(sys.argv[1:] if argv is None else argv)
     try:
         with obs.span(f"repro.{args.command}", "cli"):
             code = args.func(args)
@@ -712,7 +699,7 @@ def main(argv: list[str] | None = None) -> int:
             config = {key: value for key, value in sorted(vars(args).items())
                       if key != "func" and not callable(value)}
             manifest = build_manifest(
-                command=args.command, argv=argv_used, config=config,
+                command=args.command, argv=argv, config=config,
                 wall_s=wall_s, started_utc=started_utc, metrics=snapshot,
                 trace_file=trace_out, version=__version__)
             manifest.write(manifest_path_for(trace_out))

@@ -56,12 +56,11 @@ class MpiWorld:
 
 
 class Request:
-    """A posted non-blocking operation, completed by :meth:`MpiRank.wait`."""
+    """A posted non-blocking receive, completed by :meth:`MpiRank.wait`."""
 
-    __slots__ = ("kind", "peer", "nbytes", "done")
+    __slots__ = ("peer", "nbytes", "done")
 
-    def __init__(self, kind: str, peer: int, nbytes: int):
-        self.kind = kind  # "recv" | "send"
+    def __init__(self, peer: int, nbytes: int):
         self.peer = peer
         self.nbytes = nbytes
         self.done = False
@@ -130,99 +129,54 @@ class MpiRank:
 
     def irecv(self, src: int, nbytes: int, tag: int = 0) -> Request:
         """Post a non-blocking receive (completed in :meth:`wait`)."""
-        return Request("recv", src, nbytes)
-
-    def isend(self, dst: int, nbytes: int, tag: int = 0) -> Request:
-        """Post a non-blocking send (the transfer happens in :meth:`wait`)."""
-        return Request("send", dst, nbytes)
+        return Request(src, nbytes)
 
     def wait(self, request: Request):
         """Complete a posted request."""
         if request.done:
             return
         with self._tau("MPI_Wait()"):
-            if request.kind == "recv":
-                yield from self._recv_raw(request.peer, request.nbytes)
-            else:
-                yield from self._send_raw(request.peer, request.nbytes)
+            yield from self._recv_raw(request.peer, request.nbytes)
         request.done = True
 
     # ------------------------------------------------------------------
     # Collectives (binomial trees, MPICH-style)
     # ------------------------------------------------------------------
-    def _bcast_tree(self, nbytes: int, root: int):
+    def _bcast_tree(self, nbytes: int):
         size = self.size
-        relrank = (self.rank - root) % size
+        rank = self.rank
         mask = 1
         while mask < size:
-            if relrank & mask:
-                src = ((relrank - mask) + root) % size
-                yield from self._recv_raw(src, nbytes)
+            if rank & mask:
+                yield from self._recv_raw(rank - mask, nbytes)
                 break
             mask <<= 1
         mask >>= 1
         while mask > 0:
-            if relrank + mask < size:
-                dst = ((relrank + mask) + root) % size
-                yield from self._send_raw(dst, nbytes)
+            if rank + mask < size:
+                yield from self._send_raw(rank + mask, nbytes)
             mask >>= 1
 
-    def _reduce_tree(self, nbytes: int, root: int):
+    def _reduce_tree(self, nbytes: int):
         size = self.size
-        relrank = (self.rank - root) % size
+        rank = self.rank
         mask = 1
         while mask < size:
-            if relrank & mask:
-                dst = ((relrank - mask) + root) % size
-                yield from self._send_raw(dst, nbytes)
+            if rank & mask:
+                yield from self._send_raw(rank - mask, nbytes)
                 break
-            if relrank + mask < size:
-                src = ((relrank + mask) + root) % size
-                yield from self._recv_raw(src, nbytes)
+            if rank + mask < size:
+                yield from self._recv_raw(rank + mask, nbytes)
                 # combining cost for the reduction operator
                 yield from self.ctx.compute(200 + nbytes // 64)
             mask <<= 1
 
-    def bcast(self, nbytes: int, root: int = 0):
-        with self._tau("MPI_Bcast()"):
-            yield from self._bcast_tree(nbytes, root)
-
-    def reduce(self, nbytes: int, root: int = 0):
-        with self._tau("MPI_Reduce()"):
-            yield from self._reduce_tree(nbytes, root)
-
     def allreduce(self, nbytes: int):
         with self._tau("MPI_Allreduce()"):
-            yield from self._reduce_tree(nbytes, 0)
-            yield from self._bcast_tree(nbytes, 0)
+            yield from self._reduce_tree(nbytes)
+            yield from self._bcast_tree(nbytes)
 
     def barrier(self):
         with self._tau("MPI_Barrier()"):
-            yield from self._reduce_tree(8, 0)
-            yield from self._bcast_tree(8, 0)
-
-    def alltoall(self, nbytes_per_peer: int):
-        """Pairwise-exchange all-to-all (MPICH's long-message algorithm).
-
-        ``size - 1`` rounds; in round ``r`` each rank exchanges with
-        partner ``rank ^ r`` (power-of-two sizes) or ``(rank + r) % size``
-        otherwise.  Sends go out before receives each round — safe under
-        the buffered-send semantics — and every rank moves
-        ``nbytes_per_peer`` to every other rank.
-        """
-        size = self.size
-        pow2 = size & (size - 1) == 0
-        with self._tau("MPI_Alltoall()"):
-            for round_ in range(1, size):
-                if pow2:
-                    partner = self.rank ^ round_
-                else:
-                    partner = (self.rank + round_) % size
-                    # non-power-of-two: receive from the mirrored offset
-                if pow2:
-                    yield from self._send_raw(partner, nbytes_per_peer)
-                    yield from self._recv_raw(partner, nbytes_per_peer)
-                else:
-                    src = (self.rank - round_) % size
-                    yield from self._send_raw(partner, nbytes_per_peer)
-                    yield from self._recv_raw(src, nbytes_per_peer)
+            yield from self._reduce_tree(8)
+            yield from self._bcast_tree(8)

@@ -125,10 +125,6 @@ class LibKtau:
         extension: no reboot, no recompilation."""
         self._proc.ioctl_set_points(False, names)
 
-    def measurement_overhead_cycles(self) -> int:
-        """KTAU's own accounting of total measurement cost (cycles)."""
-        return self._proc.ioctl_overhead()
-
     # ------------------------------------------------------------------
     # data conversion (binary <-> ASCII) and formatted output
     # ------------------------------------------------------------------

@@ -208,7 +208,6 @@ class Ktau:
         self.registry = EventRegistry()
         self.tasks: dict[int, KtauTaskData] = {}
         self.zombies: dict[int, KtauTaskData] = {}
-        self.total_overhead_cycles = 0
         # Hot-path accelerators.  Firing state is invariant until the
         # runtime control changes, so it is cached against the control's
         # version counter, by point and (for span trees) by name.  Span
@@ -274,7 +273,6 @@ class Ktau:
         if cycles:
             data.pending_overhead_ns += self.clock.ns_for_cycles(cycles)
             data.overhead_cycles += cycles
-            self.total_overhead_cycles += cycles
 
     def _resolve_state(self, point: InstrumentationPoint) -> int:
         """Firing state of ``point`` when the in-line cache check misses:
@@ -379,7 +377,6 @@ class Ktau:
         if cost:
             data.pending_overhead_ns += round(cost * SEC / self.clock.hz)
             data.overhead_cycles += cost
-            self.total_overhead_cycles += cost
 
     def _close(self, data: KtauTaskData, now: int) -> None:
         """Close the innermost frame (the caller checked it is the exiting
@@ -448,7 +445,6 @@ class Ktau:
         if cost:
             data.pending_overhead_ns += round(cost * SEC / self.clock.hz)
             data.overhead_cycles += cost
-            self.total_overhead_cycles += cost
 
     def atomic(self, data: KtauTaskData, point: InstrumentationPoint, value: int,
                at_cycles: Optional[int] = None) -> None:
@@ -482,7 +478,6 @@ class Ktau:
         if cost:
             data.pending_overhead_ns += round(cost * SEC / self.clock.hz)
             data.overhead_cycles += cost
-            self.total_overhead_cycles += cost
 
     # ------------------------------------------------------------------
     # Kernel span trees

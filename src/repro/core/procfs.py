@@ -124,10 +124,6 @@ class KtauProcFS:
         else:
             self._ktau.control.disable_points(*names)
 
-    def ioctl_overhead(self) -> int:
-        """Total measurement overhead charged so far, in cycles."""
-        return self._ktau.total_overhead_cycles
-
     # ------------------------------------------------------------------
     def _task_data(self, pid: int):
         data = self._ktau.tasks.get(pid)

@@ -245,17 +245,6 @@ class FaultPlan:
         ordered = tuple(sorted(resolved, key=lambda f: (f.at_ns, f.kind)))
         return FaultPlan(self.name, ordered)
 
-    def faulted_nodes(self) -> tuple[int, ...]:
-        """Sorted node indices named by any fault (incl. collection scope)."""
-        targets: set[int] = set()
-        for fault in self.faults:
-            if fault.node is not None:
-                targets.add(fault.node)
-            targets.update(getattr(fault, "nodes", None) or ())
-            targets.update(getattr(fault, "group_a", ()))
-            targets.update(getattr(fault, "group_b", ()))
-        return tuple(sorted(targets))
-
     def perturbed_nodes(self) -> Optional[tuple[int, ...]]:
         """Nodes whose simulated state this plan perturbs.
 

@@ -226,35 +226,5 @@ class Kernel:
             blocks.append(f"processor\t: {i}\ncpu MHz\t\t: {mhz:.3f}\n")
         return "\n".join(blocks)
 
-    def proc_interrupts(self) -> str:
-        """/proc/interrupts: per-CPU hard-interrupt counts.
-
-        The second thing (after cpuinfo) one cats when chasing the §5.2
-        irq-balancing story — all device interrupts on CPU0 is visible at
-        a glance.
-        """
-        ncpus = self.params.online_cpus
-        header = "      " + "".join(f"{f'CPU{i}':>12}" for i in range(ncpus))
-        dev = "  14: " + "".join(f"{self.irq.irq_counts[i]:>12}"
-                                 for i in range(ncpus)) + "   eth0/ide"
-        tick = "LOC:  " + "".join(f"{self._tick_count:>12}"
-                                  for _ in range(ncpus)) + "   local timer"
-        return "\n".join((header, dev, tick)) + "\n"
-
-    def proc_stat(self) -> str:
-        """/proc/stat-style per-CPU busy/idle accounting (in ticks of the
-        node clock; USER_HZ=100 as the era's kernels reported)."""
-        user_hz = 100
-        lines = []
-        now = self.engine.now
-        for cpu in self.sched.cpus:
-            busy = cpu.busy_ns
-            if cpu.current is not None:
-                busy += now - cpu.run_started
-            idle = max(0, now - busy)
-            lines.append(f"cpu{cpu.idx} {busy * user_hz // 10 ** 9} 0 0 "
-                         f"{idle * user_hz // 10 ** 9}")
-        return "\n".join(lines) + "\n"
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Kernel {self.name} cpus={self.params.online_cpus} tasks={len(self.tasks)}>"

@@ -48,7 +48,7 @@ class Cpu:
         "burst_handle", "burst_started", "burst_planned", "burst_stolen",
         "burst_kernel", "expiry_handle", "expiry_deadline",
         "run_started", "stint_stolen", "switch_penalty_ns",
-        "steal_retry_handle", "idle_since", "busy_ns", "prev_task",
+        "steal_retry_handle", "idle_since", "prev_task",
     )
 
     def __init__(self, idx: int):
@@ -70,7 +70,6 @@ class Cpu:
         self.switch_penalty_ns = 0
         self.steal_retry_handle: Optional["EventHandle"] = None
         self.idle_since: Optional[int] = 0
-        self.busy_ns = 0
         self.prev_task: Optional[Task] = None
 
     @property
@@ -298,7 +297,6 @@ class Scheduler:
             task.nivcsw += 1
         task.last_ran_at = now
         task.last_cpu = cpu.idx
-        cpu.busy_ns += now - cpu.run_started
         self._ktau_sched_out(task, voluntary)
         cpu.prev_task = task
         cpu.current = None
@@ -637,7 +635,6 @@ class Scheduler:
         task.exit_time_ns = now
         task.exit_code = code
         self._close_frames(task)
-        cpu.busy_ns += now - cpu.run_started
         cpu.prev_task = task
         cpu.current = None
         self.kernel.on_task_exited(task)

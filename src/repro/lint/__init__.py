@@ -23,7 +23,7 @@ refactor that silently breaks one is caught at lint time:
 The balance pass has a dynamic twin: ``repro.core.measurement.Ktau``'s
 opt-in *strict mode* raises on activation-stack imbalance at run time.
 Run the linter with ``python -m repro.lint [paths]
-[--format=text|json|sarif]`` or ``python -m repro lint``; suppress an
+[--format=text|json]`` or ``python -m repro lint``; suppress an
 individual finding with a ``# ktaulint: disable=RULE`` comment on the
 flagged line.
 """

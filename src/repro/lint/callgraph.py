@@ -22,7 +22,7 @@ mark generator functions — the distinction KTAU703 needs.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.lint.engine import SourceFile
 
@@ -256,17 +256,3 @@ class CallGraph:
                 if isinstance(node, ast.ClassDef) and node.name == cand_name:
                     return cand_module, node
         return module, None
-
-def build_call_graph(sources: Sequence[SourceFile]) -> CallGraph:
-    return CallGraph(sources)
-
-
-def iter_functions(tree: ast.Module) -> Iterable[ast.AST]:
-    """Top-level functions and class methods of a module."""
-    for node in tree.body:
-        if isinstance(node, _FUNC_DEFS):
-            yield node
-        elif isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, _FUNC_DEFS):
-                    yield item

@@ -14,10 +14,6 @@ can see:
   an intermediary; the allowed set for transitive reachability is the
   closure of :data:`repro.lint.api.LAYER_DEPS`.  The finding carries the
   shortest offending chain as evidence.
-
-The graph itself is exported for humans: :func:`build_import_graph`
-feeds ``repro lint --graph-out`` / ``make lint-graph`` (Graphviz DOT,
-one cluster per architectural layer).
 """
 
 from __future__ import annotations
@@ -118,29 +114,6 @@ def _import_time_graph(graph: dict[str, dict[str, tuple[int, bool]]]
     """The subgraph of edges that execute at module-load time."""
     return {mod: {t: line for t, (line, late) in out.items() if not late}
             for mod, out in graph.items()}
-
-
-def to_dot(graph: dict[str, dict[str, int]]) -> str:
-    """The import graph as Graphviz DOT, clustered by layer."""
-    lines = ["digraph repro_imports {",
-             "  rankdir=LR;",
-             "  node [shape=box, fontsize=10];"]
-    by_layer: dict[str, list[str]] = {}
-    modules = sorted(set(graph)
-                     | {t for out in graph.values() for t in out})
-    for mod in modules:
-        by_layer.setdefault(_layer(mod) or "top", []).append(mod)
-    for layer in sorted(by_layer):
-        lines.append(f'  subgraph "cluster_{layer}" {{')
-        lines.append(f'    label="{layer}";')
-        for mod in by_layer[layer]:
-            lines.append(f'    "{mod}";')
-        lines.append("  }")
-    for mod in sorted(graph):
-        for target in sorted(graph[mod]):
-            lines.append(f'  "{mod}" -> "{target}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def _tarjan_sccs(graph: dict[str, dict[str, int]]) -> list[list[str]]:

@@ -64,6 +64,10 @@ COUNTER_MISS_METRIC = "l2_miss_per_kcycle"
 #: Synthetic metric name for node-wide interval instructions per cycle.
 COUNTER_IPC_METRIC = "ipc"
 
+#: Comm prefixes of application ranks (``launch_mpi_job`` comms are
+#: ``"<prefix>.<rank>"``); these are never interference.
+APP_PREFIXES = ("lu.", "app.", "sweep3d.")
+
 
 @dataclass(frozen=True)
 class MonitorConfig:
@@ -99,9 +103,6 @@ class MonitorConfig:
     #: shows up mostly as its *victims'* involuntary scheduling, so the
     #: culprit's own kernel footprint only has to clear this small bar).
     attribution_min_s: float = 0.0005
-    #: comm prefixes of application ranks (``launch_mpi_job`` comms are
-    #: ``"<prefix>.<rank>"``); these are never interference.
-    app_prefixes: tuple[str, ...] = ("lu.", "app.", "sweep3d.", "mg.", "ft.")
     #: comms never flagged: the monitor's own daemons and the idle task.
     ignore_comms: tuple[str, ...] = ("ktaud", "swapper")
     #: ring-buffer capacity per (node, metric) series.
@@ -443,8 +444,7 @@ class ClusterMonitor:
 
     # -- detection -------------------------------------------------------
     def _is_app(self, comm: str) -> bool:
-        return any(comm.startswith(prefix)
-                   for prefix in self.config.app_prefixes)
+        return comm.startswith(APP_PREFIXES)
 
     def _detect(self, index: int, bucket: dict[str, NodeInterval]) -> None:
         """Interval ``index`` closed: run the detectors on whoever reported.

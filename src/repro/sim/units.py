@@ -1,8 +1,7 @@
-"""Time-unit constants and conversion helpers.
+"""Time-unit constants.
 
 All simulated time is kept as integer nanoseconds.  Helper constants make
-call sites read naturally (``10 * units.MSEC``).  Cycle conversions are the
-bridge between wall time and the per-node TSC that KTAU timestamps with.
+call sites read naturally (``10 * units.MSEC``).
 """
 
 from __future__ import annotations
@@ -18,26 +17,3 @@ SEC = 1_000_000_000
 KB = 1_024
 MB = 1_024 * 1_024
 
-
-def ns_to_cycles(ns: int, hz: float) -> int:
-    """Convert a duration in nanoseconds to CPU cycles at ``hz``.
-
-    Rounds to nearest so that converting small kernel-path costs back and
-    forth does not systematically lose time.
-    """
-    return int(round(ns * hz / SEC))
-
-
-def cycles_to_ns(cycles: int, hz: float) -> int:
-    """Convert CPU cycles at ``hz`` to nanoseconds (rounded to nearest)."""
-    return int(round(cycles * SEC / hz))
-
-
-def ns_to_usec(ns: int) -> float:
-    """Convert nanoseconds to (float) microseconds."""
-    return ns / USEC
-
-
-def ns_to_sec(ns: int) -> float:
-    """Convert nanoseconds to (float) seconds."""
-    return ns / SEC

@@ -51,11 +51,6 @@ class ClientStats:
             return float("nan")
         return sum(self.latencies_ns) / len(self.latencies_ns) / 1e6
 
-    def max_ms(self) -> float:
-        if not self.latencies_ns:
-            return float("nan")
-        return max(self.latencies_ns) / 1e6
-
 
 def client_program(params: IoNodeParams, to_ionode, from_ionode,
                    stats: ClientStats):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis.cdf import (bimodality_gap, cdf_points, fraction_below,
-                                median, quantile)
+from repro.analysis.cdf import bimodality_gap, cdf_points, median, quantile
 from repro.analysis.histogram import histogram, outlier_ranks
 from repro.analysis.render import ascii_bargraph, ascii_table, cdf_sparkline
 from repro.analysis.related_work import (TABLE1, render_table1,
@@ -31,9 +30,6 @@ class TestCdf:
         assert median(values) == 51
         assert quantile(values, 0.0) == 1
         assert np.isnan(median([]))
-
-    def test_fraction_below(self):
-        assert fraction_below([1, 2, 3, 4], 2.5) == 0.5
 
     def test_bimodality_detects_two_clusters(self):
         bimodal = [0.0] * 10 + [10.0] * 10

@@ -126,7 +126,7 @@ class TestLaunchAndHarvest:
             assert r.kprofile is not None
             assert r.uprofile is not None
             assert r.voluntary_sched_s() > 0
-            assert r.user_incl_s("main()") > 0
+            assert r.uprofile.perf["main()"][1] > 0
         assert len(data.node_profiles) == 4
         assert all(len(counts) == 2 for counts in data.node_irq_counts.values())
         cluster.teardown()

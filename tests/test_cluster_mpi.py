@@ -103,29 +103,7 @@ class TestCollectives:
         assert len(after) == nranks
         assert min(after) >= 20 * MSEC  # nobody escapes before the straggler
 
-    @pytest.mark.parametrize("nranks", [2, 3, 4, 6, 8])
-    def test_bcast_reaches_everyone(self, nranks):
-        received = []
-
-        def app(ctx, mpi):
-            yield from mpi.bcast(4096, root=0)
-            received.append(mpi.rank)
-
-        run_app(nranks, app)
-        assert sorted(received) == list(range(nranks))
-
-    @pytest.mark.parametrize("root", [0, 1, 2])
-    def test_bcast_nonzero_root(self, root):
-        done = []
-
-        def app(ctx, mpi):
-            yield from mpi.bcast(512, root=root)
-            done.append(mpi.rank)
-
-        run_app(4, app, nnodes=4)
-        assert sorted(done) == [0, 1, 2, 3]
-
-    @pytest.mark.parametrize("nranks", [2, 4, 7, 8])
+    @pytest.mark.parametrize("nranks", [2, 3, 4, 6, 7, 8])
     def test_allreduce_completes(self, nranks):
         done = []
 
@@ -134,17 +112,7 @@ class TestCollectives:
             done.append(mpi.rank)
 
         run_app(nranks, app, nnodes=nranks)
-        assert len(done) == nranks
-
-    def test_reduce_completes(self):
-        done = []
-
-        def app(ctx, mpi):
-            yield from mpi.reduce(64, root=0)
-            done.append(mpi.rank)
-
-        run_app(6, app, nnodes=6)
-        assert len(done) == 6
+        assert sorted(done) == list(range(nranks))
 
 
 class TestTauWrapping:

@@ -216,7 +216,6 @@ class TestOverheadCharging:
         ktau.exit(data, pt)
         assert data.pending_overhead_ns > 0
         assert data.overhead_cycles >= 160 + 214  # at least the minima
-        assert ktau.total_overhead_cycles == data.overhead_cycles
 
     def test_zero_model_charges_nothing(self):
         engine, ktau = make_ktau(overhead=ZeroOverheadModel())

@@ -79,10 +79,6 @@ class TestProcProtocol:
         proc.ioctl_set_groups(True, [Group.NET])
         assert ktau.control.group_enabled(Group.NET)
 
-    def test_overhead_ioctl(self):
-        engine, ktau, proc = make_stack()
-        assert proc.ioctl_overhead() == ktau.total_overhead_cycles
-
 
 class TestLibKtau:
     def test_read_all_profiles(self):
@@ -136,6 +132,29 @@ class TestLibKtau:
         lib = LibKtau(proc)
         assert 1 not in lib.read_profiles(Scope.ALL)
         assert 1 in lib.read_profiles(Scope.ALL, include_zombies=True)
+
+    def test_group_control_reaches_measurement(self):
+        """disable_groups/enable_groups go libKtau -> procfs ioctl ->
+        runtime control: a disabled group records nothing, others still
+        record, and re-enabling needs no restart."""
+        engine, ktau, proc = make_stack()
+        lib = LibKtau(proc)
+        data = ktau.register_task(1, "app")
+        net = ktau.registry.point("tcp_sendmsg")
+        fs = ktau.registry.point("sys_read")
+
+        def call_both():
+            for pt in (net, fs):
+                ktau.entry(data, pt)
+                ktau.exit(data, pt)
+            perf = lib.read_profiles(Scope.ALL)[1].perf
+            return (perf.get("tcp_sendmsg", (0,))[0],
+                    perf.get("sys_read", (0,))[0])
+
+        lib.disable_groups(Group.NET)
+        assert call_both() == (0, 1)
+        lib.enable_groups(Group.NET)
+        assert call_both() == (1, 2)
 
 
 class TestAsciiConversion:

@@ -203,8 +203,9 @@ class TestCallgraph:
         main = graph.lookup("U:main()")
         assert main is not None
         assert "U:io_phase" in main.children
-        io_kernel = graph.kernel_children_of("io_phase")
-        assert any(n.name == "sys_nanosleep" for n in io_kernel)
+        io_children = graph.lookup("U:io_phase").children.values()
+        assert any(n.layer == "kernel" and n.name == "sys_nanosleep"
+                   for n in io_children)
         sleep_node = graph.lookup("K:sys_nanosleep")
         assert "K:schedule_vol" in sleep_node.children
 

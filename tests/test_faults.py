@@ -79,7 +79,6 @@ class TestFaultPlan:
                                CollectorPartition(at_ns=20, nodes=(2,),
                                                   until_ns=30)))
         assert plan.perturbed_nodes() == (1,)
-        assert plan.faulted_nodes() == (1, 2)
 
     def test_wire_fault_perturbs_everything(self):
         plan = FaultPlan("p", (LatencySpike(at_ns=0, until_ns=10),))

@@ -370,40 +370,6 @@ class TestCli:
         assert code == 3
         assert "1 finding(s)" in out
 
-    def test_sarif_format(self, capsys):
-        code = lint_main([str(FIXTURES / "bad_determinism.py"),
-                          "--format=sarif"])
-        doc = json.loads(capsys.readouterr().out)
-        assert code == 1
-        assert doc["version"] == "2.1.0"
-        run = doc["runs"][0]
-        results = run["results"]
-        locs = [(r["ruleId"],
-                 r["locations"][0]["physicalLocation"]["region"]["startLine"])
-                for r in results]
-        assert locs == [("KTAU201", 12), ("KTAU202", 16),
-                        ("KTAU203", 20), ("KTAU204", 25)]
-        assert all(r["level"] == "error" for r in results)
-        # Every emitted rule ID has a driver descriptor.
-        described = {d["id"] for d in run["tool"]["driver"]["rules"]}
-        assert {"KTAU201", "KTAU601", "KTAU602", "KTAU701",
-                "KTAU000"} <= described
-
-    def test_graph_out_writes_dot(self, tmp_path, capsys):
-        kdir = tmp_path / "repro" / "kernel"
-        sdir = tmp_path / "repro" / "sim"
-        kdir.mkdir(parents=True)
-        sdir.mkdir(parents=True)
-        (kdir / "a.py").write_text("import repro.sim.b\n")
-        (sdir / "b.py").write_text("")
-        out = tmp_path / "imports.dot"
-        code = lint_main([str(tmp_path), "--graph-out", str(out)])
-        capsys.readouterr()
-        assert code == 0
-        dot = out.read_text()
-        assert dot.startswith("digraph")
-        assert '"repro.kernel.a" -> "repro.sim.b";' in dot
-
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
@@ -411,9 +377,18 @@ class TestCli:
             assert rule_id in out
 
     def test_repro_cli_subcommand(self, capsys):
+        """``repro lint ARGS`` is ``python -m repro.lint ARGS``."""
         from repro.cli import main as repro_main
         code = repro_main(["lint", str(FIXTURES / "good_balance.py")])
         assert code == 0
+        assert repro_main(["lint", "--list-rules"]) == 0
+        assert "KTAU101" in capsys.readouterr().out
+        argv = ["--format=json", str(FIXTURES / "bad_determinism.py")]
+        assert repro_main(["lint", *argv]) == 1
+        via_repro = capsys.readouterr().out
+        assert lint_main(argv) == 1
+        assert via_repro == capsys.readouterr().out
+        assert json.loads(via_repro)["count"] == 4
 
 
 class TestSelfCheck:

@@ -99,17 +99,14 @@ def test_any_message_size_is_delivered_exactly(nbytes, seed):
 
 
 @settings(max_examples=15, deadline=None)
-@given(nranks=st.sampled_from([2, 4, 8]), root=st.integers(0, 7),
-       seed=st.integers(0, 100))
-def test_collectives_always_complete(nranks, root, seed):
+@given(nranks=st.sampled_from([2, 3, 4, 6, 8]), seed=st.integers(0, 100))
+def test_collectives_always_complete(nranks, seed):
     from repro.cluster.launch import block_placement, launch_mpi_job
     from repro.cluster.machines import make_chiba
 
-    root = root % nranks
     done = []
 
     def app(ctx, mpi):
-        yield from mpi.bcast(1024, root=root)
         yield from mpi.allreduce(16)
         yield from mpi.barrier()
         done.append(mpi.rank)

@@ -27,7 +27,7 @@ PUBLIC_MODULES = [
     "repro.cluster.launch", "repro.cluster.network", "repro.cluster.node",
     "repro.cluster.daemons",
     "repro.workloads", "repro.workloads.lu", "repro.workloads.sweep3d",
-    "repro.workloads.mg", "repro.workloads.lmbench", "repro.workloads.ionode",
+    "repro.workloads.lmbench", "repro.workloads.ionode",
     "repro.workloads.interference",
     "repro.oprofile", "repro.oprofile.sampler", "repro.oprofile.compare",
     "repro.oprofile.harness",

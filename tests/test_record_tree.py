@@ -145,7 +145,6 @@ def observe(ktau, data, counters):
         "active_counts": data.active_counts,
         "pending_overhead_ns": data.pending_overhead_ns,
         "overhead_cycles": data.overhead_cycles,
-        "total_overhead_cycles": ktau.total_overhead_cycles,
         "unmatched_exits": data.unmatched_exits,
         "trace": None if trace is None else trace.peek(),
         "stack": [(f.event_id, f.entry_cycles, f.child_cycles, f.user_ctx,

@@ -47,14 +47,6 @@ class TestUnits:
         assert units.MSEC == 1_000_000
         assert units.USEC == 1_000
 
-    def test_cycle_conversions(self):
-        assert units.ns_to_cycles(units.SEC, 450e6) == 450_000_000
-        assert units.cycles_to_ns(450, 450e6) == 1_000
-
-    def test_float_helpers(self):
-        assert units.ns_to_usec(1500) == 1.5
-        assert units.ns_to_sec(2 * units.SEC) == 2.0
-
 
 class TestRngHub:
     def test_same_seed_same_streams(self):

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.analysis.tracestats import (cross_validate, reduce_trace,
-                                       render_states)
+from repro.analysis.tracestats import cross_validate, reduce_trace
 from repro.cluster.launch import block_placement, launch_mpi_job
 from repro.cluster.machines import make_chiba
 from repro.core.config import KtauBuildConfig
@@ -92,13 +91,6 @@ class TestCrossValidation:
         assert trace.lost == 0
         issues = cross_validate(profile, trace, ignore_incomplete=False)
         assert issues == []
-
-    def test_state_stats_render(self, traced_run):
-        profile, trace, hz = traced_run
-        red = reduce_trace(trace)
-        text = render_states(red, hz)
-        assert "state statistics" in text
-        assert "schedule_vol" in text
 
     def test_lossy_trace_flagged_not_failed(self):
         """With a tiny ring buffer the trace is lossy; validation must
