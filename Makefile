@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-json check \
+.PHONY: test lint lint-json check claims \
 	bench bench-smoke obs-demo monitor-demo chaos-smoke \
 	bottlenecks-demo counters-demo
 
@@ -15,6 +15,11 @@ lint-json:
 	$(PYTHON) -m repro.lint src/repro --format=json
 
 check: lint test
+
+# The paper-claim suite (EXPERIMENTS.md findings); REPRO_WORKERS=N runs
+# its sweeps on N worker processes.  It rewrites benchmarks/reports/.
+claims:
+	$(PYTHON) -m pytest -p no:benchmark -q benchmarks/
 
 bench:
 	$(PYTHON) perfbench/run.py --out perfbench_full.json

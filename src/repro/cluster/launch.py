@@ -53,8 +53,33 @@ class MpiJob:
     rank_exec_ns: list[int] = field(default_factory=list)
 
     def run(self, limit_s: float = 3600.0) -> None:
-        """Run the simulation until every rank exits."""
-        self.cluster.run_until_complete(self.tasks, limit_ns=int(limit_s * SEC))
+        """Run the simulation until every rank exits.
+
+        A rank that dies from an unhandled exception stops the run at
+        once (its peers would wait on it forever): ``RuntimeError`` names
+        the rank and is chained from that exception.
+        """
+        engine = self.cluster.engine
+
+        def stop_on_crash(task: Task) -> None:
+            if task.exit_exception is not None:
+                engine.stop()
+
+        for task in self.tasks:
+            task.on_exit(stop_on_crash)
+        try:
+            self.cluster.run_until_complete(self.tasks,
+                                            limit_ns=int(limit_s * SEC))
+        except RuntimeError:  # ranks still alive: report a crash first
+            if not any(task.exit_exception is not None
+                       for task in self.tasks):
+                raise
+        for rank, task in enumerate(self.tasks):
+            if task.exit_exception is not None:
+                raise RuntimeError(
+                    f"rank {rank} ({task.comm}) died from an unhandled "
+                    f"{type(task.exit_exception).__name__}") \
+                    from task.exit_exception
         self.end_ns = max(t.exit_time_ns for t in self.tasks)
         self.rank_exec_ns = [t.exit_time_ns - self.start_ns for t in self.tasks]
 

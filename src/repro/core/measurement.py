@@ -218,6 +218,10 @@ class Ktau:
         self._span_cache: dict[str, tuple[InstrumentationPoint, int]] = {}
         self._state_cache_version = -1
         self._cycles_of: dict[int, int] = {}
+        # Runs of identical spans are summed only in the plain profiling
+        # build, whose spans write nothing per activation but the totals.
+        self._runs_ok = not (build.tracing or build.counters
+                             or build.callgraph or strict)
         # Harness observability (repro.obs): always-on plain counters for
         # the firing-state cache, published as deltas at flush points
         # (task exit, /proc snapshot) — never per firing.
@@ -526,9 +530,15 @@ class Ktau:
         t = t_cycles + cost_cycles
         children = tree.children
         if children:
-            for child in children[:-1]:
-                t = self.record_tree(data, child, t, counters)
-            t = self.record_tree(data, children[-1], t, counters, end_cycles)
+            if (self._runs_ok and end_cycles is None and len(children) > 1
+                    and (run_end := self._record_leaf_run(
+                        data, children, t)) is not None):
+                t = run_end
+            else:
+                for child in children[:-1]:
+                    t = self.record_tree(data, child, t, counters)
+                t = self.record_tree(data, children[-1], t, counters,
+                                     end_cycles)
         if end_cycles is not None:
             t = end_cycles
         for name, value in tree.atomics:
@@ -541,6 +551,148 @@ class Ktau:
             elif state:
                 self._flag_check(data)
         return t
+
+    def _record_leaf_run(self, data: KtauTaskData, children,
+                         t_cycles: int) -> Optional[int]:
+        """:meth:`record_run` for siblings that are identical leaves (same
+        name and cost, no children, one atomic of the same point), each
+        closing at its start plus its cost; ``None`` when they are not."""
+        first = children[0]
+        name, cost_ns, atomics = first.name, first.cost_ns, first.atomics
+        if first.children or len(atomics) != 1:
+            return None
+        atomic_name = atomics[0][0]
+        values = []
+        for child in children:
+            atomics = child.atomics
+            if (child.name != name or child.cost_ns != cost_ns
+                    or child.children or len(atomics) != 1
+                    or atomics[0][0] != atomic_name):
+                return None
+            values.append(atomics[0][1])
+        return self.record_run(data, first, t_cycles, values,
+                               self._cycles_for(cost_ns))
+
+    def _cycles_for(self, ns: int) -> int:
+        """``clock.cycles_for_ns``, memoised (span costs repeat)."""
+        cycles = self._cycles_of.get(ns)
+        if cycles is None:
+            cycles = self._cycles_of[ns] = self.clock.cycles_for_ns(ns)
+        return cycles
+
+    def record_run(self, data: KtauTaskData, chain, t_cycles: int,
+                   values: list[int], step_cycles: int) -> Optional[int]:
+        """Record ``len(values)`` back-to-back activations of ``chain`` in
+        one accounting step.
+
+        ``chain`` is a span read like :meth:`record_tree`'s ``tree``
+        whose descendants form a single-child chain of distinct names;
+        its leaf's one atomic names the point that fires once per activation, carrying
+        the next of ``values``.  Activation ``i`` opens at ``t_cycles +
+        i * step_cycles`` with each span's cost laid out before its
+        child, and every level closes at the activation's start plus
+        ``step_cycles``.
+
+        The result is that of recording the activations one by one
+        through :meth:`record_tree`.  Profiles, merge pairs, the parent
+        frame's child time, the firing count and the atomic's totals are
+        added once per run.  The overhead draws are still taken one at a
+        time in the per-activation order (each level's start, the
+        atomic's, then the stops innermost first) and each is rounded to
+        nanoseconds on its own, so the samplers' shared RNG stream and
+        the pending overhead match to the nanosecond.  Points are bound
+        in the per-event order: outer span first, the atomic last.
+
+        Returns the closing stamp of the last activation, or ``None``,
+        having recorded nothing, when the activations need the per-event
+        path: a tracing, counters, call-graph or strict build, a frozen
+        task, a point not enabled, or a chain event already open on the
+        task's stack.
+        """
+        if not self._runs_ok or data.frozen or not values:
+            return None
+        registry = self.registry
+        levels = []  # (point, open offset in cycles), outermost first
+        offset = 0
+        span = chain
+        while True:
+            hit = (self._span_cache.get(span.name)
+                   if self.control.version == self._state_cache_version
+                   else None)
+            if hit is None:
+                point = registry.point(span.name)
+                hit = self._span_cache[span.name] = (
+                    point, self._resolve_state(point))
+            if hit[1] != 2:
+                return None
+            levels.append((hit[0], offset))
+            offset += self._cycles_for(span.cost_ns)
+            if not span.children:
+                break
+            span = span.children[0]
+        atomic_point = registry.point(span.atomics[0][0], PointKind.ATOMIC)
+        state = (self._state_cache.get(atomic_point)
+                 if self.control.version == self._state_cache_version
+                 else None)
+        if state is None:
+            state = self._resolve_state(atomic_point)
+        if state != 2:
+            return None
+        event_ids = [registry.bind(point) for point, _ in levels]
+        atomic_id = registry.bind(atomic_point)
+        active = data.active_counts
+        if any(active.get(event_id) for event_id in event_ids):
+            return None
+
+        n = len(values)
+        for event_id in event_ids:  # opened and closed again
+            active[event_id] = 0
+        stats = data.atomic.get(atomic_id)
+        if stats is None:
+            stats = data.atomic[atomic_id] = AtomicData()
+        stats.count += n
+        stats.sum += sum(values)
+        low, high = min(values), max(values)
+        if stats.min is None or low < stats.min:
+            stats.min = low
+        if stats.max is None or high > stats.max:
+            stats.max = high
+        user_ctx = data.user_context if self.build.merge_context else None
+        child_incl = 0
+        for (_, offset), event_id in zip(reversed(levels),
+                                         reversed(event_ids)):
+            incl = step_cycles - offset
+            excl = incl - child_incl
+            if excl < 0:
+                excl = 0
+            perf = data.profile.get(event_id)
+            if perf is None:
+                perf = data.profile[event_id] = PerfData()
+            perf.count += n
+            perf.incl_cycles += n * incl
+            perf.excl_cycles += n * excl
+            if user_ctx is not None:
+                pair = data.context_pairs.get((user_ctx, event_id))
+                if pair is None:
+                    data.context_pairs[(user_ctx, event_id)] = [n, n * excl]
+                else:
+                    pair[0] += n
+                    pair[1] += n * excl
+            child_incl = incl
+        if data.stack:
+            data.stack[-1].child_cycles += n * child_incl
+
+        overhead = self.overhead
+        depth = len(levels)
+        hz = self.clock.hz
+        costs = [draw() for draw in ((overhead.start_cycles,) * depth
+                                     + (overhead.atomic_cycles,)
+                                     + (overhead.stop_cycles,) * depth) * n]
+        data.pending_overhead_ns += sum([round(cost * SEC / hz)
+                                         for cost in costs])
+        data.overhead_cycles += sum(costs)
+        self._firings += n * (2 * depth + 1)
+        return t_cycles + n * step_cycles
 
     @contextmanager
     def span(self, data: KtauTaskData, point: InstrumentationPoint) -> Iterator[None]:

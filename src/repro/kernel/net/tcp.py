@@ -73,6 +73,8 @@ def record_tx_spans(kernel: "Kernel", task: "Task", segments: list[int]) -> int:
     to execute, so the sender-side kernel profile and trace show the real
     nesting (``tcp_sendmsg`` under the open ``sock_sendmsg`` span) even
     though the whole group is simulated as one kernel-compute burst.
+    Where KTAU allows, the segments are recorded as one run
+    (:meth:`~repro.core.measurement.Ktau.record_run`).
     """
     cost = kernel.params.net.tcp_tx_cost_ns
     data = task.ktau
@@ -81,17 +83,20 @@ def record_tx_spans(kernel: "Kernel", task: "Task", segments: list[int]) -> int:
         (send, send_frac), (queue, queue_frac), (dev, _) = TX_SPLIT
         send_ns = int(cost * send_frac)
         queue_ns = int(cost * queue_frac)
-        leaf = KSpan(dev, cost - send_ns - queue_ns)
+        leaf = KSpan(dev, cost - send_ns - queue_ns,
+                     atomics=[("net.pkt_tx_bytes", segments[0])])
         tree = KSpan(send, send_ns,
                      children=[KSpan(queue, queue_ns, children=[leaf])])
         # Each segment ends at its whole cost in cycles, which can differ
         # from the sum of the legs' rounded cycles at some clock rates.
         seg_cycles = clock.cycles_for_ns(cost)
         t = clock.read()
-        for seg in segments:
-            leaf.atomics = [("net.pkt_tx_bytes", seg)]
-            t = kernel.ktau.record_tree(data, tree, t, task.counters,
-                                        end_cycles=t + seg_cycles)
+        ktau = kernel.ktau
+        if ktau.record_run(data, tree, t, segments, seg_cycles) is None:
+            for seg in segments:
+                leaf.atomics = [("net.pkt_tx_bytes", seg)]
+                t = ktau.record_tree(data, tree, t, task.counters,
+                                     end_cycles=t + seg_cycles)
         if kernel.params.ktau.counters:
             # The legs advanced the PMCs inside their spans; the cost is
             # folded into the caller's upcoming kernel burst, so mark

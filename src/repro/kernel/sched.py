@@ -444,6 +444,7 @@ class Scheduler:
                     continue
                 # Unhandled at the outermost frame: the process dies (the
                 # moral equivalent of an un-caught signal/abort).
+                task.exit_exception = exc
                 self._do_exit(cpu, task, -1)
                 return
             if isinstance(effect, Compute):

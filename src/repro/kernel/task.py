@@ -57,7 +57,8 @@ class Task:
         "wake_value", "wake_handle", "blocked_on", "blocked_at",
         "last_ran_at", "last_deschedule_reason",
         "utime_ns", "stime_ns", "nvcsw", "nivcsw",
-        "start_time_ns", "exit_time_ns", "exit_code", "exit_callbacks",
+        "start_time_ns", "exit_time_ns", "exit_code", "exit_exception",
+        "exit_callbacks",
         "ktau", "tau", "counters", "pmc_user_rates", "pmc_ahead_cycles",
         "pending_signals", "is_idle",
     )
@@ -100,6 +101,9 @@ class Task:
         self.start_time_ns: int = kernel.engine.now
         self.exit_time_ns: Optional[int] = None
         self.exit_code: Optional[int] = None
+        #: the exception that killed the task, if one reached its
+        #: outermost frame unhandled (exit code -1)
+        self.exit_exception: Optional[BaseException] = None
         self.exit_callbacks: list[Callable[["Task"], None]] = []
 
         # measurement attachments

@@ -97,6 +97,27 @@ class TestLaunchAndHarvest:
         assert all(t.exit_code == 0 for t in job.tasks)
         cluster.teardown()
 
+    def test_rank_dying_from_exception_fails_the_run(self):
+        """A rank killed by an unhandled exception must not pass for a
+        finished job; its peers, blocked on it, must not run to the limit."""
+        bug = ValueError("bug in rank 1")
+
+        def app(ctx, mpi):
+            yield from ctx.compute(2 * MSEC)
+            if mpi.rank == 1:
+                raise bug
+            yield from mpi.barrier()
+
+        cluster = make_chiba(nnodes=2)
+        job = launch_mpi_job(cluster, 4, app, placement=block_placement(2, 4))
+        with pytest.raises(RuntimeError, match=r"rank 1 \(app\.1\)") as info:
+            job.run(limit_s=60)
+        assert info.value.__cause__ is bug
+        assert job.tasks[1].exit_code == -1
+        assert job.tasks[1].exit_exception is bug
+        assert cluster.engine.now < 1 * SEC
+        cluster.teardown()
+
     def test_pinning_applied(self):
         cluster = make_chiba(nnodes=2)
         job = launch_mpi_job(cluster, 4, lu_app(SMALL_LU),

@@ -10,7 +10,11 @@ into its own fresh, identically seeded measurement system, and every
 observable of the result must be identical: profiles, atomics, merge
 pairs, counter profile, call graph, recursion counts, overhead, trace,
 PMCs, the open stack, the firing-cache counters and the samplers' next
-draws.
+draws.  In the plain profiling build, transmit segment groups and runs
+of identical sibling leaves take ``Ktau.record_run``, so the inputs
+include both, recorded more than once (warm, bound points), with
+sampler refills inside a run in either order (``primed``,
+``extra_stops``).
 """
 
 import copy
@@ -121,6 +125,8 @@ def make_world(cfg):
     for _ in range(cfg["primed"]):  # move the next refill into the recording
         overhead.start_cycles()
         overhead.stop_cycles()
+    for _ in range(cfg["extra_stops"]):  # so the stop sampler refills first
+        overhead.stop_cycles()
     ktau = Ktau(clock, build, control=control, overhead=overhead)
     data = ktau.register_task(7, "rank0")
     counters = TaskCounters()
@@ -137,12 +143,13 @@ def make_world(cfg):
 def observe(ktau, data, counters):
     trace = data.trace
     return {
-        "profile": {k: v.as_tuple() for k, v in data.profile.items()},
-        "atomic": {k: v.as_tuple() for k, v in data.atomic.items()},
-        "context_pairs": data.context_pairs,
-        "counter_profile": data.counter_profile,
-        "callgraph": data.callgraph,
-        "active_counts": data.active_counts,
+        # Lists of items, so that insertion order (export order) counts too.
+        "profile": [(k, v.as_tuple()) for k, v in data.profile.items()],
+        "atomic": [(k, v.as_tuple()) for k, v in data.atomic.items()],
+        "context_pairs": list(data.context_pairs.items()),
+        "counter_profile": list(data.counter_profile.items()),
+        "callgraph": list(data.callgraph.items()),
+        "active_counts": list(data.active_counts.items()),
         "pending_overhead_ns": data.pending_overhead_ns,
         "overhead_cycles": data.overhead_cycles,
         "unmatched_exits": data.unmatched_exits,
@@ -187,6 +194,35 @@ trees = st.recursive(
                            rates),
     max_leaves=10)
 
+
+@st.composite
+def leaf_runs(draw):
+    """A parent whose children are 2-8 identical atomic-bearing leaves;
+    the leaf may be named like an open ancestor (the recursion fallback),
+    and one sibling may differ (not a run)."""
+    parent = draw(st.sampled_from(SPAN_NAMES))
+    leaf = draw(st.one_of(st.just(parent), st.just(OUTER),
+                          st.sampled_from(SPAN_NAMES)))
+    cost_ns = draw(st.integers(0, 40 * USEC))
+    atomic_name = draw(st.sampled_from(ATOMIC_NAMES))
+    rates_ = draw(rates)
+    values = draw(st.lists(st.integers(0, 65_536), min_size=2, max_size=8))
+    children = [_span(leaf, cost_ns, [], [(atomic_name, value)], rates_)
+                for value in values]
+    if draw(st.booleans()):
+        children[draw(st.integers(0, len(children) - 1))] = draw(leaves)
+    return _span(parent, draw(st.integers(0, 40 * USEC)), children,
+                 draw(atomics), draw(rates))
+
+
+run_trees = st.recursive(
+    st.one_of(leaves, leaf_runs()),
+    lambda kids: st.builds(_span, st.sampled_from(SPAN_NAMES),
+                           st.integers(0, 40 * USEC),
+                           st.lists(kids, min_size=1, max_size=3), atomics,
+                           rates),
+    max_leaves=6)
+
 configs = st.fixed_dictionaries({
     "hz": st.sampled_from(RATES_HZ),
     "tracing": st.booleans(),
@@ -201,8 +237,13 @@ configs = st.fixed_dictionaries({
     "outer": st.booleans(),
     "user_ctx": st.sampled_from([None, "main()", "MPI_Send()"]),
     "primed": st.sampled_from([0, 4090]),
+    "extra_stops": st.sampled_from([0, 6]),
     "seed": st.integers(0, 2 ** 16),
 })
+#: As ``configs``, or the plain profiling build that ``record_run`` serves.
+run_configs = st.one_of(configs, configs.map(
+    lambda cfg: {**cfg, "tracing": False, "counters": False,
+                 "callgraph": False}))
 
 
 def record_both(cfg, tree_list):
@@ -215,17 +256,18 @@ def record_both(cfg, tree_list):
     return (t_ref, observe(*ref)), (t_new, observe(*new))
 
 
-def tx_both(cfg, segments, cost):
+def tx_both(cfg, groups, cost):
     ref = make_world(cfg)
-    ahead = reference_tx(*ref, segments, cost)
+    ahead = sum(reference_tx(*ref, segments, cost) for segments in groups)
     ktau, data, counters = make_world(cfg)
     kernel = SimpleNamespace(
         ktau=ktau, clock=ktau.clock,
         params=SimpleNamespace(net=SimpleNamespace(tcp_tx_cost_ns=cost),
                                ktau=ktau.build))
     task = SimpleNamespace(ktau=data, counters=counters, pmc_ahead_cycles=0)
-    total = record_tx_spans(kernel, task, segments)
-    assert total == cost * len(segments)
+    for segments in groups:
+        total = record_tx_spans(kernel, task, segments)
+        assert total == cost * len(segments)
     return (ahead, observe(*ref)), (task.pmc_ahead_cycles,
                                    observe(ktau, data, counters))
 
@@ -240,11 +282,20 @@ def test_record_tree_matches_per_call_walker(cfg, tree_list):
     assert new == ref
 
 
+@settings(max_examples=200, deadline=None)
+@given(run_configs, st.lists(run_trees, min_size=1, max_size=3))
+def test_identical_leaf_runs_match_per_call_walker(cfg, tree_list):
+    ref, new = record_both(cfg, tree_list * 2)  # then warm, bound points
+    assert new == ref
+
+
 @settings(max_examples=100, deadline=None)
-@given(configs, st.lists(st.integers(1, 1448), min_size=1, max_size=12),
+@given(run_configs,
+       st.lists(st.lists(st.integers(1, 1448), min_size=1, max_size=12),
+                min_size=1, max_size=4),
        st.sampled_from([24 * USEC, 7 * USEC, 24_001, 333]))
-def test_tx_spans_match_per_segment_loop(cfg, segments, cost):
-    ref, new = tx_both(cfg, segments, cost)
+def test_tx_spans_match_per_segment_loop(cfg, groups, cost):
+    ref, new = tx_both(cfg, groups, cost)
     assert new == ref
 
 
@@ -252,7 +303,7 @@ def _cfg(**overrides):
     cfg = {"hz": 450e6, "tracing": True, "counters": True, "callgraph": True,
            "merge": True, "compiled_out": (), "disabled_group": None,
            "disabled_point": None, "frozen": False, "outer": True,
-           "user_ctx": "main()", "primed": 0, "seed": 3}
+           "user_ctx": "main()", "primed": 0, "extra_stops": 0, "seed": 3}
     cfg.update(overrides)
     return cfg
 
@@ -285,31 +336,97 @@ def lu_inputs():
     return stream
 
 
+def replay_reference(world, stream):
+    """Replay a captured stream through the reference walkers; returns the
+    last tree's closing stamp and the PMC cycles run ahead."""
+    t, ahead = T0, 0
+    for kind, item in stream:
+        if kind == "irq":
+            for tree in item:
+                t = reference_tree(*world[:2], tree, t, world[2])
+        else:
+            ahead += reference_tx(*world, *item)
+    return t, ahead
+
+
+def replay(world, stream):
+    """As :func:`replay_reference`, through the walkers under test."""
+    ktau, data, counters = world
+    kernel = SimpleNamespace(ktau=ktau, clock=ktau.clock,
+                             params=SimpleNamespace(ktau=ktau.build))
+    task = SimpleNamespace(ktau=data, counters=counters, pmc_ahead_cycles=0)
+    t = T0
+    for kind, item in stream:
+        if kind == "irq":
+            for tree in item:
+                t = ktau.record_tree(data, tree, t, counters)
+        else:
+            segments, cost = item
+            kernel.params.net = SimpleNamespace(tcp_tx_cost_ns=cost)
+            record_tx_spans(kernel, task, segments)
+    return t, task.pmc_ahead_cycles
+
+
+PLAIN = {"tracing": False, "counters": False, "callgraph": False}
+
+
 @pytest.mark.parametrize("overrides", [
-    {}, {"tracing": False, "counters": False, "callgraph": False},
-    {"disabled_group": Group.NET}])
+    {}, PLAIN, {"disabled_group": Group.NET}])
 def test_captured_lu_inputs_replay_identically(lu_inputs, overrides):
     kinds = {kind for kind, _ in lu_inputs}
     assert kinds == {"irq", "tx"} and len(lu_inputs) > 50
     cfg = _cfg(**overrides)
     ref, new = make_world(cfg), make_world(cfg)
-    kernel = SimpleNamespace(ktau=new[0], clock=new[0].clock,
-                             params=SimpleNamespace(ktau=new[0].build))
-    task = SimpleNamespace(ktau=new[1], counters=new[2], pmc_ahead_cycles=0)
-    ahead = 0
-    t_ref = t_new = T0
-    for kind, item in lu_inputs:
-        if kind == "irq":
-            for tree in item:
-                t_ref = reference_tree(*ref[:2], tree, t_ref, ref[2])
-                t_new = new[0].record_tree(new[1], tree, t_new, new[2])
-        else:
-            segments, cost = item
-            ahead += reference_tx(*ref, segments, cost)
-            kernel.params.net = SimpleNamespace(tcp_tx_cost_ns=cost)
-            record_tx_spans(kernel, task, segments)
-    assert (t_new, task.pmc_ahead_cycles, observe(*new)) == \
-        (t_ref, ahead, observe(*ref))
+    assert (*replay(new, lu_inputs), observe(*new)) == \
+        (*replay_reference(ref, lu_inputs), observe(*ref))
+
+
+def _spans_named(tree, name):
+    return (tree.name == name) + sum(_spans_named(child, name)
+                                     for child in tree.children)
+
+
+def test_run_path_covers_captured_lu_stream(lu_inputs, monkeypatch):
+    """Non-vacuity: in the plain profiling build, nearly every transmit
+    segment and ``tcp_v4_rcv`` leaf of the LU stream is recorded by
+    ``record_run``, not activation by activation."""
+    segments = sum(len(item[0]) for kind, item in lu_inputs if kind == "tx")
+    leaves = sum(_spans_named(tree, "tcp_v4_rcv")
+                 for kind, item in lu_inputs if kind == "irq"
+                 for tree in item)
+    covered = {"dev_queue_xmit": 0, "tcp_v4_rcv": 0}
+    record_run = Ktau.record_run
+
+    def spy(self, data, chain, t_cycles, values, step_cycles):
+        end = record_run(self, data, chain, t_cycles, values, step_cycles)
+        if end is not None:
+            leaf = chain
+            while leaf.children:
+                leaf = leaf.children[0]
+            covered[leaf.name] += len(values)
+        return end
+
+    monkeypatch.setattr(Ktau, "record_run", spy)
+    replay(make_world(_cfg(**PLAIN)), lu_inputs)
+    assert segments > 100 and leaves > 100
+    assert covered["dev_queue_xmit"] >= 0.9 * segments
+    assert covered["tcp_v4_rcv"] >= 0.9 * leaves
+
+
+@pytest.mark.parametrize("primed,extra_stops,outer",
+                         [(0, 0, False), (4090, 6, True)])
+def test_sampler_refills_inside_a_run(primed, extra_stops, outer):
+    """Both samplers refill inside one transmit run and one leaf run: the
+    start sampler first from fresh, the stop sampler first when it is
+    six draws ahead.  The run must keep the per-activation draw order."""
+    cfg = _cfg(**PLAIN, primed=primed, extra_stops=extra_stops, outer=outer)
+    ref, new = tx_both(cfg, [[1448] * 4], 24 * USEC)
+    assert new == ref
+    tree = KSpan("net_rx_action", 1_000, children=[
+        KSpan("tcp_v4_rcv", 7_000, atomics=[("net.pkt_rx_bytes", value)])
+        for value in (1448, 1448, 60, 1448)])
+    ref, new = record_both(cfg, [tree])
+    assert new == ref
 
 
 def test_tx_at_107_mhz_ends_each_segment_at_its_whole_cost():
@@ -320,7 +437,7 @@ def test_tx_at_107_mhz_ends_each_segment_at_its_whole_cost():
     send, queue = int(cost * TX_SPLIT[0][1]), int(cost * TX_SPLIT[1][1])
     legs = sum(clock.cycles_for_ns(ns) for ns in (send, queue, cost - send - queue))
     assert legs == clock.cycles_for_ns(cost) + 1
-    ref, new = tx_both(_cfg(hz=107e6), [1448, 1448, 512], cost)
+    ref, new = tx_both(_cfg(hz=107e6), [[1448, 1448, 512]], cost)
     assert new == ref
     _, obs = new
     exits = [r.cycles for r in obs["trace"] if r.kind == TraceKind.EXIT]
@@ -350,8 +467,8 @@ def test_same_point_nested_in_itself():
     ref, new = record_both(_cfg(), [tree])
     assert new == ref
     eid = new[1]["mapping"][1][0]  # do_softirq, bound after the outer frame
-    count, incl, _excl = new[1]["profile"][eid]
-    assert count == 3 and new[1]["active_counts"][eid] == 0
+    count, incl, _excl = dict(new[1]["profile"])[eid]
+    assert count == 3 and dict(new[1]["active_counts"])[eid] == 0
     assert incl == new[0] - T0  # outermost activation only
 
 
@@ -359,5 +476,5 @@ def test_frozen_task_records_nothing_but_pmcs():
     tree = KSpan("do_IRQ", 5_000, children=[KSpan("eth_interrupt", 1_000)])
     ref, new = record_both(_cfg(frozen=True, outer=False), [tree])
     assert new == ref
-    assert new[1]["profile"] == {} and new[1]["pending_overhead_ns"] == 0
+    assert new[1]["profile"] == [] and new[1]["pending_overhead_ns"] == 0
     assert new[1]["pmc"][0] > 0
