@@ -90,13 +90,13 @@ def build_merged_callgraph(udump: Optional[TauProfileDump],
     return graph
 
 
-def render_callgraph(graph: MergedCallgraph, hz: float, min_cycles: int = 0,
-                     max_depth: int = 10) -> str:
-    """Indented text rendering (recursion-safe)."""
+def render_callgraph(graph: MergedCallgraph, hz: float,
+                     min_cycles: int = 0) -> str:
+    """Indented text rendering, at most 11 levels deep (recursion-safe)."""
     lines: list[str] = []
 
     def walk(node: CallNode, depth: int, path: frozenset[str]) -> None:
-        if depth > max_depth:
+        if depth > 10:
             return
         for key in sorted(node.children,
                           key=lambda k: -node.children[k].incl_cycles):

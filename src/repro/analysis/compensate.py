@@ -22,21 +22,17 @@ from dataclasses import replace
 from repro.core.overhead import OverheadModel
 from repro.core.wire import TaskProfileDump
 
-#: Table 4 means, used as the default per-operation estimate.
-DEFAULT_START_MEAN = OverheadModel.START[1]
-DEFAULT_STOP_MEAN = OverheadModel.STOP[1]
+#: Table 4 means, used as the per-operation estimate.
+START_MEAN = OverheadModel.START[1]
+STOP_MEAN = OverheadModel.STOP[1]
 
 
-def estimated_overhead_cycles(count: int,
-                              start_mean: float = DEFAULT_START_MEAN,
-                              stop_mean: float = DEFAULT_STOP_MEAN) -> int:
+def estimated_overhead_cycles(count: int) -> int:
     """Expected measurement cost of ``count`` entry/exit pairs."""
-    return int(count * (start_mean + stop_mean))
+    return int(count * (START_MEAN + STOP_MEAN))
 
 
-def compensate(dump: TaskProfileDump,
-               start_mean: float = DEFAULT_START_MEAN,
-               stop_mean: float = DEFAULT_STOP_MEAN) -> TaskProfileDump:
+def compensate(dump: TaskProfileDump) -> TaskProfileDump:
     """A copy of ``dump`` with estimated measurement overhead removed.
 
     Exclusive times lose their own events' cost; inclusive times lose
@@ -67,18 +63,16 @@ def compensate(dump: TaskProfileDump,
         return total
 
     for name, (count, incl, excl) in dump.perf.items():
-        own = estimated_overhead_cycles(count, start_mean, stop_mean)
+        own = estimated_overhead_cycles(count)
         below = estimated_overhead_cycles(
-            descendant_count(name, frozenset({name})), start_mean, stop_mean)
+            descendant_count(name, frozenset({name})))
         out.perf[name] = (count,
                           max(0, incl - own - below),
                           max(0, excl - own))
     return out
 
 
-def total_estimated_overhead_s(dump: TaskProfileDump, hz: float,
-                               start_mean: float = DEFAULT_START_MEAN,
-                               stop_mean: float = DEFAULT_STOP_MEAN) -> float:
+def total_estimated_overhead_s(dump: TaskProfileDump, hz: float) -> float:
     """Total estimated measurement cost carried by one profile."""
     pairs = sum(count for (count, _i, _e) in dump.perf.values())
-    return estimated_overhead_cycles(pairs, start_mean, stop_mean) / hz
+    return estimated_overhead_cycles(pairs) / hz

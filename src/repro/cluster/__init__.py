@@ -1,8 +1,8 @@
 """Cluster substrate: nodes, the network, MPI, daemons, job launching.
 
 * :mod:`repro.cluster.node` / :mod:`repro.cluster.machines` — nodes and
-  factories for the paper's testbeds (``neutron``, ``neuronic``,
-  Chiba-City).
+  factories for the modelled testbeds (``neutron``, Chiba-City;
+  neuronic is not modelled, since no reproduced figure uses it).
 * :mod:`repro.cluster.network` — connection management over the simulated
   kernels' sockets.
 * :mod:`repro.cluster.mpi` — an MPI-like message layer whose Send/Recv
@@ -13,11 +13,11 @@
   pinning, and run-to-completion.
 """
 
-from repro.cluster.machines import Cluster, make_chiba, make_neutron, make_neuronic
+from repro.cluster.machines import Cluster, make_chiba, make_neutron
 from repro.cluster.mpi import MpiWorld, MpiRank
 from repro.cluster.launch import MpiJob, launch_mpi_job
 
 __all__ = [
-    "Cluster", "make_chiba", "make_neutron", "make_neuronic",
+    "Cluster", "make_chiba", "make_neutron",
     "MpiWorld", "MpiRank", "MpiJob", "launch_mpi_job",
 ]

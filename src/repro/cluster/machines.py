@@ -2,10 +2,11 @@
 
 * **neutron** — 4-CPU Intel P3 Xeon 550 MHz, one node (the controlled
   SMP experiments of §5.1).
-* **neuronic** — 16 nodes, 2-CPU P4 Xeon 2.8 GHz (the second §5.1
-  testbed).
 * **Chiba-City slice** — 128 nodes, dual P3 450 MHz, 512 MB, single
   Ethernet (the §5.2/§5.3 experiments).
+
+The paper's second §5.1 testbed, neuronic (Linux 2.4), is not modelled:
+no reproduced figure or table uses it.
 
 A :class:`Cluster` bundles the shared engine, RNG hub, network, nodes,
 and run-control; experiment configurations adjust kernel parameters
@@ -121,18 +122,3 @@ def make_neutron(seed: int = 1, *, ktau=None) -> Cluster:
     if ktau is not None:
         base = base.with_(ktau=ktau)
     return _build(1, base, seed, "neutron")
-
-
-def make_neuronic(nnodes: int = 16, seed: int = 1, *, ktau=None) -> Cluster:
-    """The 16-node dual-P4 2.8 GHz cluster of §5.1.
-
-    neuronic ran a Redhat Linux **2.4** kernel with KTAU, so its nodes
-    boot the legacy global-runqueue goodness scheduler.
-    """
-    from repro.kernel.params import SchedParams
-
-    base = KernelParams(hz=2.8e9, ncpus=2,
-                        sched=SchedParams(policy="legacy24"))
-    if ktau is not None:
-        base = base.with_(ktau=ktau)
-    return _build(nnodes, base, seed, "neuronic")

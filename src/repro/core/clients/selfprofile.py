@@ -18,11 +18,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def self_profiling_task(kernel: "Kernel", phases: int = 5,
-                        phase_compute_ns: int = 5 * MSEC,
                         snapshots: list[TaskProfileDump] | None = None):
     """Spawn a process that snapshots its own profile between phases.
 
-    Returns ``(task, snapshots)``; each phase does some work, then reads
+    Returns ``(task, snapshots)``; each phase computes for 5 ms, then reads
     its own kernel profile through /proc/ktau (SELF scope) — so the list
     shows monotonically growing counters, observed online, without any
     daemon.
@@ -33,7 +32,7 @@ def self_profiling_task(kernel: "Kernel", phases: int = 5,
     def behavior(ctx):
         lib = LibKtau(kernel.ktau_proc, self_pid=ctx.task.pid)
         for phase in range(phases):
-            yield from ctx.compute(phase_compute_ns)
+            yield from ctx.compute(5 * MSEC)
             yield from ctx.sleep(1 * MSEC)  # generate some scheduling events
             # The read itself costs syscalls + copies.
             yield from ctx.compute(30 * USEC)

@@ -2,7 +2,7 @@
 
 KTAU instrumentation is compiled into the kernel; compile-time options
 (``make menuconfig`` in the paper) select which *groups* of points are
-built in and whether profiling, tracing, or both are produced.  Boot-time
+built in and whether tracing is produced alongside profiling.  Boot-time
 kernel options and runtime control (through libKtau) can then enable or
 disable built-in groups by setting flags that instrumentation checks on
 every firing.
@@ -32,8 +32,6 @@ class KtauBuildConfig:
     compiled_groups:
         Groups whose instrumentation points exist in the built kernel.
         Points in other groups cost *nothing* (they are not in the binary).
-    profiling:
-        Build the profiling data path (per-task counters).
     tracing:
         Build the tracing data path (per-task circular buffers).
     trace_buffer_entries:
@@ -51,7 +49,6 @@ class KtauBuildConfig:
     """
 
     compiled_groups: frozenset[Group] = field(default_factory=lambda: frozenset(ALL_GROUPS))
-    profiling: bool = True
     tracing: bool = False
     trace_buffer_entries: int = 4096
     merge_context: bool = True
@@ -61,8 +58,8 @@ class KtauBuildConfig:
     @staticmethod
     def vanilla() -> "KtauBuildConfig":
         """A kernel with no KTAU patch at all (perturbation ``Base``)."""
-        return KtauBuildConfig(compiled_groups=frozenset(), profiling=False,
-                               tracing=False, merge_context=False)
+        return KtauBuildConfig(compiled_groups=frozenset(), tracing=False,
+                               merge_context=False)
 
     @staticmethod
     def full(tracing: bool = False, counters: bool = False) -> "KtauBuildConfig":
@@ -127,10 +124,12 @@ class KtauRuntimeControl:
 
     # -- runtime control (libKtau `ktau_set_state`) ------------------------
     def enable(self, *groups: Group) -> None:
+        # All or nothing: a rejected call must leave no group enabled
+        # behind an unbumped version (the firing-state cache key).
         for g in groups:
             if g not in self.build.compiled_groups:
                 raise ValueError(f"group {g} not compiled into this kernel")
-            self._enabled.add(g)
+        self._enabled.update(groups)
         self.version += 1
 
     def disable(self, *groups: Group) -> None:

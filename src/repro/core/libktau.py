@@ -21,7 +21,7 @@ from typing import Optional
 
 from repro.core.procfs import KtauProcFS
 from repro.core.points import Group
-from repro.core.retry import DEFAULT_POLICY, RetryPolicy, grow_and_retry, sized_read
+from repro.core.retry import DEFAULT_POLICY, grow_and_retry, sized_read
 from repro.core.wire import TaskProfileDump, TraceDump, unpack_profiles, unpack_trace
 
 
@@ -44,15 +44,9 @@ class LibKtau:
         PID used by ``SELF``-scope calls (the calling process), if any.
     """
 
-    #: How many times the size/read loop retries before giving up when the
-    #: profile keeps growing between calls (mirrors the default policy).
-    MAX_RETRIES = DEFAULT_POLICY.max_attempts
-
-    def __init__(self, proc: KtauProcFS, self_pid: Optional[int] = None,
-                 retry: RetryPolicy = DEFAULT_POLICY):
+    def __init__(self, proc: KtauProcFS, self_pid: Optional[int] = None):
         self._proc = proc
         self._self_pid = self_pid
-        self._retry = retry
 
     # ------------------------------------------------------------------
     # data retrieval
@@ -76,8 +70,8 @@ class LibKtau:
         Implements the documented two-call protocol via the shared
         :func:`repro.core.retry.grow_and_retry` helper: get the size,
         allocate a buffer, read; if the kernel reports the data outgrew
-        the buffer, retry with the new size, up to the bound of the
-        policy this handle was built with
+        the buffer, retry with the new size, up to the bound of
+        :data:`~repro.core.retry.DEFAULT_POLICY`
         (:class:`~repro.core.retry.RetryExhaustedError` on exhaustion).
         """
         want = self._scope_pids(scope, pids)
@@ -86,26 +80,22 @@ class LibKtau:
                                             include_zombies=include_zombies),
             lambda bufsize: self._proc.profile_read(
                 bufsize, want, include_zombies=include_zombies),
-            self._retry, what="ktau profile read")
+            DEFAULT_POLICY, what="ktau profile read")
         return unpack_profiles(data)
 
-    def read_trace(self, pid: int, bufsize: Optional[int] = None) -> TraceDump:
+    def read_trace(self, pid: int) -> TraceDump:
         """Drain and decode ``pid``'s kernel trace buffer.
 
         Unlike profiles the drain is destructive, so there is no retry:
         the shared :func:`repro.core.retry.sized_read` helper sizes the
-        buffer (unless the caller passed one) and reads once; any
-        overflow is genuinely lost and surfaced via the dump.
+        buffer exactly and reads once; records the ring overwrote before
+        the drain are counted in the dump's ``lost``.
         """
-        if bufsize is None:
-            data, full = sized_read(lambda: self._proc.trace_size(pid),
-                                    lambda n: self._proc.trace_read(pid, n))
-        else:
-            data, full = self._proc.trace_read(pid, bufsize)
+        data, _full = sized_read(lambda: self._proc.trace_size(pid),
+                                 lambda n: self._proc.trace_read(pid, n))
         if not data:
             return TraceDump(pid=pid, lost=0)
-        dump = unpack_trace(data) if len(data) >= full else unpack_trace(data[:full])
-        return dump
+        return unpack_trace(data)
 
     # ------------------------------------------------------------------
     # kernel control

@@ -22,7 +22,7 @@ When instrumentation is compiled in but disabled at boot/runtime the only
 cost is a flag check (a load + branch), modelled as a small constant.
 
 Sampling is batched through numpy for speed and handed out as Python
-ints, one refill of ``batch`` draws at a time; the model is deterministic
+ints, one refill of 4096 draws at a time; the model is deterministic
 given its RNG stream.
 """
 
@@ -36,8 +36,10 @@ import numpy as np
 class _GammaTail:
     """``min + Gamma(k, theta)`` sampler with batched draws."""
 
-    def __init__(self, rng: np.random.Generator, minimum: float, mean: float, std: float,
-                 batch: int = 4096):
+    #: draws per refill
+    BATCH = 4096
+
+    def __init__(self, rng: np.random.Generator, minimum: float, mean: float, std: float):
         excess = mean - minimum
         if excess <= 0 or std <= 0:
             raise ValueError("need mean > min and std > 0")
@@ -45,7 +47,6 @@ class _GammaTail:
         self.k = (excess / std) ** 2
         self.theta = std * std / excess
         self._rng = rng
-        self._batch = batch
         self._draws: Iterator[int] = iter(())
 
     def sample(self) -> int:
@@ -56,7 +57,7 @@ class _GammaTail:
             return next(self._draws)
         except StopIteration:
             self._draws = iter(memoryview((self.minimum + self._rng.gamma(
-                self.k, self.theta, size=self._batch)).astype(np.int64)))
+                self.k, self.theta, size=self.BATCH)).astype(np.int64)))
             return next(self._draws)
 
     def sample_array(self, n: int) -> np.ndarray:

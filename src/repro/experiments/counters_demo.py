@@ -20,7 +20,6 @@ time-rate ``NODE_OUTLIER``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.analysis.counterview import counter_rate_table, counters_to_doc
 from repro.analysis.profiles import JobData, harvest_job
@@ -33,7 +32,7 @@ from repro.monitor import (COUNTER_OUTLIER, NODE_OUTLIER, ClusterMonitor,
                            MonitorConfig, MonitorData)
 from repro.sim.units import MSEC
 from repro.workloads.interference import cache_thrasher_process
-from repro.workloads.lu import LuParams, lu_app
+from repro.workloads.lu import lu_app
 
 #: User-mode PMC rates assigned to the thrasher after spawn: a quarter
 #: of the normal IPC and two orders of magnitude more L2 misses than
@@ -82,22 +81,15 @@ class CountersDemoResult:
         }
 
 
-def run_counters_demo(seed: int = 1,
-                      monitor_config: Optional[MonitorConfig] = None,
-                      nnodes: int = 8, nranks: int = 16,
-                      lu_params: Optional[LuParams] = None,
-                      ) -> CountersDemoResult:
+def run_counters_demo(seed: int = 1) -> CountersDemoResult:
     """Monitored counters-build LU run with a cache thrasher on one node.
 
-    ``nnodes``/``nranks``/``lu_params`` scale the run down for tests;
-    the thrasher lands on node ``min(THRASHER_NODE_INDEX, nnodes - 1)``.
     The monitor runs with default :class:`~repro.monitor.MonitorConfig`
     thresholds — nothing is tuned toward the demo's conclusion.
     """
-    params = lu_params if lu_params is not None else CONTROLLED_LU
-    cluster = make_chiba(nnodes=nnodes, seed=seed,
+    cluster = make_chiba(nnodes=8, seed=seed,
                          ktau=KtauBuildConfig.full(counters=True))
-    node = cluster.nodes[min(THRASHER_NODE_INDEX, nnodes - 1)]
+    node = cluster.nodes[THRASHER_NODE_INDEX]
     intruder = node.kernel.spawn(
         cache_thrasher_process(sleep_ns=600 * MSEC, busy_ns=4 * MSEC),
         "thrash")
@@ -107,10 +99,9 @@ def run_counters_demo(seed: int = 1,
     intruder.pmc_user_rates = THRASH_RATES
     node.daemons.append(intruder)
 
-    monitor = ClusterMonitor(cluster, monitor_config or MonitorConfig())
-    ranks_per_node = max(1, nranks // nnodes)
-    job = launch_mpi_job(cluster, nranks, lu_app(params),
-                         placement=block_placement(ranks_per_node, nranks),
+    monitor = ClusterMonitor(cluster, MonitorConfig())
+    job = launch_mpi_job(cluster, 16, lu_app(CONTROLLED_LU),
+                         placement=block_placement(2, 16),
                          comm_prefix="lu",
                          node_setup=monitor.attach_node)
     for spare in cluster.nodes:

@@ -52,7 +52,6 @@ IRQ_CONTEXT_ROOTS: tuple[str, ...] = (
 #: blocking operation without passing through one is a violation.
 IRQ_CONTEXT_BOUNDARIES: tuple[str, ...] = (
     "Scheduler.wake",
-    "Scheduler24.wake",
     "Scheduler.tick_balance",
 )
 

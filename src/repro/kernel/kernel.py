@@ -33,7 +33,7 @@ class Kernel:
     """A simulated Linux kernel instance (one node)."""
 
     def __init__(self, engine: Engine, params: KernelParams, name: str,
-                 rng_hub: RngHub, start_ticks: bool = True):
+                 rng_hub: RngHub):
         self.engine = engine
         self.params = params
         self.name = name
@@ -49,13 +49,7 @@ class Kernel:
                                                        params.boot_cmdline)
         self.ktau = Ktau(self.clock, params.ktau, control=control,
                          overhead=overhead)
-        if params.sched.policy == "legacy24":
-            from repro.kernel.sched24 import Scheduler24
-            self.sched: Scheduler = Scheduler24(self)
-        elif params.sched.policy == "o1":
-            self.sched = Scheduler(self)
-        else:
-            raise ValueError(f"unknown scheduler policy {params.sched.policy!r}")
+        self.sched = Scheduler(self)
         self.irq = IrqController(self)
         self.syscalls = SyscallTable(self)
         self.nic = Nic(self)
@@ -85,7 +79,7 @@ class Kernel:
         self._softirq_busy_until = [0] * params.online_cpus
         # ksoftirqd overload tracking: (window start, work in window).
         self._softirq_window = [[0, 0] for _ in range(params.online_cpus)]
-        if start_ticks and params.timer_tick_ns:
+        if params.timer_tick_ns:
             self._start_ticks()
 
     # ------------------------------------------------------------------

@@ -52,9 +52,6 @@ class SchedParams:
         Direct cost of a context switch (register/TLB/cache switch).
     """
 
-    #: "o1" = the 2.6 O(1) scheduler; "legacy24" = the 2.4 global-runqueue
-    #: goodness scheduler (KTAU supports both kernel generations).
-    policy: str = "o1"
     timeslice_ns: int = 100 * MSEC
     wakeup_preempt_margin_ns: int = 10 * MSEC
     sleep_avg_cap_ns: int = 1000 * MSEC

@@ -203,15 +203,11 @@ class Scheduler:
             return min(allowed, key=lambda i: (self.cpus[i].load(), i != last))
         return last
 
-    def _enqueue(self, task: Task, cpu_idx: int, allow_preempt: bool,
-                 front: bool = False) -> None:
+    def _enqueue(self, task: Task, cpu_idx: int, allow_preempt: bool) -> None:
         cpu = self.cpus[cpu_idx]
         task.state = TaskState.READY
         task.last_cpu = cpu_idx
-        if front:
-            cpu.runqueue.appendleft(task)
-        else:
-            cpu.runqueue.append(task)
+        cpu.runqueue.append(task)
         if cpu.current is None:
             self._cpu_reschedule(cpu)
             return
@@ -226,6 +222,7 @@ class Scheduler:
             # The runner had the CPU to itself (no expiry armed); now that
             # it has competition, arm its slice.
             self._arm_expiry(cpu)
+
     def tick_balance(self, cpu_idx: int) -> None:
         """Timer-tick rebalancing for an idle CPU.
 
@@ -372,15 +369,11 @@ class Scheduler:
         if cpu.prev_task is not task:
             cpu.switch_penalty_ns = self.params.ctx_switch_cost_ns
         self._ktau_sched_in(task)
-        self._refill_slice_if_needed(task)
-        self._arm_expiry(cpu)
-        self._advance(cpu)
-
-    def _refill_slice_if_needed(self, task: Task) -> None:
-        """O(1) semantics: an expired slice refills on the next run.
-        (The 2.4 policy overrides this — counters refill only at epochs.)"""
+        # O(1) semantics: an expired slice refills on the next run.
         if task.timeslice_ns <= 0:
             task.timeslice_ns = self.params.timeslice_ns
+        self._arm_expiry(cpu)
+        self._advance(cpu)
 
     def _arm_expiry(self, cpu: Cpu) -> None:
         if cpu.expiry_handle is not None:

@@ -11,13 +11,17 @@ from repro.sim.units import MSEC
 from repro.workloads.lu import LuParams, lu_app
 
 
-def run_comparison(seed: int = 17, watched_rank: int = 3
+#: The LU rank observed by both KTAU and the sampler (one rank per node).
+WATCHED_RANK = 3
+
+
+def run_comparison(seed: int = 17
                    ) -> tuple[list[ComparisonRow], OProfileDaemon]:
     """Observe one LU rank with both KTAU and a 1 kHz sampler."""
     params = LuParams(niters=6, iter_compute_ns=60 * MSEC, halo_bytes=32_768,
                       sweep_msg_bytes=4_096, inorm=3)
     cluster = make_chiba(nnodes=4, seed=seed)
-    node = cluster.nodes[watched_rank]
+    node = cluster.nodes[WATCHED_RANK]
     sampler = OProfileSampler(node.kernel, period_ns=1 * MSEC)
     daemon = OProfileDaemon(sampler, period_ns=100 * MSEC)
     job = launch_mpi_job(cluster, 4, lu_app(params),
@@ -27,11 +31,11 @@ def run_comparison(seed: int = 17, watched_rank: int = 3
     job.run()
     sampler.stop()
     daemon.stop()
-    task = job.world.rank_tasks[watched_rank]
+    task = job.world.rank_tasks[WATCHED_RANK]
     lib = LibKtau(node.kernel.ktau_proc)
     kdump = lib.read_profiles(include_zombies=True)[task.pid]
     rows = compare_with_ktau(daemon.samples, sampler.period_ns, kdump,
                              node.kernel.clock.hz, pid=task.pid,
-                             udump=job.profilers[watched_rank].dump())
+                             udump=job.profilers[WATCHED_RANK].dump())
     cluster.teardown()
     return rows, daemon

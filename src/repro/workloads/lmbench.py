@@ -93,9 +93,10 @@ def lat_ctx(kernel, rounds: int = 500) -> LatencyResult:
     return result
 
 
-def bw_tcp(src_kernel, dst_kernel, network, nbytes: int = 4 * 1024 * 1024,
-           chunk: int = 65_536) -> BandwidthResult:
-    """Stream ``nbytes`` from ``src_kernel`` to ``dst_kernel``.
+def bw_tcp(src_kernel, dst_kernel, network,
+           nbytes: int = 4 * 1024 * 1024) -> BandwidthResult:
+    """Stream ``nbytes`` from ``src_kernel`` to ``dst_kernel`` in 64 KiB
+    writes.
 
     ``network`` is the :class:`repro.cluster.network.ClusterNetwork`
     owning connection identity.
@@ -107,7 +108,7 @@ def bw_tcp(src_kernel, dst_kernel, network, nbytes: int = 4 * 1024 * 1024,
     def sender(ctx):
         sent = 0
         while sent < nbytes:
-            n = min(chunk, nbytes - sent)
+            n = min(65_536, nbytes - sent)
             yield from ctx.syscall("sys_writev", sock=sock, nbytes=n)
             sent += n
 

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.profiles import harvest_job
 from repro.cluster.daemons import STANDARD_DAEMONS, start_standard_daemons
 from repro.cluster.launch import block_placement, launch_mpi_job
-from repro.cluster.machines import make_chiba, make_neuronic, make_neutron
+from repro.cluster.machines import make_chiba, make_neutron
 from repro.core.config import KtauBuildConfig
 from repro.sim.units import MSEC, SEC
 from repro.workloads.lu import LuParams, lu_app
@@ -33,11 +33,6 @@ class TestMachines:
         cluster = make_neutron()
         assert cluster.nodes[0].kernel.params.online_cpus == 4
         assert cluster.nodes[0].kernel.params.hz == 550e6
-
-    def test_neuronic(self):
-        cluster = make_neuronic()
-        assert len(cluster.nodes) == 16
-        assert cluster.nodes[0].kernel.params.hz == 2.8e9
 
     def test_vanilla_build_option(self):
         cluster = make_chiba(nnodes=1, ktau=KtauBuildConfig.vanilla())

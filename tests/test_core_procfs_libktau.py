@@ -156,6 +156,29 @@ class TestLibKtau:
         lib.enable_groups(Group.NET)
         assert call_both() == (1, 2)
 
+    def test_rejected_enable_changes_nothing(self):
+        """Enabling a compiled group together with an uncompiled one is
+        rejected as a whole: the compiled group stays disabled, the
+        control version (the firing-state cache key) does not move, and
+        its points keep recording nothing."""
+        engine = Engine()
+        build = KtauBuildConfig(compiled_groups=frozenset({Group.BH}))
+        ktau = Ktau(CycleClock(engine, hz=1e9), build)
+        lib = LibKtau(KtauProcFS(ktau))
+        data = ktau.register_task(1, "app")
+        pt = ktau.registry.point("do_softirq")
+        lib.disable_groups(Group.BH)
+        ktau.entry(data, pt)  # warms the firing-state cache: disabled
+        ktau.exit(data, pt)
+        version = ktau.control.version
+        with pytest.raises(ValueError):
+            lib.enable_groups(Group.BH, Group.IRQ)
+        assert not ktau.control.group_enabled(Group.BH)
+        assert ktau.control.version == version
+        ktau.entry(data, pt)
+        ktau.exit(data, pt)
+        assert "do_softirq" not in lib.read_profiles(Scope.ALL)[1].perf
+
 
 class TestAsciiConversion:
     def test_roundtrip(self):

@@ -82,7 +82,7 @@ class _Float64Tail:
         if self.pos >= len(self.buf):
             tail = self.tail
             self.buf = tail.minimum + self.rng.gamma(tail.k, tail.theta,
-                                                     size=tail._batch)
+                                                     size=tail.BATCH)
             self.pos = 0
             self.refills += 1
         self.pos += 1

@@ -11,7 +11,7 @@ PUBLIC_MODULES = [
     "repro.sim", "repro.sim.engine", "repro.sim.clock", "repro.sim.rng",
     "repro.sim.units",
     "repro.kernel", "repro.kernel.kernel", "repro.kernel.sched",
-    "repro.kernel.sched24", "repro.kernel.task", "repro.kernel.params",
+    "repro.kernel.task", "repro.kernel.params",
     "repro.kernel.irq", "repro.kernel.syscalls", "repro.kernel.block",
     "repro.kernel.effects", "repro.kernel.waitqueue", "repro.kernel.usermode",
     "repro.kernel.net", "repro.kernel.net.socket", "repro.kernel.net.nic",
