@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-json check claims \
+.PHONY: test lint check claims \
 	bench bench-smoke obs-demo monitor-demo chaos-smoke \
 	bottlenecks-demo counters-demo
 
@@ -10,9 +10,6 @@ test:
 
 lint:
 	$(PYTHON) -m repro.lint src/repro
-
-lint-json:
-	$(PYTHON) -m repro.lint src/repro --format=json
 
 check: lint test
 

@@ -12,10 +12,10 @@ refactor that silently breaks one is caught at lint time:
   set-iteration-order bans over the simulation substrate (KTAU201-204);
 * :mod:`repro.lint.registry` — declared-vs-fired instrumentation-point
   cross-reference (KTAU301-304);
-* :mod:`repro.lint.api` — ``__all__`` drift and architectural layering
-  (KTAU401-402);
-* :mod:`repro.lint.imports` — the full module dependency graph: cycle
-  detection and transitive layering (KTAU601-602);
+* :mod:`repro.lint.api` — ``__all__`` drift (KTAU401);
+* :mod:`repro.lint.imports` — the full module dependency graph and the
+  architectural layer map: direct and transitive layer violations and
+  cycle detection (KTAU402, KTAU601-602);
 * :mod:`repro.lint.contexts` — lockdep-flavoured IRQ-context safety
   over a static call graph (:mod:`repro.lint.callgraph`): interrupt
   work never sleeps or context-switches directly (KTAU701-703).

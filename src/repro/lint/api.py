@@ -1,23 +1,13 @@
-"""API hygiene: ``__all__`` drift and cross-layer imports.
+"""API hygiene: ``__all__`` drift (KTAU401).
 
 KTAU301-style registry drift has an API-surface analog: a package whose
 ``__all__`` advertises names it no longer defines (star-imports raise
-``AttributeError``; documentation lies), and a lower layer that reaches
-*up* the architecture (``repro.kernel`` importing ``repro.analysis``
-would let a presentation refactor break the measured substrate).
+``AttributeError``; documentation lies).  The architectural layering
+contract is enforced over the import graph in :mod:`repro.lint.imports`.
 
 KTAU401
     ``__all__`` drift: an entry that the module does not define or
     import, or a duplicated entry.
-KTAU402
-    Cross-layer import violation: a module imports from a ``repro``
-    package that its layer is not allowed to depend on.  The allowed
-    dependency map mirrors the architecture (sim at the bottom; core
-    above sim; the kernel above core; measurement clients, workloads
-    and the cluster above the kernel; analysis and experiments on top).
-    A second-level subpackage may declare its own, tighter contract
-    (``analysis.bottlenecks`` must never import the monitor).
-    ``if TYPE_CHECKING:`` imports are exempt — they never execute.
 """
 
 from __future__ import annotations
@@ -27,66 +17,6 @@ from typing import Iterable
 
 from repro.lint.engine import Rule, SourceFile, register
 from repro.lint.findings import Finding
-
-#: package -> repro sub-packages it may import from at run time.
-#: Keys may name a second-level subpackage ("analysis.bottlenecks") to
-#: scope it more tightly than its parent layer; the most specific key
-#: wins.  Top-level modules (repro.cli, repro.__main__, repro/__init__)
-#: are the application shell and may import anything.
-LAYER_DEPS: dict[str, set[str]] = {
-    # Harness observability is the substrate below the substrate: every
-    # layer may publish into it, and it may import nothing back.
-    "obs": set(),
-    "sim": {"obs"},
-    "core": {"obs", "sim"},
-    "kernel": {"core", "sim"},
-    "tau": {"core", "kernel", "sim"},
-    "workloads": {"kernel", "sim", "tau"},
-    "cluster": {"core", "kernel", "sim", "tau"},
-    "oprofile": {"analysis", "cluster", "core", "kernel", "sim", "tau",
-                 "workloads"},
-    "analysis": {"cluster", "core", "kernel", "obs", "sim", "tau",
-                 "workloads"},
-    # The offline bottleneck analyzer is scoped *tighter* than its
-    # parent layer: it harvests traces through the cluster and core and
-    # may use sibling analysis modules, but must never import the
-    # monitor — the streaming attributor lives in repro.monitor and
-    # depends on this package's contract, not the other way around.
-    "analysis.bottlenecks": {"analysis", "cluster", "core", "obs", "sim"},
-    # The offline counter views are purely derivational: they consume
-    # decoded wire dumps (core) and sibling analysis helpers, and — like
-    # the bottleneck analyzer — must never import the monitor, whose
-    # streaming counter detection depends on this package.
-    "analysis.counterview": {"analysis", "core", "obs", "sim"},
-    # The online monitor consumes measurements (analysis/core) over
-    # cluster machinery and publishes into obs; experiments and the CLI
-    # sit above it, the cluster below it (the launcher reaches it only
-    # through the opaque node_setup hook).
-    "monitor": {"analysis", "cluster", "core", "kernel", "obs", "sim",
-                "tau"},
-    # Fault injection reaches into everything it faults (cluster, the
-    # kernel's NIC, the monitor's delivery path) but stays below the
-    # experiments that arm plans — the chaos *runner* lives up in
-    # repro.experiments so this package never imports run machinery.
-    "faults": {"cluster", "core", "kernel", "monitor", "obs", "sim"},
-    "experiments": {"analysis", "cluster", "core", "faults", "kernel",
-                    "monitor", "obs", "oprofile", "parallel", "sim",
-                    "tau", "workloads"},
-    # The replication runner only moves opaque payloads between
-    # processes; it must know nothing about what a replication computes
-    # (obs is content-blind, so publishing timings keeps that true).
-    "parallel": {"obs"},
-    "lint": set(),  # the linter must not depend on what it lints
-}
-
-
-def _layer_key(parts: list[str]) -> str:
-    """The most specific :data:`LAYER_DEPS` key for a module's parts
-    (``["repro", "analysis", "bottlenecks", ...]``): the two-component
-    subpackage key when one is declared, else the top-level layer."""
-    if len(parts) >= 3 and ".".join(parts[1:3]) in LAYER_DEPS:
-        return ".".join(parts[1:3])
-    return parts[1]
 
 
 def _defined_names(tree: ast.Module) -> set[str]:
@@ -159,63 +89,3 @@ class AllDriftRule(Rule):
                         source, elt.lineno,
                         f"__all__ exports '{name}' but the module does not "
                         f"define it")
-
-
-def _in_type_checking(tree: ast.Module) -> set[int]:
-    """``id()`` of import nodes inside ``if TYPE_CHECKING:`` blocks."""
-    guarded: set[int] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.If):
-            continue
-        test = node.test
-        is_tc = (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") \
-            or (isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING")
-        if is_tc:
-            for sub in ast.walk(node):
-                if isinstance(sub, (ast.Import, ast.ImportFrom)):
-                    guarded.add(id(sub))
-    return guarded
-
-
-@register
-class LayerViolationRule(Rule):
-    rule_id = "KTAU402"
-    name = "layer-violation"
-    description = ("a module imports from a repro package above its "
-                   "architectural layer")
-
-    def check(self, source: SourceFile) -> Iterable[Finding]:
-        parts = source.module.split(".")
-        if len(parts) < 2 or parts[0] != "repro":
-            return  # top-level shell modules and non-repro files
-        key = _layer_key(parts)
-        allowed = LAYER_DEPS.get(key)
-        if allowed is None:
-            return  # unknown package: no layering contract declared
-        guarded = _in_type_checking(source.tree)
-        for node in ast.walk(source.tree):
-            if id(node) in guarded:
-                continue
-            targets: list[tuple[str, int]] = []
-            if isinstance(node, ast.Import):
-                targets = [(alias.name, node.lineno) for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0 \
-                    and node.module:
-                targets = [(node.module, node.lineno)]
-            for target, line in targets:
-                tparts = target.split(".")
-                if tparts[0] != "repro" or len(tparts) < 2:
-                    continue
-                tkey = _layer_key(tparts)
-                # Same scoped package, or a layer on the allowed list
-                # (a tightly-scoped subpackage may import its parent
-                # layer only when the parent is listed explicitly).
-                if tkey == key or tkey in allowed or tparts[1] in allowed:
-                    continue
-                if tparts[1] == parts[1] and key == parts[1]:
-                    continue  # intra-layer import, no subpackage contract
-                yield self.finding(
-                    source, line,
-                    f"layer violation: repro.{key} must not import "
-                    f"'{target}' (allowed: "
-                    f"{', '.join(sorted(allowed)) or 'stdlib only'})")

@@ -465,48 +465,18 @@ class _FunctionAnalysis:
                 f"entry('{key}') has no matching exit {where}{at}")
 
 
-def _balance_findings(source: SourceFile) -> list[Finding]:
-    """All balance findings for a file (computed once, shared by rules)."""
-    cached = getattr(source, "_balance_cache", None)
-    if cached is None:
-        cached = []
-        for node in ast.walk(source.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                cached.extend(_FunctionAnalysis(source, node).run())
-        source._balance_cache = cached  # type: ignore[attr-defined]
-    return cached
+@register
+class BalanceRule(Rule):
+    """KTAU101-103: every function body, one path-sensitive analysis each."""
 
-
-class _BalanceBase(Rule):
-    """Shared driver: analyse every function; emit only this rule's ID."""
-
+    rule_id = "KTAU101"
+    name = "balance"
+    description = ("instrumentation entry()/exit() pairs balance in LIFO "
+                   "order on every control-flow path and loop iteration")
     scope = ("repro.kernel", "repro.core")
+    emits = ("KTAU101", "KTAU102", "KTAU103")
 
     def check(self, source: SourceFile) -> Iterable[Finding]:
-        for finding in _balance_findings(source):
-            if finding.rule_id == self.rule_id:
-                yield finding
-
-
-@register
-class UnclosedEntryRule(_BalanceBase):
-    rule_id = "KTAU101"
-    name = "unclosed-entry"
-    description = ("an instrumentation entry() is not matched by an exit() "
-                   "on every control-flow path")
-
-
-@register
-class UnmatchedExitRule(_BalanceBase):
-    rule_id = "KTAU102"
-    name = "unmatched-exit"
-    description = ("an instrumentation exit() fires with no matching open "
-                   "entry(), or out of LIFO order")
-
-
-@register
-class LoopImbalanceRule(_BalanceBase):
-    rule_id = "KTAU103"
-    name = "loop-imbalance"
-    description = ("a loop body changes the set of open instrumentation "
-                   "points, compounding imbalance per iteration")
+        for node in ast.walk(source.tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from _FunctionAnalysis(source, node).run()

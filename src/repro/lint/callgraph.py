@@ -30,20 +30,18 @@ from repro.lint.engine import SourceFile
 _FUNC_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _import_map(tree: ast.Module, module: str) -> dict[str, tuple[str, Optional[str]]]:
+def _import_map(src: SourceFile) -> dict[str, tuple[str, Optional[str]]]:
     """local name -> (source module, symbol or None for whole-module)."""
     out: dict[str, tuple[str, Optional[str]]] = {}
-    for node in ast.walk(tree):
+    for node in ast.walk(src.tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 out[alias.asname or alias.name.split(".")[0]] = (
                     alias.name, None)
         elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:  # relative: resolve against this module
-                parts = module.split(".")
-                parts = parts[:len(parts) - node.level]
-                base = ".".join(parts + ([node.module] if node.module else []))
+            base = src.resolve_relative(node.level, node.module)
+            if base is None:
+                continue
             for alias in node.names:
                 if alias.name == "*":
                     continue
@@ -105,7 +103,7 @@ class CallGraph:
 
     # -- construction -----------------------------------------------------
     def _index_source(self, src: SourceFile) -> None:
-        self.imports[src.module] = _import_map(src.tree, src.module)
+        self.imports[src.module] = _import_map(src)
         for node in src.tree.body:
             if isinstance(node, _FUNC_DEFS):
                 self._index_func(src, node, None)

@@ -62,10 +62,11 @@ def _render_json(findings: list[Finding]) -> str:
 
 
 def _render_rules() -> str:
-    lines = []
-    for rule in sorted(all_rules(), key=lambda r: r.rule_id):
-        lines.append(f"{rule.rule_id}  {rule.name:<24} {rule.description}")
-    return "\n".join(lines)
+    rows = [(",".join(rule.emits or (rule.rule_id,)), rule)
+            for rule in sorted(all_rules(), key=lambda r: r.rule_id)]
+    width = max(len(ids) for ids, _ in rows)
+    return "\n".join(f"{ids:<{width}}  {rule.name:<24} {rule.description}"
+                     for ids, rule in rows)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

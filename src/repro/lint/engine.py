@@ -122,6 +122,25 @@ class SourceFile:
             for lineno in range(node.lineno, end):
                 self.line_suppressions.setdefault(lineno, set()).update(rules)
 
+    def resolve_relative(self, level: int,
+                         target: Optional[str]) -> Optional[str]:
+        """Absolute name of the module a ``from <level dots><target>
+        import`` in this file names (level 0 is an absolute import), or
+        None when the dots climb above the top-level package.
+
+        A package's ``__init__`` is its own first level: ``from . import
+        a`` in ``repro/kernel/__init__.py`` names ``repro.kernel.a``.
+        """
+        if not level:
+            return target or ""
+        package = self.module.split(".")
+        if self.path.name != "__init__.py":
+            package.pop()
+        keep = len(package) + 1 - level
+        if keep < 1:
+            return None
+        return ".".join(package[:keep] + ([target] if target else []))
+
     def is_suppressed(self, finding: Finding) -> bool:
         if ("*" in self.file_suppressions
                 or finding.rule_id in self.file_suppressions):
