@@ -32,8 +32,10 @@ determinism suite pins this against a golden hash.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from itertools import accumulate
+from typing import NamedTuple, Optional
 
 from repro.analysis.bottlenecks.harvest import RankTrace
 from repro.analysis.bottlenecks.waits import (IRQ_PREEMPTION, PREEMPTION,
@@ -194,13 +196,27 @@ def _attribute_stall(wait: WaitInterval,
     return best[1] if best is not None else None
 
 
-def _overlap_ns(a0: int, a1: int, b0: int, b1: int) -> int:
-    """Length of the intersection of two half-open ns intervals."""
-    return max(0, min(a1, b1) - max(a0, b0))
+class _Intervals(NamedTuple):
+    """One rank's waits sorted by start, for overlap queries.
+
+    ``max_ends[i]`` is the latest end among ``waits[:i + 1]``, so the
+    waits that can overlap ``[s, e)`` lie between the first index whose
+    running max end passes ``s`` and the last start before ``e``.
+    """
+
+    waits: list[WaitInterval]
+    starts: list[int]
+    max_ends: list[int]
 
 
-def _blocker_activity(wait: WaitInterval,
-                      blocker_waits: list[WaitInterval],
+def _index_intervals(waits: list[WaitInterval]) -> _Intervals:
+    """Sort ``waits`` by start (stably) and index them for overlap scans."""
+    ordered = sorted(waits, key=lambda w: w.start_ns)
+    return _Intervals(ordered, [w.start_ns for w in ordered],
+                      list(accumulate((w.end_ns for w in ordered), max)))
+
+
+def _blocker_activity(wait: WaitInterval, blocker: _Intervals,
                       ) -> tuple[str, str, Optional[WaitInterval]]:
     """What was the blocking rank doing during ``wait``?
 
@@ -212,21 +228,24 @@ def _blocker_activity(wait: WaitInterval,
     when it is itself a TCP receive stall).  Ties break in
     :data:`_STATES` order, then earliest interval start, then path.
     """
-    span = wait.end_ns - wait.start_ns
+    w0, w1 = wait.start_ns, wait.end_ns
     totals = {"preempted": 0, "waiting": 0}
     # state -> ((-overlap, start, path), interval)
     best: dict[str, tuple[tuple[int, int, str], WaitInterval]] = {}
-    for bw in blocker_waits:
-        ov = _overlap_ns(wait.start_ns, wait.end_ns, bw.start_ns, bw.end_ns)
+    lo = bisect_right(blocker.max_ends, w0)
+    hi = bisect_left(blocker.starts, w1, lo)
+    for bw in blocker.waits[lo:hi]:
+        b0, b1 = bw.start_ns, bw.end_ns
+        ov = (b1 if b1 < w1 else w1) - (b0 if b0 > w0 else w0)
         if ov <= 0:
             continue
         state = ("preempted" if bw.kind in (PREEMPTION, IRQ_PREEMPTION)
                  else "waiting")
         totals[state] += ov
-        key = (-ov, bw.start_ns, bw.kernel_path)
+        key = (-ov, b0, bw.kernel_path)
         if state not in best or key < best[state][0]:
             best[state] = (key, bw)
-    compute_ns = max(0, span - totals["preempted"] - totals["waiting"])
+    compute_ns = max(0, w1 - w0 - totals["preempted"] - totals["waiting"])
     ranked = sorted(
         ((-(totals.get(state, 0) if state != "computing" else compute_ns),
           idx, state)
@@ -240,7 +259,7 @@ def _blocker_activity(wait: WaitInterval,
 
 def _resolve_root(wait: WaitInterval, owner: int,
                   by_rank: dict[int, RankTrace],
-                  rank_waits: dict[int, list[WaitInterval]],
+                  rank_intervals: dict[int, _Intervals],
                   ) -> Optional[tuple[int, str, str]]:
     """Follow a TCP receive stall through the serialization cascade.
 
@@ -256,11 +275,12 @@ def _resolve_root(wait: WaitInterval, owner: int,
     current = wait
     rank = owner
     while True:
-        remote = _attribute_stall(current, list(by_rank[rank].msg_log))
-        if remote is None or remote not in rank_waits:
+        remote = _attribute_stall(current, by_rank[rank].msg_log)
+        if remote is None or remote not in rank_intervals:
             return None if rank == owner else (rank, "waiting",
                                                current.kernel_path)
-        state, via, interval = _blocker_activity(current, rank_waits[remote])
+        state, via, interval = _blocker_activity(current,
+                                                 rank_intervals[remote])
         if (state == "waiting" and interval is not None
                 and interval.kind == TCP_RECV_STALL
                 and remote not in visited):
@@ -280,6 +300,9 @@ def build_report(inputs: list[RankTrace], *, top_k: int = 10,
         rank_waits[rt.rank] = extract_waits(
             rt.merged, rank=rt.rank, node=rt.node, pid=rt.pid, hz=rt.hz,
             boot_offset_cycles=rt.boot_offset_cycles)
+
+    rank_intervals = {rank: _index_intervals(waits)
+                      for rank, waits in rank_waits.items()}
 
     kind_ns: dict[int, dict[str, int]] = {}
     path_direct: dict[tuple[str, str], tuple[int, int]] = {}
@@ -307,7 +330,7 @@ def build_report(inputs: list[RankTrace], *, top_k: int = 10,
             if wait.kind != TCP_RECV_STALL:
                 charge(path_direct, (wait.node, wait.kernel_path), span)
                 continue
-            resolved = _resolve_root(wait, rank, by_rank, rank_waits)
+            resolved = _resolve_root(wait, rank, by_rank, rank_intervals)
             if resolved is None:
                 unattributed_stall_ns += span
                 charge(path_direct, (wait.node, wait.kernel_path), span)

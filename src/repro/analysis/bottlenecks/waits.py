@@ -101,52 +101,59 @@ def extract_waits(merged: list[MergedEvent], *, rank: int, node: str,
     user_stack: list[str] = []
     # kernel stack frames: (name, entry cycles, user context, irq_root?)
     kernel_stack: list[tuple[str, int, str, bool]] = []
+    # name -> frames of that name on the kernel stack
+    open_names: dict[str, int] = {}
+    # frames on the kernel stack that are IRQ roots (0 or 1)
+    open_irq = 0
 
-    for ev in merged:
-        if ev.layer == "user":
-            if ev.is_entry:
-                user_stack.append(ev.name)
-            elif user_stack and user_stack[-1] == ev.name:
+    for cycles, name, layer, is_entry, _value in merged:
+        if layer == "user":
+            if is_entry:
+                user_stack.append(name)
+            elif user_stack and user_stack[-1] == name:
                 user_stack.pop()
-            elif ev.name in user_stack:
-                while user_stack and user_stack[-1] != ev.name:
+            elif name in user_stack:
+                while user_stack and user_stack[-1] != name:
                     user_stack.pop()
                 if user_stack:
                     user_stack.pop()
             continue
 
-        if ev.is_entry:
-            irq_root = (ev.name in _IRQ_ROOTS
-                        and not any(f[3] for f in kernel_stack))
-            uctx = user_stack[-1] if user_stack else ""
-            kernel_stack.append((ev.name, ev.cycles, uctx, irq_root))
+        if is_entry:
+            irq_root = not open_irq and name in _IRQ_ROOTS
+            open_irq += irq_root
+            open_names[name] = open_names.get(name, 0) + 1
+            kernel_stack.append((name, cycles,
+                                 user_stack[-1] if user_stack else "",
+                                 irq_root))
             continue
 
         # Kernel exit (or an atomic point, which never matches a frame).
-        if not any(f[0] == ev.name for f in kernel_stack):
+        if not open_names.get(name):
             continue
         # Pop frames lost to truncation until the matching entry.
-        while kernel_stack and kernel_stack[-1][0] != ev.name:
-            kernel_stack.pop()
-        name, start_cycles, uctx, irq_root = kernel_stack.pop()
-        path = ">".join([f[0] for f in kernel_stack] + [name])
-        enclosing = [f[0] for f in kernel_stack]
+        while True:
+            fname, start_cycles, uctx, irq_root = kernel_stack.pop()
+            open_names[fname] -= 1
+            open_irq -= irq_root
+            if fname == name:
+                break
 
-        kind: Optional[str] = None
         if name == "schedule_vol":
-            kind = (TCP_RECV_STALL if "tcp_recvmsg" in enclosing
+            kind = (TCP_RECV_STALL if open_names.get("tcp_recvmsg")
                     else VOLUNTARY_WAIT)
         elif name == "schedule":
             kind = PREEMPTION
         elif irq_root:
             kind = IRQ_PREEMPTION
-        if kind is None:
+        else:
             continue
 
         start_ns = _to_global_ns(start_cycles, hz, boot_offset_cycles)
-        end_ns = _to_global_ns(ev.cycles, hz, boot_offset_cycles)
+        end_ns = _to_global_ns(cycles, hz, boot_offset_cycles)
         if end_ns <= start_ns:
             continue
+        path = ">".join([f[0] for f in kernel_stack] + [name])
         waits.append(WaitInterval(rank=rank, node=node, pid=pid, kind=kind,
                                   start_ns=start_ns, end_ns=end_ns,
                                   kernel_path=path, user_context=uctx))

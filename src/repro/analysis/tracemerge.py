@@ -11,15 +11,14 @@ process's context during the call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.tracebuf import TraceKind
 from repro.core.wire import TraceDump
 from repro.tau.profiler import TauProfileDump
 
 
-@dataclass(frozen=True)
-class MergedEvent:
+class MergedEvent(NamedTuple):
     """One event in a merged timeline."""
 
     cycles: int
@@ -29,31 +28,39 @@ class MergedEvent:
     value: int = 0
 
 
-def _tie_rank(event: MergedEvent) -> int:
-    """Ordering of same-timestamp events that preserves nesting.
-
-    Kernel events nest inside user events, so at an equal timestamp the
-    correct interval order is: kernel exits, user exits, user entries,
-    kernel entries.
-    """
-    if event.is_entry:
-        return 2 if event.layer == "user" else 3
-    return 0 if event.layer == "kernel" else 1
+#: Ordering of same-timestamp events that preserves nesting, by
+#: ``(layer, is_entry)``.  Kernel events nest inside user events, so at an
+#: equal timestamp the correct interval order is: kernel exits, user
+#: exits, user entries, kernel entries.  A kernel trace alone is not
+#: sorted by ``(cycles, rank)`` (a zero-length span's entry and exit
+#: share a stamp and swap), so the merge sorts rather than interleaving
+#: the two streams.
+_TIE_RANK = {("kernel", False): 0, ("user", False): 1,
+             ("user", True): 2, ("kernel", True): 3}
 
 
 def merge_traces(udump: TauProfileDump, ktrace: TraceDump) -> list[MergedEvent]:
-    """Interleave one process's user and kernel traces by timestamp."""
-    events: list[MergedEvent] = []
-    for cycles, name, is_entry in udump.trace:
-        events.append(MergedEvent(cycles, name, "user", is_entry))
-    for cycles, name, kind, value in ktrace.records:
-        if kind is TraceKind.ATOMIC:
-            events.append(MergedEvent(cycles, name, "kernel", False, value))
-        else:
-            events.append(MergedEvent(cycles, name, "kernel",
-                                      kind is TraceKind.ENTRY, value))
-    events.sort(key=lambda e: (e.cycles, _tie_rank(e)))
-    return events
+    """Interleave one process's user and kernel traces by timestamp.
+
+    One sort over ``(cycles, tie rank, seq, *event fields)`` rows, where
+    ``seq`` is the event's position in the user-then-kernel
+    concatenation: the stable sort by ``(cycles, tie rank)``, with no
+    Python key calls.
+    """
+    user_rank = (_TIE_RANK["user", False], _TIE_RANK["user", True])
+    kernel_rank = tuple(_TIE_RANK["kernel", kind is TraceKind.ENTRY]
+                        for kind in TraceKind)
+    rows = [(cycles, user_rank[is_entry], seq,
+             cycles, name, "user", is_entry, 0)
+            for seq, (cycles, name, is_entry) in enumerate(udump.trace)]
+    entry = TraceKind.ENTRY
+    rows += [(cycles, kernel_rank[kind], seq,
+              cycles, name, "kernel", kind is entry, value)
+             for seq, (cycles, name, kind, value)
+             in enumerate(ktrace.records, len(rows))]
+    rows.sort()
+    make = MergedEvent._make
+    return [make(row[3:]) for row in rows]
 
 
 def events_within(merged: list[MergedEvent], routine: str,

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.core import wire
 from repro.core.libktau import LibKtau, Scope
 from repro.core.procfs import KtauProcTransientError
 from repro.core.retry import RetryPolicy
@@ -145,14 +146,14 @@ class Ktaud:
             try:
                 profiles = self.lib.read_profiles(scope=scope, pids=self.pids,
                                                   include_zombies=False)
-                # Per-entry wire sizes: perf 28, atomic 36, counter 52
-                # bytes, plus 41 for a task's lifetime PMC block.  The
-                # counter terms are zero when the counters build option
-                # is off, so enabling them is what makes KTAUD's
-                # extraction perturbation grow with the richer payload.
-                volume = sum(len(d.perf) * 28 + len(d.atomic) * 36
-                             + len(d.counters) * 52
-                             + (41 if d.pmc is not None else 0)
+                # Volume at the entries' wire sizes.  The counter terms
+                # are zero when the counters build option is off, so
+                # enabling them is what makes KTAUD's extraction
+                # perturbation grow with the richer payload.
+                volume = sum(len(d.perf) * wire.PERF_ENTRY_SIZE
+                             + len(d.atomic) * wire.ATOMIC_ENTRY_SIZE
+                             + len(d.counters) * wire.COUNTER_ENTRY_SIZE
+                             + (wire.PMC_BLOCK_SIZE if d.pmc is not None else 0)
                              for d in profiles.values())
                 snapshot = KtaudSnapshot(time_ns=ctx.now, profiles=profiles)
                 if self.drain_traces:
@@ -161,7 +162,7 @@ class Ktaud:
                         dump = self.lib.read_trace(pid)
                         if dump.records or dump.lost:
                             snapshot.traces[pid] = dump
-                            volume += len(dump.records) * 21
+                            volume += len(dump.records) * wire.TRACE_RECORD_SIZE
                 return snapshot, volume
             except KtauProcTransientError:
                 if attempt >= self.RETRY.max_attempts:

@@ -86,8 +86,7 @@ class KtauProcFS:
         data = self._task_data(pid)
         if data is None or data.trace is None:
             return 0
-        return len(wire.pack_trace(pid, data.trace.lost_count, data.trace.peek(),
-                                   self._ktau.registry))
+        return wire.trace_size(data.trace.peek(), self._ktau.registry)
 
     def trace_read(self, pid: int, bufsize: int) -> tuple[bytes, int]:
         """Drain and return ``pid``'s trace buffer (destructive read).

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 class TraceKind(enum.IntEnum):
@@ -23,13 +22,13 @@ class TraceKind(enum.IntEnum):
     ATOMIC = 2
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One trace-buffer record.
 
     ``cycles`` is the node-local TSC timestamp; ``event_id`` indexes the
     node's event-mapping table; ``value`` carries the atomic-event payload
-    (zero for entry/exit records).
+    (zero for entry/exit records).  A plain tuple in wire-field order, so
+    the packer hands it to ``struct`` as it stands.
     """
 
     cycles: int

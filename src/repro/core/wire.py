@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from itertools import starmap
 
 from repro.core.measurement import KtauTaskData
 from repro.core.registry import EventRegistry
@@ -67,15 +68,36 @@ _U32 = struct.Struct("<I")
 _TRACE_HDR = struct.Struct("<4sHIQI")
 _TRACE_REC = struct.Struct("<QIBQ")
 
+#: Packed bytes per trace record and per profile-section entry, for
+#: clients that cost an extraction by its volume.
+TRACE_RECORD_SIZE = _TRACE_REC.size
+PERF_ENTRY_SIZE = _PERF_ENTRY.size
+ATOMIC_ENTRY_SIZE = _ATOMIC_ENTRY.size
+COUNTER_ENTRY_SIZE = _COUNTER_ENTRY.size
+#: A task's lifetime PMC block plus its presence byte.
+PMC_BLOCK_SIZE = _PMC_BLOCK.size + 1
+
+#: Trace record kind byte -> kind.
+_KINDS = tuple(TraceKind)
+
 
 class WireError(ValueError):
     """Raised by unpackers on malformed or truncated buffers."""
 
 
-def _pack_str(out: bytearray, s: str) -> None:
+def _str_bytes(s: str) -> bytes:
+    """``s`` in UTF-8, cut to at most 255 bytes on a character boundary."""
     raw = s.encode("utf-8")
     if len(raw) > 255:
-        raw = raw[:255]
+        cut = 255
+        while (raw[cut] & 0xC0) == 0x80:  # the cut would split a character
+            cut -= 1
+        raw = raw[:cut]
+    return raw
+
+
+def _pack_str(out: bytearray, s: str) -> None:
+    raw = _str_bytes(s)
     out.append(len(raw))
     out.extend(raw)
 
@@ -87,7 +109,10 @@ def _unpack_str(buf: bytes, off: int) -> tuple[str, int]:
     off += 1
     if off + n > len(buf):
         raise WireError("truncated string body")
-    return buf[off:off + n].decode("utf-8"), off + n
+    try:
+        return buf[off:off + n].decode("utf-8"), off + n
+    except UnicodeDecodeError as exc:
+        raise WireError(f"string is not UTF-8: {exc.reason}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +214,25 @@ def pack_trace(pid: int, lost: int, records: list[TraceRecord],
     The trace format references events by ID; a compact mapping table is
     appended after the records (id/name pairs for the IDs actually used).
     """
-    out = bytearray()
-    out.extend(_TRACE_HDR.pack(MAGIC_TRACE, VERSION, pid, lost, len(records)))
-    used: set[int] = set()
-    for rec in records:
-        out.extend(_TRACE_REC.pack(rec.cycles, rec.event_id, int(rec.kind), rec.value))
-        used.add(rec.event_id)
-    out.extend(_U32.pack(len(used)))
-    for event_id in sorted(used):
-        out.extend(_MAP_ENTRY.pack(event_id))
+    out = bytearray(_TRACE_HDR.pack(MAGIC_TRACE, VERSION, pid, lost, len(records)))
+    out += b"".join(starmap(_TRACE_REC.pack, records))
+    used = sorted({rec[1] for rec in records})
+    out += _U32.pack(len(used))
+    for event_id in used:
+        out += _MAP_ENTRY.pack(event_id)
         _pack_str(out, registry.name_of(event_id))
     return bytes(out)
+
+
+def trace_size(records: list[TraceRecord], registry: EventRegistry) -> int:
+    """Length of :func:`pack_trace`'s buffer for ``records``, without packing.
+
+    Header, fixed-size record block and mapping count, plus one mapping
+    entry per used event ID with its name as :func:`pack_trace` cuts it.
+    """
+    names = sum(_MAP_ENTRY.size + 1 + len(_str_bytes(registry.name_of(event_id)))
+                for event_id in sorted({rec[1] for rec in records}))
+    return _TRACE_HDR.size + len(records) * _TRACE_REC.size + _U32.size + names
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +352,10 @@ def unpack_trace(buf: bytes) -> TraceDump:
         raise WireError(f"bad trace magic {magic!r}")
     if version != VERSION:
         raise WireError(f"unsupported trace version {version}")
-    off = _TRACE_HDR.size
-    raw: list[tuple[int, int, int, int]] = []
-    for _ in range(nrec):
-        if off + _TRACE_REC.size > len(buf):
-            raise WireError("truncated trace record")
-        raw.append(_TRACE_REC.unpack_from(buf, off))
-        off += _TRACE_REC.size
+    end = _TRACE_HDR.size + nrec * _TRACE_REC.size
+    if end > len(buf):
+        raise WireError("truncated trace record block")
+    off = end
     if off + _U32.size > len(buf):
         raise WireError("truncated trace mapping count")
     (nmap,) = _U32.unpack_from(buf, off)
@@ -338,7 +368,16 @@ def unpack_trace(buf: bytes) -> TraceDump:
         off += _MAP_ENTRY.size
         name, off = _unpack_str(buf, off)
         names[event_id] = name
-    dump = TraceDump(pid=pid, lost=lost)
-    for cycles, event_id, kind, value in raw:
-        dump.records.append((cycles, names[event_id], TraceKind(kind), value))
-    return dump
+    block = memoryview(buf)[_TRACE_HDR.size:end]
+    try:
+        records = [(cycles, names[event_id], _KINDS[kind], value)
+                   for cycles, event_id, kind, value
+                   in _TRACE_REC.iter_unpack(block)]
+    except KeyError as exc:
+        raise WireError(f"trace event id {exc.args[0]} missing from "
+                        "mapping table") from None
+    except IndexError:
+        bad = next(kind for _c, _i, kind, _v in _TRACE_REC.iter_unpack(block)
+                   if kind >= len(_KINDS))
+        raise WireError(f"bad trace record kind {bad}") from None
+    return TraceDump(pid=pid, lost=lost, records=records)

@@ -1,5 +1,7 @@
 """Tests for the binary wire format (pack/unpack roundtrips)."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -103,6 +105,55 @@ class TestTraceRoundtrip:
     def test_bad_trace_magic(self):
         with pytest.raises(wire.WireError):
             wire.unpack_trace(b"NOPE" + b"\0" * 20)
+
+    def test_bad_kind_byte_is_wire_error(self):
+        engine, ktau = populated_ktau()
+        data = ktau.tasks[10]
+        packed = bytearray(wire.pack_trace(10, 0, data.trace.drain(),
+                                           ktau.registry))
+        packed[wire._TRACE_HDR.size + 12] = 7  # first record's kind byte
+        with pytest.raises(wire.WireError, match="bad trace record kind 7"):
+            wire.unpack_trace(bytes(packed))
+
+    def test_unmapped_event_id_is_wire_error(self):
+        engine, ktau = populated_ktau()
+        data = ktau.tasks[10]
+        packed = bytearray(wire.pack_trace(10, 0, data.trace.drain(),
+                                           ktau.registry))
+        packed[wire._TRACE_HDR.size + 8] = 99  # first record's event id
+        with pytest.raises(wire.WireError, match="event id 99"):
+            wire.unpack_trace(bytes(packed))
+
+
+#: A name whose UTF-8 form (400 bytes) passes the 255-byte string limit
+#: in the middle of a two-byte character.
+LONG_NAME = "é" * 200
+#: What survives the limit: whole characters only.
+CUT_NAME = "é" * 127
+
+
+class TestLongNames:
+    def test_profile_comm_cut_on_character_boundary(self):
+        engine, ktau = build_ktau()
+        ktau.register_task(4, LONG_NAME)
+        packed = wire.pack_profiles(ktau.snapshot(), ktau.registry)
+        assert wire.unpack_profiles(packed)[4].comm == CUT_NAME
+
+    def test_trace_name_cut_on_character_boundary(self):
+        registry = SimpleNamespace(name_of=lambda event_id: LONG_NAME)
+        records = [TraceRecord(5, 0, TraceKind.ENTRY),
+                   TraceRecord(9, 0, TraceKind.EXIT)]
+        packed = wire.pack_trace(4, 0, records, registry)
+        assert wire.trace_size(records, registry) == len(packed)
+        dump = wire.unpack_trace(packed)
+        assert [rec[1] for rec in dump.records] == [CUT_NAME, CUT_NAME]
+
+    def test_cut_names_stay_within_limit(self):
+        for name in ("a" * 300, "é" * 200, "€" * 100, "a" + "€" * 100,
+                     "😀" * 70, "ab" + "😀" * 70):
+            raw = wire._str_bytes(name)
+            assert len(raw) <= 255 and len(raw) > 251
+            assert name.startswith(raw.decode("utf-8"))
 
 
 @settings(max_examples=40, deadline=None)

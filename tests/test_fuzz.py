@@ -34,6 +34,8 @@ def packed_profile() -> bytes:
 
 
 BASE, _KTAU = packed_profile()
+#: A valid trace drain of the same task (entries, an atomic and exits).
+TRACE = wire.pack_trace(7, 3, _KTAU.tasks[7].trace.peek(), _KTAU.registry)
 
 
 @settings(max_examples=200, deadline=None)
@@ -65,6 +67,23 @@ def test_arbitrary_bytes_rejected(junk):
         pass
     try:
         wire.unpack_trace(junk)
+    except wire.WireError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(flips=st.lists(st.tuples(st.integers(6, len(TRACE) - 1),
+                                st.integers(0, 255)), max_size=4),
+       cut=st.integers(0, len(TRACE)))
+def test_corrupted_trace_only_wire_error(flips, cut):
+    """Past the magic and version, flipped and truncated drains decode
+    or raise WireError: bad kind bytes, unmapped event IDs, broken
+    names and short record blocks included."""
+    mutated = bytearray(TRACE)
+    for pos, value in flips:
+        mutated[pos] = value
+    try:
+        wire.unpack_trace(bytes(mutated[:cut]))
     except wire.WireError:
         pass
 
