@@ -79,7 +79,8 @@ class BlockDevice:
                 KSpan("end_request", self.end_request_cost_ns,
                       atomics=[("io.bio_bytes", nbytes)]),
             ]
-            finish = kernel.irq.deliver(cpu, trees)
+            finish = kernel.irq.deliver(
+                cpu, sum(tree.total_ns for tree in trees), trees)
 
             def wake_waiters() -> None:
                 if waiter_wq is not None:

@@ -11,10 +11,15 @@ net_rx_action { tcp_v4_rcv ... } }``).  Delivering a tree to a CPU:
 2. records KTAU entry/exit events for every span with explicit timestamps
    through :meth:`~repro.core.measurement.Ktau.record_tree` (the whole
    sequence is computed synchronously at delivery time);
-3. *stretches* whatever the CPU was executing by the tree's total cost
-   plus the measurement overhead the recording charged — the mechanism by
-   which interrupt load (and instrumentation perturbation) delays
-   application progress.
+3. *stretches* whatever the CPU was executing by the work's inclusive
+   duration, which the caller passes in, plus the measurement overhead
+   the recording charged — the mechanism by which interrupt load (and
+   instrumentation perturbation) delays application progress.
+
+Only a patched kernel records; an unpatched one ignores any trees it is
+handed.  The receive path builds its span trees only on a patched kernel:
+on an unpatched one a frame group delivers its bare duration and
+allocates no spans.
 
 IRQ routing implements the paper's two regimes: everything to CPU0 (the
 Chiba default, source of Figure 8's bimodal interrupt distribution) or
@@ -23,7 +28,7 @@ flow-hash balancing across online CPUs (``irq_balance`` enabled).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
@@ -65,9 +70,13 @@ class KSpan:
     per-path PMC cost model for this span (the TCP receive path uses it
     to fold the SMP cache-mismatch factor into the miss rate); ``None``
     falls back to the :data:`repro.core.counters.PATH_RATES` table.
+    ``total_ns`` is the tree's inclusive duration, fixed at construction:
+    a span's children never change after it is built, so one span can be
+    shared by many trees.
     """
 
-    __slots__ = ("name", "cost_ns", "children", "atomics", "rates")
+    __slots__ = ("name", "cost_ns", "children", "atomics", "rates",
+                 "total_ns")
 
     def __init__(self, name: str, cost_ns: int,
                  children: Optional[list["KSpan"]] = None,
@@ -78,10 +87,7 @@ class KSpan:
         self.children = children or []
         self.atomics = atomics or []
         self.rates = rates
-
-    def total_ns(self) -> int:
-        """Inclusive duration of the tree."""
-        return self.cost_ns + sum(c.total_ns() for c in self.children)
+        self.total_ns = self.cost_ns + sum(c.total_ns for c in self.children)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"KSpan({self.name}, {self.cost_ns}ns, {len(self.children)} children)"
@@ -119,16 +125,17 @@ class IrqController:
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
-    def deliver(self, cpu_idx: int, trees: "KSpan | list[KSpan]",
-                count_irq: bool = True) -> int:
-        """Execute one or more span trees sequentially in interrupt context.
+    def deliver(self, cpu_idx: int, work_ns: int,
+                trees: Sequence[KSpan] = (), count_irq: bool = True) -> int:
+        """Run ``work_ns`` of interrupt-context work on CPU ``cpu_idx``.
 
+        ``trees`` are the span trees that work records, one after
+        another; their inclusive durations sum to ``work_ns``.  An
+        unpatched kernel records nothing and ignores any trees passed.
         Returns the completion time (engine ns) so callers can schedule
         follow-on actions (e.g. waking a socket reader) at the moment the
         bottom half actually finishes.
         """
-        if isinstance(trees, KSpan):
-            trees = [trees]
         kernel = self.kernel
         cpu = kernel.sched.cpus[cpu_idx]
         target: "Task" = cpu.current if cpu.current is not None else kernel.swapper
@@ -137,6 +144,7 @@ class IrqController:
         if count_irq:
             self.irq_counts[cpu_idx] += 1
 
+        total = work_ns
         if data is not None:
             before = data.pending_overhead_ns
             t = kernel.clock.cycles_at(now_ns)
@@ -144,14 +152,11 @@ class IrqController:
                 # Interrupt time is stolen from the victim's burst (never
                 # charged by ``_charge_time``): only the spans advance PMCs.
                 t = kernel.ktau.record_tree(data, tree, t, target.counters)
-            overhead_ns = data.pending_overhead_ns - before
             # Interrupt-context measurement cost is paid immediately (it
             # extends the interrupt, not the task's next burst).
+            total += data.pending_overhead_ns - before
             data.pending_overhead_ns = before
-        else:  # unpatched (vanilla) kernel: no recording, no overhead
-            overhead_ns = 0
 
-        total = sum(tree.total_ns() for tree in trees) + overhead_ns
         if cpu.current is not None:
             kernel.sched.stretch(cpu_idx, total)
         return now_ns + total

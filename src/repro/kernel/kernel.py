@@ -71,7 +71,13 @@ class Kernel:
                 # PMCs — the same process-centric attribution as time.
                 self.swapper.ktau.counter_source = self.swapper.counters.read
 
-        self._tick_costs = params.timer_tick_cost_ns
+        self._rx = tcp_mod.RxPath(params.net)
+        # The timer tick's trees: every tick, and every 16th tick's.
+        apic = KSpan("smp_apic_timer_interrupt", params.timer_tick_cost_ns)
+        softirq = KSpan("do_softirq", 1_000,
+                        children=[KSpan("run_timer_softirq", 2_000)])
+        self._tick_trees = ((apic,), (apic, softirq))
+        self._tick_work = (apic.total_ns, apic.total_ns + softirq.total_ns)
         self._tick_count = 0
         # Per-CPU bottom-half backlog: softirq work on one CPU serialises,
         # so concentrating all device IRQs on CPU0 (no irq-balancing)
@@ -145,7 +151,7 @@ class Kernel:
     def net_rx(self, sock: StreamSocket, segments: list[int]) -> None:
         cpu = self.irq.route(sock.flow_hash)
         mismatch = cpu != sock.consumer_cpu
-        per_seg = tcp_mod.rx_cost_ns(self, mismatch)
+        per_seg = self._rx.per_seg_ns[mismatch]
         sock.rx_proc_calls += len(segments)
         sock.rx_proc_ns += per_seg * len(segments)
         now = self.engine.now
@@ -167,15 +173,19 @@ class Kernel:
         backlog = max(0, self._softirq_busy_until[cpu] - now) + defer
         if backlog > 0:
             # Queue behind earlier softirq work (and ksoftirqd latency).
+            # The bottom half re-evaluates the mismatch flag when it runs.
             self.engine.schedule(backlog, lambda: self._net_rx_bh(sock, segments, cpu))
-            self._softirq_busy_until[cpu] = now + backlog + sum(
-                t.total_ns() for t in tcp_mod.build_rx_trees(self, sock, segments, cpu))
+            self._softirq_busy_until[cpu] = now + backlog + self._rx.work_ns(
+                mismatch, len(segments))
             return
         self._net_rx_bh(sock, segments, cpu)
 
     def _net_rx_bh(self, sock: StreamSocket, segments: list[int], cpu: int) -> None:
-        trees = tcp_mod.build_rx_trees(self, sock, segments, cpu)
-        done = self.irq.deliver(cpu, trees)
+        mismatch = cpu != sock.consumer_cpu
+        rx = self._rx
+        # Only a patched kernel records: an unpatched one builds no spans.
+        trees = rx.trees(mismatch, segments) if self.params.ktau.is_patched else ()
+        done = self.irq.deliver(cpu, rx.work_ns(mismatch, len(segments)), trees)
         if done > self._softirq_busy_until[cpu]:
             self._softirq_busy_until[cpu] = done
         nbytes = sum(segments)
@@ -195,11 +205,9 @@ class Kernel:
     def _tick_cb(self, cpu_idx: int):
         def on_tick() -> None:
             self._tick_count += 1
-            trees: list[KSpan] = [KSpan("smp_apic_timer_interrupt", self._tick_costs)]
-            if self._tick_count % 16 == 0:
-                trees.append(KSpan("do_softirq", 1_000,
-                                   children=[KSpan("run_timer_softirq", 2_000)]))
-            self.irq.deliver(cpu_idx, trees)
+            softirq = self._tick_count % 16 == 0
+            self.irq.deliver(cpu_idx, self._tick_work[softirq],
+                             self._tick_trees[softirq])
             # rebalance_tick: idle CPUs pull queued work from busy siblings.
             self.sched.tick_balance(cpu_idx)
             period = self.params.timer_tick_ns

@@ -1,4 +1,4 @@
-"""TCP path cost model and span-tree builders.
+"""TCP path cost model and span templates.
 
 The receive path for a frame group of *k* segments is::
 
@@ -10,6 +10,10 @@ mismatch factor when the servicing CPU differs from the consuming task's
 CPU — data received by the kernel on one CPU but destined for a thread on
 the other pays cross-CPU cache traffic (§5.2: "the dilation in TCP
 processing times seen in the 64x2 run is very likely cache related").
+:class:`RxPath` holds one kernel's receive path: the group's inclusive
+time in closed form, and immutable span templates that a patched kernel
+assembles into the two trees (only ``do_softirq`` and ``net_rx_action``
+are new per group; ``do_IRQ`` and the ``tcp_v4_rcv`` leaves are shared).
 
 The transmit path records, per segment, ``tcp_sendmsg { ip_queue_xmit {
 dev_queue_xmit } }`` nested inside the ``sys_writev``/``sock_sendmsg``
@@ -26,44 +30,60 @@ from repro.kernel.irq import KSpan
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
-    from repro.kernel.net.socket import StreamSocket
+    from repro.kernel.params import NetParams
     from repro.kernel.task import Task
 
 #: Fraction of the per-segment TX cost attributed to each routine.
 TX_SPLIT = (("tcp_sendmsg", 0.60), ("ip_queue_xmit", 0.23), ("dev_queue_xmit", 0.17))
 
 
-def rx_cost_ns(kernel: "Kernel", mismatch: bool) -> int:
-    """Per-segment receive-processing cost on ``kernel``'s CPUs."""
-    net = kernel.params.net
-    cost = net.tcp_rx_cost_ns
-    if mismatch:
-        cost = int(cost * net.cache_mismatch_factor)
-    return cost
+class RxPath:
+    """One kernel's receive path: closed-form durations and span templates.
 
+    Everything is indexed by the cache-mismatch flag (``False``, ``True``).
+    """
 
-def build_rx_trees(kernel: "Kernel", sock: "StreamSocket", segments: list[int],
-                   irq_cpu: int) -> list[KSpan]:
-    """Interrupt-context span trees for an arriving frame group."""
-    net = kernel.params.net
-    mismatch = irq_cpu != sock.consumer_cpu
-    per_seg = rx_cost_ns(kernel, mismatch)
-    # The PMU dimension of the cache-locality model: a mismatched
-    # receive dilates processing time *and* inflates the L2 miss rate by
-    # the same factor, so counter views can tell "slow because more
-    # work" from "slow because cache-hostile".
-    rx_rates = rates_for_path("tcp_v4_rcv")
-    if mismatch:
-        rx_rates = scale_miss_rate(rx_rates, net.cache_mismatch_factor)
-    rcv_spans = [
-        KSpan("tcp_v4_rcv", per_seg, atomics=[("net.pkt_rx_bytes", seg)],
-              rates=rx_rates)
-        for seg in segments
-    ]
-    hard = KSpan("do_IRQ", net.irq_cost_ns, children=[KSpan("eth_interrupt", 1_000)])
-    soft = KSpan("do_softirq", net.softirq_dispatch_cost_ns,
-                 children=[KSpan("net_rx_action", 1_000, children=rcv_spans)])
-    return [hard, soft]
+    __slots__ = ("per_seg_ns", "_hard", "_rates", "_leaves", "_softirq_ns",
+                 "_fixed_ns")
+
+    def __init__(self, net: "NetParams"):
+        cost = net.tcp_rx_cost_ns
+        #: per-segment receive-processing cost
+        self.per_seg_ns = (cost, int(cost * net.cache_mismatch_factor))
+        self._hard = KSpan("do_IRQ", net.irq_cost_ns,
+                           children=[KSpan("eth_interrupt", 1_000)])
+        # The PMU dimension of the cache-locality model: a mismatched
+        # receive dilates processing time *and* inflates the L2 miss rate
+        # by the same factor, so counter views can tell "slow because more
+        # work" from "slow because cache-hostile".
+        rates = rates_for_path("tcp_v4_rcv")
+        self._rates = (rates, scale_miss_rate(rates, net.cache_mismatch_factor))
+        # ``tcp_v4_rcv`` leaves by segment size (segments are MTU-sized
+        # but the last, so there are few sizes)
+        self._leaves: tuple[dict[int, KSpan], dict[int, KSpan]] = ({}, {})
+        self._softirq_ns = int(net.softirq_dispatch_cost_ns)
+        self._fixed_ns = self._hard.total_ns + self._softirq_ns + 1_000
+
+    def work_ns(self, mismatch: bool, nsegs: int) -> int:
+        """Inclusive duration of a group of ``nsegs`` segments' trees."""
+        return self._fixed_ns + nsegs * int(self.per_seg_ns[mismatch])
+
+    def trees(self, mismatch: bool, segments: list[int]) -> tuple[KSpan, KSpan]:
+        """The span trees a frame group of ``segments`` records."""
+        leaves = self._leaves[mismatch]
+        rcv_spans = []
+        for seg in segments:
+            leaf = leaves.get(seg)
+            if leaf is None:
+                leaf = leaves[seg] = KSpan(
+                    "tcp_v4_rcv", self.per_seg_ns[mismatch],
+                    atomics=[("net.pkt_rx_bytes", seg)],
+                    rates=self._rates[mismatch])
+            rcv_spans.append(leaf)
+        return (self._hard,
+                KSpan("do_softirq", self._softirq_ns,
+                      children=[KSpan("net_rx_action", 1_000,
+                                      children=rcv_spans)]))
 
 
 def record_tx_spans(kernel: "Kernel", task: "Task", segments: list[int]) -> int:

@@ -50,7 +50,8 @@ class OProfileSampler:
         self.kernel = kernel
         self.period_ns = period_ns
         self.buffer_capacity = buffer_capacity
-        self.sample_cost_ns = sample_cost_ns
+        #: the profiling interrupt, the same span for every sample
+        self._irq = KSpan("do_IRQ", sample_cost_ns)
         self.buffers: list[list[Sample]] = [
             [] for _ in range(kernel.params.online_cpus)]
         self.dropped = 0
@@ -105,8 +106,7 @@ class OProfileSampler:
         else:
             buffer.append(Sample(kernel.engine.now, cpu_idx, pid, comm, symbol))
         # the profiling interrupt itself costs CPU in the current context
-        kernel.irq.deliver(cpu_idx,
-                           KSpan("do_IRQ", self.sample_cost_ns),
+        kernel.irq.deliver(cpu_idx, self._irq.total_ns, (self._irq,),
                            count_irq=False)
 
     # ------------------------------------------------------------------

@@ -24,13 +24,13 @@ class TestSpanTree:
     def test_total_ns_nested(self):
         t = KSpan("do_softirq", 10, children=[
             KSpan("net_rx_action", 5, children=[KSpan("tcp_v4_rcv", 100)])])
-        assert t.total_ns() == 115
+        assert t.total_ns == 115
 
 
 class TestDelivery:
     def test_idle_cpu_attributes_to_swapper(self):
         engine, kernel = make_kernel()
-        kernel.irq.deliver(0, tree())
+        kernel.irq.deliver(0, 5 * USEC, [tree()])
         swapper = kernel.ktau.tasks[0]
         irq_id = kernel.ktau.registry.id_of("do_IRQ")
         assert swapper.profile[irq_id].count == 1
@@ -48,7 +48,8 @@ class TestDelivery:
 
         task = kernel.spawn(app, "app", cpus_allowed={0})
         # deliver an interrupt mid-burst
-        engine.schedule(5 * MSEC, lambda: kernel.irq.deliver(0, tree()))
+        engine.schedule(5 * MSEC,
+                        lambda: kernel.irq.deliver(0, 5 * USEC, [tree()]))
         engine.run_until_idle()
         irq_id = kernel.ktau.registry.id_of("do_IRQ")
         data = kernel.ktau.zombies[task.pid]
@@ -60,8 +61,8 @@ class TestDelivery:
         engine, kernel = make_kernel()
         trees = [tree(), KSpan("do_softirq", 3 * USEC,
                                children=[KSpan("net_rx_action", 1 * USEC)])]
-        end = kernel.irq.deliver(0, trees)
         work = 4 * USEC + 1 * USEC + 3 * USEC + 1 * USEC
+        end = kernel.irq.deliver(0, work, trees)
         # the recording itself charges measurement overhead into the
         # interrupt (Table 4 costs), so the end slips past the raw work
         assert engine.now + work <= end <= engine.now + work + 50 * USEC
@@ -76,7 +77,7 @@ class TestDelivery:
     def test_irq_counts(self):
         engine, kernel = make_kernel()
         for _ in range(3):
-            kernel.irq.deliver(1, tree())
+            kernel.irq.deliver(1, 5 * USEC, [tree()])
         assert kernel.irq.irq_counts == [0, 3]
 
     def test_vanilla_kernel_records_nothing(self):
@@ -86,7 +87,11 @@ class TestDelivery:
         params = KernelParams(ncpus=1, timer_tick_ns=None,
                               ktau=KtauBuildConfig.vanilla())
         kernel = Kernel(engine, params, "vanilla", RngHub(1))
-        end = kernel.irq.deliver(0, tree())
+        end = kernel.irq.deliver(0, 5 * USEC, [tree()])
+        assert end == engine.now + 5 * USEC
+        assert kernel.ktau.registry.bound_count == 0
+        # the receive path hands an unpatched kernel no trees at all
+        end = kernel.irq.deliver(0, 5 * USEC)
         assert end == engine.now + 5 * USEC
         assert kernel.ktau.registry.bound_count == 0
 

@@ -119,6 +119,29 @@ class TestCacheMismatch:
         mismatched = run(1)
         assert mismatched > matched * 1.1
 
+    def test_deferred_bottom_half_reevaluates_mismatch(self):
+        """The flag is evaluated twice: on arrival for the per-flow
+        ``rx_proc_ns`` and the backlog estimate, and again when a deferred
+        bottom half runs, for the spans KTAU records.  A reader that moves
+        CPUs in between splits the two (a known model inconsistency,
+        pinned here until it is resolved)."""
+        engine, k1, k2, sock = make_pair()  # every IRQ on CPU0
+        net = k2.params.net
+        k2._softirq_busy_until[0] = 100 * USEC  # earlier softirq work
+        k2.net_rx(sock, [1448, 1448])  # reader on CPU0: matched
+        fixed = net.irq_cost_ns + net.softirq_dispatch_cost_ns + 2_000
+        assert k2._softirq_busy_until[0] == \
+            100 * USEC + fixed + 2 * net.tcp_rx_cost_ns
+        sock.consumer_cpu = 1  # the reader moves before the bottom half
+        engine.run(until=1 * SEC)
+        assert sock.rx_proc_calls == 2
+        assert sock.rx_proc_ns == 2 * net.tcp_rx_cost_ns  # arrival cost
+        mismatched = int(net.tcp_rx_cost_ns * net.cache_mismatch_factor)
+        rcv = k2.ktau.tasks[0].profile[k2.ktau.registry.id_of("tcp_v4_rcv")]
+        assert rcv.count == 2  # recorded at the bottom half's cost
+        assert rcv.excl_cycles == 2 * k2.clock.cycles_for_ns(mismatched)
+        assert sock.rx_bytes_total == 2 * 1448
+
     def test_irq_routing_balanced_uses_flow_hash(self):
         engine, k1, k2, sock = make_pair(irq_balance=True)
         cpu = k2.irq.route(sock.flow_hash)

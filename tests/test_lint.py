@@ -15,7 +15,9 @@ from pathlib import Path
 import pytest
 
 from repro.lint import LintEngine, Severity
+from repro.lint.callgraph import CallGraph
 from repro.lint.cli import main as lint_main
+from repro.lint.contexts import _declared_tuples, _match_spec
 
 HERE = Path(__file__).parent
 FIXTURES = HERE / "lint_fixtures"
@@ -279,6 +281,18 @@ class TestContextRules:
         # Blocking outside IRQ reach, handoff through a declared
         # boundary, and closure factories as callbacks: no findings.
         assert run_on(FIXTURES / "good_contexts.py") == []
+
+    @pytest.mark.parametrize("declaration", ["IRQ_CONTEXT_ROOTS",
+                                             "IRQ_CONTEXT_BOUNDARIES"])
+    def test_declared_specs_resolve_in_src(self, declaration):
+        # A spec naming no function matches nothing, so a renamed root
+        # or boundary would silently shrink the KTAU701 proof.
+        sources = [LintEngine.load(path)
+                   for path in LintEngine.discover([SRC_REPRO])]
+        graph = CallGraph(sources)
+        specs = _declared_tuples(sources, declaration)
+        assert specs
+        assert [spec for spec in specs if not _match_spec(graph, spec)] == []
 
 
 class TestSuppression:

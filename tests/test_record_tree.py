@@ -3,14 +3,17 @@
 The two reference walkers below are the span recorders ``record_tree``
 replaced: the recursive interrupt-tree walker and the per-segment TCP
 transmit loop.  Both replay a span tree through the per-call
-``entry``/``exit``/``atomic`` macros.  The inputs are hypothesis-generated
-trees and build/runtime configurations, and the tree and segment stream
-captured from a small LU run.  Each implementation records the same input
-into its own fresh, identically seeded measurement system, and every
-observable of the result must be identical: profiles, atomics, merge
-pairs, counter profile, call graph, recursion counts, overhead, trace,
-PMCs, the open stack, the firing-cache counters and the samplers' next
-draws.  In the plain profiling build, transmit segment groups and runs
+``entry``/``exit``/``atomic`` macros.  A third reference,
+:func:`reference_rx_trees`, makes receive trees leaf by leaf, as the
+code the cached :class:`~repro.kernel.net.tcp.RxPath` templates replaced
+did.  The inputs are hypothesis-generated trees, receive groups and
+build/runtime configurations, and the tree and segment stream captured
+from a small LU run.  Each implementation records the same input into its own fresh,
+identically seeded measurement system, and every observable of the
+result must be identical: profiles, atomics, merge pairs, counter
+profile, call graph, recursion counts, overhead, trace, PMCs, the open
+stack, the firing-cache counters and the samplers' next draws.  In the
+plain profiling build, transmit segment groups and runs
 of identical sibling leaves take ``Ktau.record_run``, so the inputs
 include both, recorded more than once (warm, bound points), with
 sampler refills inside a run in either order (``primed``,
@@ -24,7 +27,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import KtauBuildConfig, KtauRuntimeControl
-from repro.core.counters import PmcRates, TaskCounters, rates_for_path
+from repro.core.counters import (PmcRates, TaskCounters, rates_for_path,
+                                 scale_miss_rate)
 from repro.core.measurement import Ktau
 from repro.core.overhead import OverheadModel
 from repro.core.points import ALL_GROUPS, Group
@@ -34,8 +38,10 @@ from repro.cluster.launch import block_placement, launch_mpi_job
 from repro.cluster.machines import make_chiba
 from repro.kernel import irq as irq_mod
 from repro.kernel.irq import KSpan
+from repro.kernel.kernel import Kernel
 from repro.kernel.net import tcp as tcp_mod
-from repro.kernel.net.tcp import TX_SPLIT, record_tx_spans
+from repro.kernel.net.tcp import TX_SPLIT, RxPath, record_tx_spans
+from repro.kernel.params import NetParams
 from repro.sim.clock import CycleClock
 from repro.sim.engine import Engine
 from repro.sim.rng import RngHub
@@ -105,6 +111,33 @@ def reference_tx(ktau, data, counters, segments, cost):
         ktau.exit(data, point("tcp_sendmsg"), at_cycles=t_end)
         t = t_end
     return ahead
+
+
+def reference_rx_trees(kernel, sock, segments, irq_cpu):
+    """Interrupt-context span trees for an arriving frame group, built
+    leaf by leaf."""
+    net = kernel.params.net
+    mismatch = irq_cpu != sock.consumer_cpu
+    per_seg = net.tcp_rx_cost_ns
+    if mismatch:
+        per_seg = int(per_seg * net.cache_mismatch_factor)
+    rx_rates = rates_for_path("tcp_v4_rcv")
+    if mismatch:
+        rx_rates = scale_miss_rate(rx_rates, net.cache_mismatch_factor)
+    rcv_spans = [
+        KSpan("tcp_v4_rcv", per_seg, atomics=[("net.pkt_rx_bytes", seg)],
+              rates=rx_rates)
+        for seg in segments
+    ]
+    hard = KSpan("do_IRQ", net.irq_cost_ns, children=[KSpan("eth_interrupt", 1_000)])
+    soft = KSpan("do_softirq", net.softirq_dispatch_cost_ns,
+                 children=[KSpan("net_rx_action", 1_000, children=rcv_spans)])
+    return [hard, soft]
+
+
+def total_ns(tree):
+    """Inclusive duration of ``tree``, summed span by span."""
+    return tree.cost_ns + sum(total_ns(child) for child in tree.children)
 
 
 # ----------------------------------------------------------------------
@@ -308,16 +341,27 @@ def _cfg(**overrides):
     return cfg
 
 
+def run_small_lu(ktau=None):
+    """A 4-rank LU on two Chiba nodes; ``ktau`` as in ``make_chiba``."""
+    cluster = make_chiba(nnodes=2, seed=5, ktau=ktau)
+    params = LuParams(niters=2, iter_compute_ns=5 * MSEC,
+                      halo_bytes=16_384, sweep_msg_bytes=4096, inorm=0)
+    launch_mpi_job(cluster, 4, lu_app(params),
+                   placement=block_placement(2, 4)).run(limit_s=60)
+    cluster.teardown()
+
+
 @pytest.fixture(scope="module")
 def lu_inputs():
-    """The interrupt-tree groups and transmit segment groups a small LU
-    run hands the walkers, in order (deep copies taken at the call)."""
+    """The interrupt deliveries (trees and inclusive work) and transmit
+    segment groups a small LU run hands the walkers, in order (deep copies
+    taken at the call)."""
     stream = []
     deliver, tx = irq_mod.IrqController.deliver, tcp_mod.record_tx_spans
 
-    def spy_deliver(self, cpu_idx, trees, count_irq=True):
-        stream.append(("irq", copy.deepcopy(trees)))
-        return deliver(self, cpu_idx, trees, count_irq)
+    def spy_deliver(self, cpu_idx, work_ns, trees=(), count_irq=True):
+        stream.append(("irq", (copy.deepcopy(list(trees)), work_ns)))
+        return deliver(self, cpu_idx, work_ns, trees, count_irq)
 
     def spy_tx(kernel, task, segments):
         stream.append(("tx", (list(segments),
@@ -327,12 +371,7 @@ def lu_inputs():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(irq_mod.IrqController, "deliver", spy_deliver)
         mp.setattr(tcp_mod, "record_tx_spans", spy_tx)
-        cluster = make_chiba(nnodes=2, seed=5)
-        params = LuParams(niters=2, iter_compute_ns=5 * MSEC,
-                          halo_bytes=16_384, sweep_msg_bytes=4096, inorm=0)
-        launch_mpi_job(cluster, 4, lu_app(params),
-                       placement=block_placement(2, 4)).run(limit_s=60)
-        cluster.teardown()
+        run_small_lu()
     return stream
 
 
@@ -342,7 +381,7 @@ def replay_reference(world, stream):
     t, ahead = T0, 0
     for kind, item in stream:
         if kind == "irq":
-            for tree in item:
+            for tree in item[0]:
                 t = reference_tree(*world[:2], tree, t, world[2])
         else:
             ahead += reference_tx(*world, *item)
@@ -358,7 +397,7 @@ def replay(world, stream):
     t = T0
     for kind, item in stream:
         if kind == "irq":
-            for tree in item:
+            for tree in item[0]:
                 t = ktau.record_tree(data, tree, t, counters)
         else:
             segments, cost = item
@@ -393,7 +432,7 @@ def test_run_path_covers_captured_lu_stream(lu_inputs, monkeypatch):
     segments = sum(len(item[0]) for kind, item in lu_inputs if kind == "tx")
     leaves = sum(_spans_named(tree, "tcp_v4_rcv")
                  for kind, item in lu_inputs if kind == "irq"
-                 for tree in item)
+                 for tree in item[0])
     covered = {"dev_queue_xmit": 0, "tcp_v4_rcv": 0}
     record_run = Ktau.record_run
 
@@ -411,6 +450,105 @@ def test_run_path_covers_captured_lu_stream(lu_inputs, monkeypatch):
     assert segments > 100 and leaves > 100
     assert covered["dev_queue_xmit"] >= 0.9 * segments
     assert covered["tcp_v4_rcv"] >= 0.9 * leaves
+
+
+def test_captured_work_is_the_trees_total(lu_inputs):
+    """Every delivery's inclusive work is its trees' summed duration."""
+    deliveries = [item for kind, item in lu_inputs if kind == "irq"]
+    assert all(trees for trees, _ in deliveries)  # a patched kernel
+    assert [work for _, work in deliveries] == \
+        [sum(map(total_ns, trees)) for trees, _ in deliveries]
+
+
+#: The receive path's configurations: profiling with tracing, counters and
+#: call graph; the plain profiling build; the NET group off; a frozen task.
+RX_OVERRIDES = ({}, PLAIN, {"disabled_group": Group.NET}, {"frozen": True})
+segment_sizes = st.one_of(st.sampled_from((1448, 60)), st.integers(1, 1448))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(RX_OVERRIDES), st.sampled_from(RATES_HZ),
+       st.lists(st.tuples(st.booleans(),
+                          st.lists(segment_sizes, min_size=1, max_size=8)),
+                min_size=1, max_size=4))
+def test_rx_templates_match_reference_trees(overrides, hz, groups):
+    """One :class:`RxPath` serves every group, so its cached leaves are
+    shared across groups and flags; what is recorded, and each group's
+    closed-form work, must match the per-leaf trees."""
+    cfg = _cfg(**overrides, hz=hz)
+    net = NetParams()
+    rx = RxPath(net)
+    kernel = SimpleNamespace(params=SimpleNamespace(net=net))
+    (ktau_ref, data_ref, counters_ref) = ref = make_world(cfg)
+    (ktau, data, counters) = new = make_world(cfg)
+    t_ref = t_new = T0
+    for mismatch, segments in groups:
+        sock = SimpleNamespace(consumer_cpu=int(mismatch))
+        trees = reference_rx_trees(kernel, sock, segments, irq_cpu=0)
+        assert rx.work_ns(mismatch, len(segments)) == \
+            sum(map(total_ns, trees))
+        for tree in trees:
+            t_ref = reference_tree(ktau_ref, data_ref, tree, t_ref,
+                                   counters_ref)
+        for tree in rx.trees(mismatch, segments):
+            t_new = ktau.record_tree(data, tree, t_new, counters)
+    assert (t_new, observe(*new)) == (t_ref, observe(*ref))
+
+
+def kspans_built_by_lu(monkeypatch, ktau=None):
+    """Run :func:`run_small_lu` counting ``KSpan`` constructions.
+
+    Returns the names of every span built after the cluster booted, and
+    per receive bottom half its segments and the names of the spans it
+    built.
+    """
+    built, groups = [], []
+    init, bottom_half = KSpan.__init__, Kernel._net_rx_bh
+    make = make_chiba
+
+    def spy_init(self, name, *args, **kwargs):
+        built.append(name)
+        init(self, name, *args, **kwargs)
+
+    def spy_bottom_half(self, sock, segments, cpu):
+        start = len(built)
+        bottom_half(self, sock, segments, cpu)
+        groups.append((list(segments), built[start:]))
+
+    def booted_chiba(*args, **kwargs):
+        cluster = make(*args, **kwargs)
+        built.clear()  # the per-kernel constants
+        return cluster
+
+    monkeypatch.setattr(KSpan, "__init__", spy_init)
+    monkeypatch.setattr(Kernel, "_net_rx_bh", spy_bottom_half)
+    monkeypatch.setitem(globals(), "make_chiba", booted_chiba)
+    run_small_lu(ktau)
+    return built, groups
+
+
+def test_vanilla_rx_builds_no_spans(monkeypatch):
+    """An unpatched kernel records nothing, so its receive path builds no
+    span: after boot the LU run (no block I/O) builds none at all,
+    however many frame groups arrive."""
+    built, groups = kspans_built_by_lu(monkeypatch, KtauBuildConfig.vanilla())
+    assert len(groups) > 40
+    assert built == []
+
+
+def test_patched_rx_builds_two_spans_per_group(monkeypatch):
+    """A patched kernel builds ``do_softirq`` and ``net_rx_action`` per
+    group, whatever its size; a ``tcp_v4_rcv`` leaf is built once per
+    node, mismatch flag and segment size."""
+    built, groups = kspans_built_by_lu(monkeypatch)
+    assert len(groups) > 40 and max(len(segs) for segs, _ in groups) > 2
+    for _, names in groups:
+        assert sorted(name for name in names if name != "tcp_v4_rcv") == \
+            ["do_softirq", "net_rx_action"]
+    sizes = {seg for segs, _ in groups for seg in segs}
+    leaves = sum(names.count("tcp_v4_rcv") for _, names in groups)
+    assert leaves <= 2 * 2 * len(sizes)  # nodes x flags x sizes
+    assert leaves < sum(len(segs) for segs, _ in groups) / 10
 
 
 @pytest.mark.parametrize("primed,extra_stops,outer",
