@@ -41,6 +41,29 @@ from repro.sim.clock import CycleClock
 from repro.sim.units import SEC
 
 
+class _NsOfCycles(dict):
+    """``round(cycles * SEC / hz)`` by cycle count for one clock rate (the
+    expression :meth:`~repro.sim.clock.CycleClock.ns_for_cycles` uses),
+    filled in as charges meet new cycle counts."""
+
+    __slots__ = ("hz",)
+
+    def __init__(self, hz: float):
+        super().__init__()
+        self.hz = hz
+
+    def __missing__(self, cycles: int) -> int:
+        ns = self[cycles] = round(cycles * SEC / self.hz)
+        return ns
+
+
+#: One rounding memo per clock rate, shared by every kernel at that rate:
+#: overhead draws take a few thousand distinct values, the same on every
+#: node.  An entry depends only on its rate and cycle count, so sharing
+#: the memo across kernels, runs and tests cannot change a result.
+_NS_OF_CYCLES: dict[float, _NsOfCycles] = {}
+
+
 class InstrumentationImbalanceError(RuntimeError):
     """Strict-mode sanitizer: the activation stack was misused.
 
@@ -109,6 +132,39 @@ class _StackEntry:
         #: PMC register snapshot taken at entry (cycles, insn, l2 misses,
         #: minor faults, major faults); None when counters are off
         self.entry_pmc = entry_pmc
+
+
+class _RunPlan:
+    """A span chain resolved for :meth:`Ktau.record_run`: its levels'
+    event IDs (outermost first) and open offsets, the atomic's event ID,
+    and each level's ``(event_id, incl, excl)`` per activation (innermost
+    first) for the last ``step_cycles`` seen."""
+
+    __slots__ = ("event_ids", "offsets", "atomic_id", "step_cycles",
+                 "levels")
+
+    def __init__(self, event_ids: tuple[int, ...], offsets: list[int],
+                 atomic_id: int):
+        self.event_ids = event_ids
+        self.offsets = offsets
+        self.atomic_id = atomic_id
+        self.step_cycles: Optional[int] = None
+        self.levels: list[tuple[int, int, int]] = []
+
+    def levels_for(self, step_cycles: int) -> list[tuple[int, int, int]]:
+        """Per-activation ``(event_id, incl, excl)``, innermost first, of
+        activations ``step_cycles`` long."""
+        if step_cycles != self.step_cycles:
+            self.step_cycles = step_cycles
+            self.levels = []
+            child_incl = 0
+            for offset, event_id in zip(reversed(self.offsets),
+                                        reversed(self.event_ids)):
+                incl = step_cycles - offset
+                self.levels.append((event_id, incl,
+                                    max(incl - child_incl, 0)))
+                child_incl = incl
+        return self.levels
 
 
 class KtauTaskData:
@@ -212,12 +268,16 @@ class Ktau:
         # runtime control changes, so it is cached against the control's
         # version counter, by point and (for span trees) by name.  Span
         # costs take few distinct values, so their cycle counts are
-        # memoised.  Each charge rounds its own cycles to ns in line, the
-        # same expression as ``clock.ns_for_cycles``.
+        # memoised, and so are the span chains ``record_run`` resolves
+        # (by chain object, cleared with the firing state).  Each charge
+        # rounds its own cycles to ns through the clock rate's memo.
         self._state_cache: dict[InstrumentationPoint, int] = {}
         self._span_cache: dict[str, tuple[InstrumentationPoint, int]] = {}
+        self._run_cache: dict[object, _RunPlan | bool] = {}
         self._state_cache_version = -1
         self._cycles_of: dict[int, int] = {}
+        self._ns_of = _NS_OF_CYCLES.setdefault(clock.hz,
+                                               _NsOfCycles(clock.hz))
         # Runs of identical spans are summed only in the plain profiling
         # build, whose spans write nothing per activation but the totals.
         self._runs_ok = not (build.tracing or build.counters
@@ -285,6 +345,7 @@ class Ktau:
         if control.version != self._state_cache_version:
             self._state_cache.clear()
             self._span_cache.clear()
+            self._run_cache.clear()
             self._state_cache_version = control.version
             self._cache_invalidations += 1
         state = self._state_cache.get(point)
@@ -379,7 +440,7 @@ class Ktau:
             data.trace.append(TraceRecord(now, event_id, TraceKind.ENTRY))
             cost += self.overhead.trace_extra_cycles
         if cost:
-            data.pending_overhead_ns += round(cost * SEC / self.clock.hz)
+            data.pending_overhead_ns += self._ns_of[cost]
             data.overhead_cycles += cost
 
     def _close(self, data: KtauTaskData, now: int) -> None:
@@ -447,7 +508,7 @@ class Ktau:
             data.trace.append(TraceRecord(now, event_id, TraceKind.EXIT))
             cost += self.overhead.trace_extra_cycles
         if cost:
-            data.pending_overhead_ns += round(cost * SEC / self.clock.hz)
+            data.pending_overhead_ns += self._ns_of[cost]
             data.overhead_cycles += cost
 
     def atomic(self, data: KtauTaskData, point: InstrumentationPoint, value: int,
@@ -480,7 +541,7 @@ class Ktau:
             data.trace.append(TraceRecord(stamp, event_id, TraceKind.ATOMIC, value))
             cost += self.overhead.trace_extra_cycles
         if cost:
-            data.pending_overhead_ns += round(cost * SEC / self.clock.hz)
+            data.pending_overhead_ns += self._ns_of[cost]
             data.overhead_cycles += cost
 
     # ------------------------------------------------------------------
@@ -591,7 +652,9 @@ class Ktau:
         the next of ``values``.  Activation ``i`` opens at ``t_cycles +
         i * step_cycles`` with each span's cost laid out before its
         child, and every level closes at the activation's start plus
-        ``step_cycles``.
+        ``step_cycles``.  ``chain`` is resolved once per firing-state
+        version and kept by object, so callers pass long-lived templates
+        whose names and costs do not change.
 
         The result is that of recording the activations one by one
         through :meth:`record_tree`.  Profiles, merge pairs, the parent
@@ -611,8 +674,67 @@ class Ktau:
         """
         if not self._runs_ok or data.frozen or not values:
             return None
+        plan = (self._run_cache.get(chain)
+                if self.control.version == self._state_cache_version
+                else None)
+        if plan is None:
+            plan = self._plan_run(chain)
+        if not plan:
+            return None
+        active = data.active_counts
+        event_ids = plan.event_ids
+        for event_id in event_ids:
+            if active.get(event_id):
+                return None
+
+        n = len(values)
+        for event_id in event_ids:  # opened and closed again
+            active[event_id] = 0
+        stats = data.atomic.get(plan.atomic_id)
+        if stats is None:
+            stats = data.atomic[plan.atomic_id] = AtomicData()
+        stats.count += n
+        stats.sum += sum(values)
+        low, high = min(values), max(values)
+        if stats.min is None or low < stats.min:
+            stats.min = low
+        if stats.max is None or high > stats.max:
+            stats.max = high
+        user_ctx = data.user_context if self.build.merge_context else None
+        profile = data.profile
+        for event_id, incl, excl in plan.levels_for(step_cycles):
+            perf = profile.get(event_id)
+            if perf is None:
+                perf = profile[event_id] = PerfData()
+            perf.count += n
+            perf.incl_cycles += n * incl
+            perf.excl_cycles += n * excl
+            if user_ctx is not None:
+                pair = data.context_pairs.get((user_ctx, event_id))
+                if pair is None:
+                    data.context_pairs[(user_ctx, event_id)] = [n, n * excl]
+                else:
+                    pair[0] += n
+                    pair[1] += n * excl
+        if data.stack:  # the outermost level spans the whole step
+            data.stack[-1].child_cycles += n * step_cycles
+
+        overhead = self.overhead
+        depth = len(event_ids)
+        costs = list(map(next, ((overhead.starts,) * (depth + 1)
+                                + (overhead.stops,) * depth) * n))
+        data.pending_overhead_ns += sum(map(self._ns_of.__getitem__, costs))
+        data.overhead_cycles += sum(costs)
+        self._firings += n * (2 * depth + 1)
+        return t_cycles + n * step_cycles
+
+    def _plan_run(self, chain) -> _RunPlan | bool:
+        """Resolve ``chain`` for :meth:`record_run` and cache the result:
+        its plan, binding the points outer span first and the atomic
+        last, or ``False`` when a chain point or the atomic is not in
+        firing state 2."""
         registry = self.registry
-        levels = []  # (point, open offset in cycles), outermost first
+        points, offsets = [], []
         offset = 0
         span = chain
         while True:
@@ -624,8 +746,10 @@ class Ktau:
                 hit = self._span_cache[span.name] = (
                     point, self._resolve_state(point))
             if hit[1] != 2:
-                return None
-            levels.append((hit[0], offset))
+                self._run_cache[chain] = False
+                return False
+            points.append(hit[0])
+            offsets.append(offset)
             offset += self._cycles_for(span.cost_ns)
             if not span.children:
                 break
@@ -637,62 +761,12 @@ class Ktau:
         if state is None:
             state = self._resolve_state(atomic_point)
         if state != 2:
-            return None
-        event_ids = [registry.bind(point) for point, _ in levels]
-        atomic_id = registry.bind(atomic_point)
-        active = data.active_counts
-        if any(active.get(event_id) for event_id in event_ids):
-            return None
-
-        n = len(values)
-        for event_id in event_ids:  # opened and closed again
-            active[event_id] = 0
-        stats = data.atomic.get(atomic_id)
-        if stats is None:
-            stats = data.atomic[atomic_id] = AtomicData()
-        stats.count += n
-        stats.sum += sum(values)
-        low, high = min(values), max(values)
-        if stats.min is None or low < stats.min:
-            stats.min = low
-        if stats.max is None or high > stats.max:
-            stats.max = high
-        user_ctx = data.user_context if self.build.merge_context else None
-        child_incl = 0
-        for (_, offset), event_id in zip(reversed(levels),
-                                         reversed(event_ids)):
-            incl = step_cycles - offset
-            excl = incl - child_incl
-            if excl < 0:
-                excl = 0
-            perf = data.profile.get(event_id)
-            if perf is None:
-                perf = data.profile[event_id] = PerfData()
-            perf.count += n
-            perf.incl_cycles += n * incl
-            perf.excl_cycles += n * excl
-            if user_ctx is not None:
-                pair = data.context_pairs.get((user_ctx, event_id))
-                if pair is None:
-                    data.context_pairs[(user_ctx, event_id)] = [n, n * excl]
-                else:
-                    pair[0] += n
-                    pair[1] += n * excl
-            child_incl = incl
-        if data.stack:
-            data.stack[-1].child_cycles += n * child_incl
-
-        overhead = self.overhead
-        depth = len(levels)
-        hz = self.clock.hz
-        costs = [draw() for draw in ((overhead.start_cycles,) * depth
-                                     + (overhead.atomic_cycles,)
-                                     + (overhead.stop_cycles,) * depth) * n]
-        data.pending_overhead_ns += sum([round(cost * SEC / hz)
-                                         for cost in costs])
-        data.overhead_cycles += sum(costs)
-        self._firings += n * (2 * depth + 1)
-        return t_cycles + n * step_cycles
+            self._run_cache[chain] = False
+            return False
+        plan = self._run_cache[chain] = _RunPlan(
+            tuple(map(registry.bind, points)), offsets,
+            registry.bind(atomic_point))
+        return plan
 
     @contextmanager
     def span(self, data: KtauTaskData, point: InstrumentationPoint) -> Iterator[None]:

@@ -22,12 +22,14 @@ When instrumentation is compiled in but disabled at boot/runtime the only
 cost is a flag check (a load + branch), modelled as a small constant.
 
 Sampling is batched through numpy for speed and handed out as Python
-ints, one refill of 4096 draws at a time; the model is deterministic
-given its RNG stream.
+ints, one refill of 4096 draws at a time, through endless C-level
+iterators (``starts`` and ``stops``); the model is deterministic given
+its RNG stream.
 """
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import Iterator
 
 import numpy as np
@@ -47,18 +49,18 @@ class _GammaTail:
         self.k = (excess / std) ** 2
         self.theta = std * std / excess
         self._rng = rng
-        self._draws: Iterator[int] = iter(())
+        #: The endless draw stream.  A batch is drawn only when the one
+        #: before it runs out, so the shared RNG stream refills at the
+        #: same draw whichever way the stream is consumed.
+        self.draws: Iterator[int] = chain.from_iterable(
+            map(self.sample, repeat(self.BATCH)))
 
-    def sample(self) -> int:
+    def sample(self, n: int) -> memoryview:
+        """One refill: ``n`` draws as an int64 memoryview."""
         # Truncating a batch to int64 once equals int() of each positive
         # float draw; iterating a memoryview of it yields Python ints
         # without keeping a list of int objects alive.
-        try:
-            return next(self._draws)
-        except StopIteration:
-            self._draws = iter(memoryview((self.minimum + self._rng.gamma(
-                self.k, self.theta, size=self.BATCH)).astype(np.int64)))
-            return next(self._draws)
+        return memoryview(self.sample_array(n).astype(np.int64))
 
     def sample_array(self, n: int) -> np.ndarray:
         """Draw ``n`` samples at once (used by the Table 4 harness)."""
@@ -97,11 +99,15 @@ class OverheadModel:
         self._stop = _GammaTail(rng, *stop)
         self.disabled_check_cycles = int(disabled_check_cycles)
         self.trace_extra_cycles = int(trace_extra_cycles)
-        # The per-event draws, in cycles, bound straight to the samplers
-        # (one call per draw): an enabled entry costs a start, an exit a
-        # stop, and an atomic event is modelled like a start.
-        self.start_cycles = self.atomic_cycles = self._start.sample
-        self.stop_cycles = self._stop.sample
+        # The per-event draws, in cycles: an enabled entry costs a start,
+        # an exit a stop, and an atomic event is modelled like a start.
+        # ``starts`` and ``stops`` are the streams themselves, for callers
+        # that take many draws at once; the ``*_cycles`` callables are
+        # their ``__next__``.
+        self.starts = self._start.draws
+        self.stops = self._stop.draws
+        self.start_cycles = self.atomic_cycles = self.starts.__next__
+        self.stop_cycles = self.stops.__next__
 
     # -- bulk access for the Table 4 experiment --------------------------
     def sample_start_array(self, n: int) -> np.ndarray:
@@ -122,4 +128,6 @@ class ZeroOverheadModel(OverheadModel):
     def __init__(self) -> None:  # noqa: D107 - no RNG needed
         self.disabled_check_cycles = 0
         self.trace_extra_cycles = 0
-        self.start_cycles = self.stop_cycles = self.atomic_cycles = lambda: 0
+        self.starts = self.stops = repeat(0)
+        self.start_cycles = self.stop_cycles = self.atomic_cycles = \
+            self.starts.__next__

@@ -38,8 +38,12 @@ class BlockDevice:
         self.kernel = kernel
         self.seek_ns = seek_ns
         self.bytes_per_sec = bytes_per_sec
-        self.irq_cost_ns = irq_cost_ns
         self.end_request_cost_ns = end_request_cost_ns
+        # The completion interrupt's tree is the same for every request,
+        # and so is the completion's inclusive duration.
+        self._irq = KSpan("do_IRQ", irq_cost_ns,
+                          children=[KSpan("ide_intr", 2 * USEC)])
+        self._work_ns = self._irq.total_ns + int(end_request_cost_ns)
         self.busy_until = 0
         self.flush_waitq = WaitQueue("blkdev.flush")
         self.requests_completed = 0
@@ -73,14 +77,12 @@ class BlockDevice:
             self.requests_completed += 1
             kernel = self.kernel
             cpu = kernel.irq.route(flow_hash=None)
-            trees = [
-                KSpan("do_IRQ", self.irq_cost_ns,
-                      children=[KSpan("ide_intr", 2 * USEC)]),
-                KSpan("end_request", self.end_request_cost_ns,
-                      atomics=[("io.bio_bytes", nbytes)]),
-            ]
-            finish = kernel.irq.deliver(
-                cpu, sum(tree.total_ns for tree in trees), trees)
+            # Only a patched kernel records: an unpatched one builds no spans.
+            trees = (
+                (self._irq, KSpan("end_request", self.end_request_cost_ns,
+                                  atomics=[("io.bio_bytes", nbytes)]))
+                if kernel.params.ktau.is_patched else ())
+            finish = kernel.irq.deliver(cpu, self._work_ns, trees)
 
             def wake_waiters() -> None:
                 if waiter_wq is not None:

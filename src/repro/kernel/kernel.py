@@ -72,6 +72,7 @@ class Kernel:
                 self.swapper.ktau.counter_source = self.swapper.counters.read
 
         self._rx = tcp_mod.RxPath(params.net)
+        self._tx = tcp_mod.TxPath(params.net, self.clock)
         # The timer tick's trees: every tick, and every 16th tick's.
         apic = KSpan("smp_apic_timer_interrupt", params.timer_tick_cost_ns)
         softirq = KSpan("do_softirq", 1_000,

@@ -18,7 +18,9 @@ are new per group; ``do_IRQ`` and the ``tcp_v4_rcv`` leaves are shared).
 The transmit path records, per segment, ``tcp_sendmsg { ip_queue_xmit {
 dev_queue_xmit } }`` nested inside the ``sys_writev``/``sock_sendmsg``
 syscall spans; the cost split keeps ``tcp_sendmsg`` the dominant exclusive
-component, matching kernel reality.
+component, matching kernel reality.  :class:`TxPath` holds one kernel's
+transmit path: the leg costs, a segment's cycles, and one immutable tree
+per segment size.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
     from repro.kernel.params import NetParams
     from repro.kernel.task import Task
+    from repro.sim.clock import CycleClock
 
 #: Fraction of the per-segment TX cost attributed to each routine.
 TX_SPLIT = (("tcp_sendmsg", 0.60), ("ip_queue_xmit", 0.23), ("dev_queue_xmit", 0.17))
@@ -86,6 +89,39 @@ class RxPath:
                                       children=rcv_spans)]))
 
 
+class TxPath:
+    """One kernel's transmit path: leg costs and span templates."""
+
+    __slots__ = ("cost_ns", "seg_cycles", "pmc_cycles", "_legs", "_trees")
+
+    def __init__(self, net: "NetParams", clock: "CycleClock"):
+        cost = net.tcp_tx_cost_ns
+        (send, send_frac), (queue, queue_frac), (dev, _) = TX_SPLIT
+        send_ns = int(cost * send_frac)
+        queue_ns = int(cost * queue_frac)
+        #: per-segment transmit cost
+        self.cost_ns = cost
+        self._legs = ((send, send_ns), (queue, queue_ns),
+                      (dev, cost - send_ns - queue_ns))
+        # Each segment ends at its whole cost in cycles, which can differ
+        # from the sum of the legs' rounded cycles at some clock rates.
+        self.seg_cycles = clock.cycles_for_ns(cost)
+        #: the PMC cycles a segment's legs advance inside their spans
+        self.pmc_cycles = sum(clock.cycles_for_ns(ns) for _, ns in self._legs)
+        # trees by segment size (segments are MTU-sized but the last)
+        self._trees: dict[int, KSpan] = {}
+
+    def tree(self, seg: int) -> KSpan:
+        """The span tree one segment of ``seg`` bytes records."""
+        tree = self._trees.get(seg)
+        if tree is None:
+            (send, send_ns), (queue, queue_ns), (dev, dev_ns) = self._legs
+            tree = self._trees[seg] = KSpan(send, send_ns, children=[
+                KSpan(queue, queue_ns, children=[
+                    KSpan(dev, dev_ns, atomics=[("net.pkt_tx_bytes", seg)])])])
+        return tree
+
+
 def record_tx_spans(kernel: "Kernel", task: "Task", segments: list[int]) -> int:
     """Record per-segment transmit spans for ``task``; returns total cost.
 
@@ -94,34 +130,23 @@ def record_tx_spans(kernel: "Kernel", task: "Task", segments: list[int]) -> int:
     nesting (``tcp_sendmsg`` under the open ``sock_sendmsg`` span) even
     though the whole group is simulated as one kernel-compute burst.
     Where KTAU allows, the segments are recorded as one run
-    (:meth:`~repro.core.measurement.Ktau.record_run`).
+    (:meth:`~repro.core.measurement.Ktau.record_run`) of the first
+    segment's tree.
     """
-    cost = kernel.params.net.tcp_tx_cost_ns
+    tx = kernel._tx
     data = task.ktau
     if data is not None and segments:
-        clock = kernel.clock
-        (send, send_frac), (queue, queue_frac), (dev, _) = TX_SPLIT
-        send_ns = int(cost * send_frac)
-        queue_ns = int(cost * queue_frac)
-        leaf = KSpan(dev, cost - send_ns - queue_ns,
-                     atomics=[("net.pkt_tx_bytes", segments[0])])
-        tree = KSpan(send, send_ns,
-                     children=[KSpan(queue, queue_ns, children=[leaf])])
-        # Each segment ends at its whole cost in cycles, which can differ
-        # from the sum of the legs' rounded cycles at some clock rates.
-        seg_cycles = clock.cycles_for_ns(cost)
-        t = clock.read()
+        seg_cycles = tx.seg_cycles
+        t = kernel.clock.read()
         ktau = kernel.ktau
-        if ktau.record_run(data, tree, t, segments, seg_cycles) is None:
+        if ktau.record_run(data, tx.tree(segments[0]), t, segments,
+                           seg_cycles) is None:
             for seg in segments:
-                leaf.atomics = [("net.pkt_tx_bytes", seg)]
-                t = ktau.record_tree(data, tree, t, task.counters,
+                t = ktau.record_tree(data, tx.tree(seg), t, task.counters,
                                      end_cycles=t + seg_cycles)
         if kernel.params.ktau.counters:
             # The legs advanced the PMCs inside their spans; the cost is
             # folded into the caller's upcoming kernel burst, so mark
             # those cycles as already advanced.
-            task.pmc_ahead_cycles += len(segments) * sum(
-                clock.cycles_for_ns(ns)
-                for ns in (send_ns, queue_ns, leaf.cost_ns))
-    return cost * len(segments)
+            task.pmc_ahead_cycles += len(segments) * tx.pmc_cycles
+    return tx.cost_ns * len(segments)

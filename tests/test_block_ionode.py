@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.config import KtauBuildConfig
 from repro.experiments.ionode import run_ionode
 from repro.kernel.block import BlockDevice
+from repro.kernel.irq import KSpan
 from repro.kernel.kernel import Kernel
 from repro.kernel.params import KernelParams
 from repro.sim.engine import Engine
@@ -12,11 +14,36 @@ from repro.sim.units import MSEC, SEC
 from repro.workloads.ionode import IoNodeParams
 
 
-def make_kernel():
+def make_kernel(ktau=None):
     engine = Engine()
     params = KernelParams(ncpus=2, timer_tick_ns=None, minor_fault_prob=0.0,
-                          smp_compute_dilation=0.0)
+                          smp_compute_dilation=0.0,
+                          ktau=ktau if ktau is not None else KtauBuildConfig())
     return engine, Kernel(engine, params, "io", RngHub(1))
+
+
+def spans_built_by_writes(monkeypatch, ktau=None):
+    """Four cached and one synced write through a fresh device; returns
+    the device and the names of the ``KSpan``s built once it exists."""
+    engine, kernel = make_kernel(ktau)
+    dev = BlockDevice(kernel)
+    built = []
+    init = KSpan.__init__
+
+    def spy_init(self, name, *args, **kwargs):
+        built.append(name)
+        init(self, name, *args, **kwargs)
+
+    def app(ctx):
+        for _ in range(4):
+            yield from ctx.syscall("sys_pwrite64", dev=dev, nbytes=100_000)
+        yield from ctx.syscall("sys_pwrite64", dev=dev, nbytes=100_000,
+                               sync=True)
+
+    monkeypatch.setattr(KSpan, "__init__", spy_init)
+    kernel.spawn(app, "writer")
+    engine.run(until=10 * SEC)
+    return dev, built
 
 
 class TestBlockDevice:
@@ -137,6 +164,21 @@ class TestBlockDevice:
         # the atomic request-size event was recorded
         bio_id = reg.id_of("io.bio_bytes")
         assert swapper.atomic[bio_id].sum == 200_000
+
+
+    def test_vanilla_completions_build_no_spans(self, monkeypatch):
+        """An unpatched kernel records nothing, so a completion builds no
+        span: the device's interrupt tree is built with the device."""
+        dev, built = spans_built_by_writes(monkeypatch,
+                                           KtauBuildConfig.vanilla())
+        assert dev.requests_completed == 5
+        assert built == []
+
+    def test_patched_completion_builds_only_its_end_request(self,
+                                                            monkeypatch):
+        dev, built = spans_built_by_writes(monkeypatch)
+        assert dev.requests_completed == 5
+        assert built == ["end_request"] * 5
 
 
 class TestIoNodeScenario:

@@ -1,12 +1,24 @@
-"""Tests for event mapping (registry) and the overhead model."""
+"""Tests for event mapping (registry), the overhead model and the
+rounding of its charges."""
+
+from itertools import islice
 
 import numpy as np
 import pytest
 
-from repro.core.overhead import OverheadModel, ZeroOverheadModel
+from repro.core.config import KtauBuildConfig
+from repro.core.measurement import Ktau
+from repro.core.overhead import OverheadModel, ZeroOverheadModel, _GammaTail
 from repro.core.points import ALL_GROUPS, Group, group_of, POINT_GROUPS
 from repro.core.registry import EventRegistry, PointKind
+from repro.kernel.irq import KSpan
+from repro.sim.clock import CycleClock
+from repro.sim.engine import Engine
 from repro.sim.rng import RngHub
+from repro.sim.units import SEC
+
+#: The clock rates of the modelled machines.
+RATES_HZ = (107e6, 450e6, 550e6, 2.8e9)
 
 
 class TestPoints:
@@ -142,3 +154,72 @@ class TestOverheadModel:
         assert model.stop_cycles() == 0
         assert model.atomic_cycles() == 0
         assert model.disabled_check_cycles == 0
+
+    def test_zero_model_streams_yield_zero(self):
+        model = ZeroOverheadModel()
+        assert list(islice(model.starts, 100)) == [0] * 100
+        assert list(islice(model.stops, 100)) == [0] * 100
+
+    def test_streams_are_the_per_event_draws(self):
+        """Draws taken from the streams and through the ``*_cycles``
+        callables come from one sequence per sampler."""
+        a = OverheadModel(RngHub(7).stream("x"))
+        b = OverheadModel(RngHub(7).stream("x"))
+        mixed = [a.start_cycles(), *islice(a.starts, 5000), a.atomic_cycles(),
+                 a.stop_cycles(), *islice(a.stops, 3)]
+        assert mixed == [*(b.start_cycles() for _ in range(5002)),
+                         *(b.stop_cycles() for _ in range(4))]
+
+
+def make_ktau(hz, overhead=None):
+    return Ktau(CycleClock(Engine(), hz=hz), KtauBuildConfig(),
+                overhead=overhead)
+
+
+class TestRoundingMemo:
+    @pytest.mark.parametrize("hz", RATES_HZ)
+    def test_memo_is_round_of_each_charge(self, hz):
+        """Over a full batch of start and stop draws, with and without the
+        tracing extra, the memo holds ``round(c * SEC / hz)``."""
+        model = OverheadModel(RngHub(13).stream("ovh"))
+        draws = [*islice(model.starts, _GammaTail.BATCH),
+                 *islice(model.stops, _GammaTail.BATCH)]
+        memo = make_ktau(hz)._ns_of
+        for cycles in draws + [c + model.trace_extra_cycles for c in draws]:
+            assert memo[cycles] == round(cycles * SEC / hz)
+
+    @pytest.mark.parametrize("hz", RATES_HZ)
+    def test_run_charges_each_draw_rounded(self, hz):
+        """A recorded run's pending overhead is the sum of its draws, each
+        rounded on its own, in the per-activation order."""
+        ktau = make_ktau(hz, OverheadModel(RngHub(5).stream("ovh")))
+        twin = OverheadModel(RngHub(5).stream("ovh"))
+        data = ktau.register_task(1, "t")
+        chain = KSpan("tcp_sendmsg", 900, children=[
+            KSpan("dev_queue_xmit", 300, atomics=[("net.pkt_tx_bytes", 0)])])
+        values = [1448] * 3000  # refills both samplers inside the run
+        assert ktau.record_run(data, chain, 0, values, 1_000) == 3_000_000
+        draws = []
+        for _ in values:
+            draws += [twin.start_cycles() for _ in range(3)]
+            draws += [twin.stop_cycles() for _ in range(2)]
+        assert data.overhead_cycles == sum(draws)
+        assert data.pending_overhead_ns == sum(
+            round(cycles * SEC / hz) for cycles in draws)
+
+    def test_one_memo_per_clock_rate(self):
+        """Kernels at one rate share a memo; kernels at different rates in
+        one process keep separate ones."""
+        slow, other, fast = (make_ktau(hz, OverheadModel(RngHub(3).stream("o")))
+                             for hz in (450e6, 450e6, 550e6))
+        assert slow._ns_of is other._ns_of
+        assert slow._ns_of is not fast._ns_of
+        for ktau in (slow, fast):
+            data = ktau.register_task(1, "t")
+            point = ktau.registry.point("sys_read")
+            for _ in range(50):
+                ktau.entry(data, point)
+                ktau.exit(data, point)
+        for hz, memo in ((450e6, slow._ns_of), (550e6, fast._ns_of)):
+            assert memo and all(ns == round(cycles * SEC / hz)
+                                for cycles, ns in memo.items())

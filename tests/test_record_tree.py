@@ -40,7 +40,7 @@ from repro.kernel import irq as irq_mod
 from repro.kernel.irq import KSpan
 from repro.kernel.kernel import Kernel
 from repro.kernel.net import tcp as tcp_mod
-from repro.kernel.net.tcp import TX_SPLIT, RxPath, record_tx_spans
+from repro.kernel.net.tcp import TX_SPLIT, RxPath, TxPath, record_tx_spans
 from repro.kernel.params import NetParams
 from repro.sim.clock import CycleClock
 from repro.sim.engine import Engine
@@ -293,10 +293,10 @@ def tx_both(cfg, groups, cost):
     ref = make_world(cfg)
     ahead = sum(reference_tx(*ref, segments, cost) for segments in groups)
     ktau, data, counters = make_world(cfg)
+    net = SimpleNamespace(tcp_tx_cost_ns=cost)
     kernel = SimpleNamespace(
-        ktau=ktau, clock=ktau.clock,
-        params=SimpleNamespace(net=SimpleNamespace(tcp_tx_cost_ns=cost),
-                               ktau=ktau.build))
+        ktau=ktau, clock=ktau.clock, _tx=TxPath(net, ktau.clock),
+        params=SimpleNamespace(net=net, ktau=ktau.build))
     task = SimpleNamespace(ktau=data, counters=counters, pmc_ahead_cycles=0)
     for segments in groups:
         total = record_tx_spans(kernel, task, segments)
@@ -394,6 +394,7 @@ def replay(world, stream):
     kernel = SimpleNamespace(ktau=ktau, clock=ktau.clock,
                              params=SimpleNamespace(ktau=ktau.build))
     task = SimpleNamespace(ktau=data, counters=counters, pmc_ahead_cycles=0)
+    tx_paths = {}  # one per transmit cost, as one per kernel
     t = T0
     for kind, item in stream:
         if kind == "irq":
@@ -401,7 +402,10 @@ def replay(world, stream):
                 t = ktau.record_tree(data, tree, t, counters)
         else:
             segments, cost = item
-            kernel.params.net = SimpleNamespace(tcp_tx_cost_ns=cost)
+            kernel._tx = tx_paths.get(cost)
+            if kernel._tx is None:
+                kernel._tx = tx_paths[cost] = TxPath(
+                    SimpleNamespace(tcp_tx_cost_ns=cost), ktau.clock)
             record_tx_spans(kernel, task, segments)
     return t, task.pmc_ahead_cycles
 
@@ -549,6 +553,52 @@ def test_patched_rx_builds_two_spans_per_group(monkeypatch):
     leaves = sum(names.count("tcp_v4_rcv") for _, names in groups)
     assert leaves <= 2 * 2 * len(sizes)  # nodes x flags x sizes
     assert leaves < sum(len(segs) for segs, _ in groups) / 10
+
+
+def test_patched_tx_builds_spans_only_as_templates(lu_inputs, monkeypatch):
+    """A patched kernel's transmit path builds one three-span tree per
+    node and segment size, not one per call."""
+    calls = [item[0] for kind, item in lu_inputs if kind == "tx"]
+    sizes = {seg for segments in calls for seg in segments}
+    built, _ = kspans_built_by_lu(monkeypatch)
+    tx_built = [name for name in built if name in dict(TX_SPLIT)]
+    assert len(calls) > 4 * len(sizes)  # one tree per call would fail
+    assert 0 < len(tx_built) <= 2 * len(sizes) * 3  # nodes x sizes x spans
+    assert sorted(set(tx_built)) == sorted(dict(TX_SPLIT))
+
+
+@pytest.mark.parametrize("point", ["ip_queue_xmit", "tcp_v4_rcv",
+                                   "net.pkt_tx_bytes", "net.pkt_rx_bytes"])
+def test_runs_follow_runtime_control_between_runs(point):
+    """A chain point disabled, and later re-enabled, through the runtime
+    control between runs of the same templates: while it is off the runs
+    take the per-event path, and the resolved chains must not outlive the
+    control version they were resolved under."""
+    cfg = _cfg(**PLAIN)
+    cost = 24 * USEC
+    ref, new = make_world(cfg), make_world(cfg)
+    ktau, data, counters = new
+    kernel = SimpleNamespace(
+        ktau=ktau, clock=ktau.clock,
+        _tx=TxPath(SimpleNamespace(tcp_tx_cost_ns=cost), ktau.clock),
+        params=SimpleNamespace(ktau=ktau.build))
+    task = SimpleNamespace(ktau=data, counters=counters, pmc_ahead_cycles=0)
+    rx = RxPath(NetParams())
+    segments = [1448, 1448, 60]
+    t_ref = t_new = T0
+    for toggle in (None, "disable_points", "enable_points", None):
+        for world in (ref, new):
+            if toggle is not None:
+                getattr(world[0].control, toggle)(point)
+        reference_tx(*ref, segments, cost)
+        record_tx_spans(kernel, task, segments)
+        for tree in reference_rx_trees(
+                SimpleNamespace(params=SimpleNamespace(net=NetParams())),
+                SimpleNamespace(consumer_cpu=0), segments, irq_cpu=0):
+            t_ref = reference_tree(*ref[:2], tree, t_ref, ref[2])
+        for tree in rx.trees(False, segments):
+            t_new = ktau.record_tree(data, tree, t_new, counters)
+    assert (t_new, observe(*new)) == (t_ref, observe(*ref))
 
 
 @pytest.mark.parametrize("primed,extra_stops,outer",
