@@ -13,12 +13,13 @@ Run:  python examples/merged_callgraph.py
 import pathlib
 
 from repro.analysis.callgraph import build_merged_callgraph, render_callgraph
-from repro.analysis.export import to_chrome_trace, validate_chrome_trace
+from repro.analysis.export import to_chrome_trace
 from repro.analysis.tracemerge import merge_traces
 from repro.cluster.launch import block_placement, launch_mpi_job
 from repro.cluster.machines import make_chiba
 from repro.core.config import KtauBuildConfig
 from repro.core.libktau import LibKtau
+from repro.obs.tracer import validate_trace_events
 from repro.sim.units import MSEC
 from repro.tau.phases import PhaseTracker
 from repro.workloads.lu import LuParams
@@ -101,7 +102,7 @@ def main() -> None:
     print("\n=== trace export ===")
     merged = merge_traces(udump, lib.read_trace(task.pid))
     payload = to_chrome_trace({f"rank0@{node.name}": (merged, hz)})
-    pairs, instants = validate_chrome_trace(payload)
+    pairs, instants = validate_trace_events(payload)
     out = pathlib.Path("merged_trace.json")
     out.write_text(payload)
     print(f"  wrote {out} ({pairs} regions, {instants} instants) — "

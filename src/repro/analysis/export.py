@@ -186,39 +186,3 @@ def ktaud_snapshots_to_json(snapshots: Iterable) -> str:
         } for snap in snapshots],
     }
     return canonical_json(doc)
-
-
-def validate_chrome_trace(payload: str) -> tuple[int, int]:
-    """Sanity-check an exported trace; returns (#duration pairs, #instants).
-
-    Verifies B/E balance per thread (viewers silently mis-render
-    unbalanced traces) and monotonic timestamps per thread.
-    """
-    doc = json.loads(payload)
-    per_thread_stack: dict[int, list[str]] = {}
-    per_thread_last_ts: dict[int, float] = {}
-    pairs = 0
-    instants = 0
-    for record in doc["traceEvents"]:
-        if record["ph"] == "M":
-            continue
-        tid = record["tid"]
-        ts = record["ts"]
-        if ts < per_thread_last_ts.get(tid, 0.0) - 1e-9:
-            raise ValueError(f"timestamps not monotonic on tid {tid}")
-        per_thread_last_ts[tid] = ts
-        if record["ph"] == "B":
-            per_thread_stack.setdefault(tid, []).append(record["name"])
-        elif record["ph"] == "E":
-            stack = per_thread_stack.get(tid, [])
-            if not stack or stack[-1] != record["name"]:
-                raise ValueError(
-                    f"unbalanced E for {record['name']!r} on tid {tid}")
-            stack.pop()
-            pairs += 1
-        elif record["ph"] == "i":
-            instants += 1
-    for tid, stack in per_thread_stack.items():
-        if stack:
-            raise ValueError(f"unclosed events on tid {tid}: {stack}")
-    return pairs, instants

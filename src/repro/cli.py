@@ -310,30 +310,29 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
                                               run_monitored_chiba_app)
         chiba_config = ChibaConfig(label="monitored", nranks=16,
                                    procs_per_node=2, seed=args.seed)
-        _data, data, timeline = run_monitored_chiba_app(
-            chiba_config, "lu", bench_lu_params(0.25), config)
+        run = run_monitored_chiba_app(chiba_config, "lu",
+                                      bench_lu_params(0.25), config)
+        data, timeline = run.monitor, run.timeline
+        assert data is not None
         print(render_dashboard(data))
     else:  # demo: a small cluster with one planted cycle stealer
         from repro.cluster.daemons import start_busy_daemon
-        from repro.cluster.launch import block_placement, launch_mpi_job
+        from repro.cluster.launch import block_placement
         from repro.cluster.machines import make_chiba
-        from repro.monitor import ClusterMonitor, integrated_timeline
-        from repro.workloads.lu import LuParams, lu_app
+        from repro.experiments.bottleneck import NOISE_LU
+        from repro.experiments.common import run_job
+        from repro.monitor import integrated_timeline
+        from repro.workloads.lu import lu_app
 
         cluster = make_chiba(nnodes=4, seed=args.seed)
         start_busy_daemon(cluster.nodes[2], pin_cpu=0,
                           period_ns=80 * MSEC, busy_ns=30 * MSEC)
-        monitor = ClusterMonitor(cluster, config)
-        params = LuParams(niters=6, iter_compute_ns=60 * MSEC,
-                          halo_bytes=16_384, sweep_msg_bytes=2_048,
-                          inorm=2, pipeline_fill_frac=0.03)
         # Ranks pinned to their slot CPU, so the planted cycle stealer
         # on ccn002's CPU0 genuinely contends with that node's rank.
-        job = launch_mpi_job(cluster, 4, lu_app(params),
-                             placement=block_placement(1, 4),
-                             pin=True, comm_prefix="lu",
-                             node_setup=monitor.attach_node)
-        job.run(limit_s=600)
+        job, monitor, _injected = run_job(
+            cluster, 4, lu_app(NOISE_LU), limit_s=600,
+            monitor_config=config, placement=block_placement(1, 4),
+            pin=True, comm_prefix="lu")
         data = monitor.harvest()
         timeline = integrated_timeline(data, job)
         cluster.teardown()

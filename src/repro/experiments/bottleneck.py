@@ -29,22 +29,24 @@ from typing import Optional
 from repro.analysis.bottlenecks import (BottleneckReport, build_report,
                                         harvest_bottleneck_inputs)
 from repro.cluster.daemons import start_busy_daemon
-from repro.cluster.launch import block_placement, launch_mpi_job
+from repro.cluster.launch import block_placement
 from repro.cluster.machines import make_chiba
 from repro.core.config import KtauBuildConfig
+from repro.experiments.common import run_job
 from repro.experiments.fig2_controlled import (CONTROLLED_LU,
-                                               PERTURBED_NODE_INDEX)
-from repro.monitor import ClusterMonitor, MonitorConfig, MonitorData
+                                               PERTURBED_NODE_INDEX,
+                                               spawn_intruder)
+from repro.monitor import MonitorConfig, MonitorData
 from repro.sim.units import MSEC
-from repro.workloads.interference import overhead_process
 from repro.workloads.lu import LuParams, lu_app
 
 #: LU scaled down for the cheap traced runs (8 ranks on 4 nodes).
 SMALL_LU = LuParams(niters=3, iter_compute_ns=8 * MSEC, halo_bytes=8_192,
                     sweep_msg_bytes=2_048, inorm=2)
 
-#: LU for the noise scenario: long enough (~0.5 s wall) for the planted
-#: cycle stealer's periodic bursts to actually land on the ranks.
+#: LU for the noise scenario (and the ``repro monitor`` demo, the same
+#: cluster untraced): long enough (~0.5 s wall) for the planted cycle
+#: stealer's periodic bursts to actually land on the ranks.
 NOISE_LU = LuParams(niters=6, iter_compute_ns=60 * MSEC, halo_bytes=16_384,
                     sweep_msg_bytes=2_048, inorm=2, pipeline_fill_frac=0.03)
 
@@ -76,25 +78,18 @@ def _traced_run(nnodes: int, nranks: int, params: LuParams, seed: int, *,
     perturbed = None
     if intruder_node is not None:
         node = cluster.nodes[intruder_node]
-        # The paper's anomaly, scaled as in fig2_controlled.
-        intruder = node.kernel.spawn(
-            overhead_process(sleep_ns=600 * MSEC, busy_ns=200 * MSEC),
-            "overhead")
-        node.daemons.append(intruder)
+        spawn_intruder(node)
         perturbed = node.name
     if busyd_node is not None:
         node = cluster.nodes[busyd_node]
         start_busy_daemon(node, pin_cpu=0, period_ns=80 * MSEC,
                           busy_ns=30 * MSEC)
         perturbed = node.name
-    monitor = None
-    if monitor_config is not None:
-        monitor = ClusterMonitor(cluster, monitor_config)
-    job = launch_mpi_job(cluster, nranks, lu_app(params),
-                         placement=block_placement(procs_per_node, nranks),
-                         comm_prefix="lu", tau_tracing=True, pin=pin,
-                         node_setup=monitor.attach_node if monitor else None)
-    job.run(limit_s=600)
+    job, monitor, _injected = run_job(
+        cluster, nranks, lu_app(params), limit_s=600,
+        monitor_config=monitor_config,
+        placement=block_placement(procs_per_node, nranks),
+        comm_prefix="lu", tau_tracing=True, pin=pin)
     inputs = harvest_bottleneck_inputs(job)
     report = build_report(inputs, top_k=top_k, seed=seed)
     monitor_data = monitor.harvest() if monitor is not None else None

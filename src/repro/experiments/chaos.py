@@ -26,7 +26,7 @@ from typing import Optional
 from repro.analysis.profiles import JobData
 from repro.core.libktau import LibKtau
 from repro.experiments.common import (ChibaConfig, bench_lu_params,
-                                      run_chaos_chiba_app)
+                                      run_monitored_chiba_app)
 from repro.experiments.fig2_controlled import run_fig2ab
 from repro.faults.chaos import (SPARE_NODES, ChaosReport, evaluate,
                                 get_scenario)
@@ -67,10 +67,11 @@ def _run_lu(seed: int, plan: Optional[FaultPlan]
             ) -> tuple[dict[str, str], MonitorData, list]:
     config = ChibaConfig(label="chaos-lu", nranks=8, procs_per_node=2,
                          seed=seed)
-    data, monitor, injected = run_chaos_chiba_app(
+    run = run_monitored_chiba_app(
         config, "lu", bench_lu_params(_LU_SCALE), CHAOS_MONITOR_CONFIG,
         fault_plan=plan, spare_nodes=SPARE_NODES)
-    return _fingerprints(data), monitor, injected
+    assert run.monitor is not None
+    return _fingerprints(run.data), run.monitor, run.injected or []
 
 
 def chaos_nnodes(experiment: str) -> int:

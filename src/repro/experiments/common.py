@@ -5,6 +5,8 @@ The Chiba-City experiments (§5.2/§5.3) all run LU or Sweep3D on a
 placement, pinning, irq-balancing, anomaly injection, and instrumentation
 build.  :class:`ChibaConfig` captures one such configuration;
 :func:`run_chiba_app` builds the cluster, launches, runs, and harvests.
+:func:`run_job` is the launch-and-run step every experiment shares,
+including the setup of monitored and faulted runs.
 
 **Scaling.** The paper's runs take hundreds of wall seconds per
 configuration on real hardware; the bench-scale parameters below shrink
@@ -21,8 +23,8 @@ from typing import Optional
 
 from repro import obs
 from repro.analysis.profiles import JobData, harvest_job
-from repro.cluster.launch import block_placement, launch_mpi_job
-from repro.cluster.machines import make_chiba
+from repro.cluster.launch import MpiJob, block_placement, launch_mpi_job
+from repro.cluster.machines import Cluster, make_chiba
 from repro.core.config import KtauBuildConfig
 from repro.core.points import Group
 from repro.monitor import (ClusterMonitor, MonitorConfig, MonitorData,
@@ -92,6 +94,59 @@ def bench_sweep_params(scale: float = 1.0) -> Sweep3dParams:
     return params.scaled(scale) if scale != 1.0 else params
 
 
+def run_job(cluster: Cluster, nranks: int, app, *, limit_s: float,
+            monitor_config: Optional[MonitorConfig] = None,
+            fault_plan=None, **launch
+            ) -> tuple[MpiJob, Optional[ClusterMonitor], Optional[list]]:
+    """Launch and run one MPI job, under the online monitor and a fault
+    plan when given them.
+
+    The one place that knows the order a monitored run is set up in: a
+    KTAUD starts on each node as the launcher places ranks there, the
+    rank-free (spare) nodes are attached after the launch, and the fault
+    plan is armed against the fully monitored cluster just before the
+    run.  ``launch`` goes to :func:`launch_mpi_job` unchanged.  Returns
+    the finished job, the monitor (``None`` when unmonitored) and the
+    applied-fault log (``None`` without a plan); harvesting and teardown
+    stay with the caller.
+    """
+    monitor = None
+    if monitor_config is not None:
+        monitor = ClusterMonitor(cluster, monitor_config)
+    job = launch_mpi_job(cluster, nranks, app,
+                         node_setup=monitor.attach_node if monitor else None,
+                         **launch)
+    if monitor is not None:
+        # Spare nodes host no ranks, so the launcher's node_setup hook
+        # never saw them; monitor them too.
+        for node in cluster.nodes:
+            if node.name not in monitor.node_hz:
+                monitor.attach_node(node)
+    injected = None
+    if fault_plan is not None:
+        from repro.faults.injector import FaultInjector
+        injector = FaultInjector(cluster, fault_plan, monitor=monitor)
+        injector.arm()
+        injected = injector.injected
+    job.run(limit_s=limit_s)
+    return job, monitor, injected
+
+
+@dataclass
+class ChibaRun:
+    """One Chiba configuration's harvests.
+
+    ``monitor`` and ``timeline`` are set when the run was monitored,
+    ``injected`` (the applied-fault log) when a fault plan was armed.
+    """
+
+    data: JobData
+    monitor: Optional[MonitorData] = None
+    #: integrated user/kernel Chrome-trace JSON of the monitored run.
+    timeline: Optional[str] = None
+    injected: Optional[list] = None
+
+
 def run_chiba_app(config: ChibaConfig, app_name: str, params,
                   limit_s: float = 3600.0) -> JobData:
     """Run one application under one configuration and harvest it.
@@ -101,21 +156,20 @@ def run_chiba_app(config: ChibaConfig, app_name: str, params,
     """
     with obs.span(f"chiba:{config.label}:{app_name}:seed{config.seed}",
                   "experiment", nranks=config.nranks):
-        data, _monitor, _timeline, _injected = _run_chiba_app(
-            config, app_name, params, limit_s)
-        return data
+        return _run_chiba_app(config, app_name, params, limit_s).data
 
 
 def run_monitored_chiba_app(config: ChibaConfig, app_name: str, params,
                             monitor_config: MonitorConfig,
                             limit_s: float = 3600.0,
                             fault_plan=None, spare_nodes: int = 0
-                            ) -> tuple[JobData, MonitorData, str]:
+                            ) -> ChibaRun:
     """Run one configuration under the online cluster monitor.
 
     Same run machinery as :func:`run_chiba_app`, plus one streaming
     KTAUD per used node; returns the harvested job data, the monitor
-    harvest, and the integrated user/kernel timeline JSON.
+    harvest, the integrated user/kernel timeline JSON and the
+    applied-fault log.
 
     ``spare_nodes`` adds monitored rank-free nodes past the placement
     and ``fault_plan`` arms a fault plan after launch (the chaos
@@ -123,39 +177,14 @@ def run_monitored_chiba_app(config: ChibaConfig, app_name: str, params,
     """
     with obs.span(f"chiba:{config.label}:{app_name}:seed{config.seed}:mon",
                   "experiment", nranks=config.nranks):
-        data, monitor, timeline, _injected = _run_chiba_app(
-            config, app_name, params, limit_s, monitor_config,
-            fault_plan=fault_plan, spare_nodes=spare_nodes)
-        assert monitor is not None and timeline is not None
-        return data, monitor, timeline
-
-
-def run_chaos_chiba_app(config: ChibaConfig, app_name: str, params,
-                        monitor_config: MonitorConfig,
-                        fault_plan=None, spare_nodes: int = 0,
-                        limit_s: float = 3600.0
-                        ) -> tuple[JobData, MonitorData, list]:
-    """Monitored run variant for the chaos harness.
-
-    Like :func:`run_monitored_chiba_app` but returns the applied-fault
-    log instead of the timeline (the chaos report wants to show what
-    actually fired, in order).
-    """
-    with obs.span(f"chaos:{config.label}:{app_name}:seed{config.seed}",
-                  "experiment", nranks=config.nranks):
-        data, monitor, _timeline, injected = _run_chiba_app(
-            config, app_name, params, limit_s, monitor_config,
-            fault_plan=fault_plan, spare_nodes=spare_nodes)
-        assert monitor is not None
-        return data, monitor, injected
+        return _run_chiba_app(config, app_name, params, limit_s,
+                              monitor_config, fault_plan, spare_nodes)
 
 
 def _run_chiba_app(config: ChibaConfig, app_name: str, params,
                    limit_s: float,
                    monitor_config: Optional[MonitorConfig] = None,
-                   fault_plan=None, spare_nodes: int = 0
-                   ) -> tuple[JobData, Optional[MonitorData],
-                              Optional[str], list]:
+                   fault_plan=None, spare_nodes: int = 0) -> ChibaRun:
     nnodes_used = config.nranks // config.procs_per_node + spare_nodes
     anomaly_nodes = (ANOMALY_NODE,) if config.anomaly else ()
     if config.anomaly and config.procs_per_node == 1:
@@ -180,33 +209,16 @@ def _run_chiba_app(config: ChibaConfig, app_name: str, params,
     else:
         raise ValueError(f"unknown app {app_name!r}")
 
-    monitor = None
-    if monitor_config is not None:
-        monitor = ClusterMonitor(cluster, monitor_config)
-    job = launch_mpi_job(
-        cluster, config.nranks, app,
+    job, monitor, injected = run_job(
+        cluster, config.nranks, app, limit_s=limit_s,
+        monitor_config=monitor_config, fault_plan=fault_plan,
         placement=block_placement(config.procs_per_node, config.nranks),
         pin=config.pin, cpu_offset=config.cpu_offset,
         tau_enabled=config.tau_enabled,
-        tau_tracing=config.tau_tracing, comm_prefix=app_name,
-        node_setup=monitor.attach_node if monitor else None)
+        tau_tracing=config.tau_tracing, comm_prefix=app_name)
+    run = ChibaRun(data=harvest_job(job), injected=injected)
     if monitor is not None:
-        # Spare nodes host no ranks, so the launcher's node_setup hook
-        # never saw them; monitor them too.
-        for node in cluster.nodes:
-            if node.name not in monitor.node_hz:
-                monitor.attach_node(node)
-    injector = None
-    if fault_plan is not None:
-        from repro.faults.injector import FaultInjector
-        injector = FaultInjector(cluster, fault_plan, monitor=monitor)
-        injector.arm()
-    job.run(limit_s=limit_s)
-    data = harvest_job(job)
-    monitor_data = None
-    timeline = None
-    if monitor is not None:
-        monitor_data = monitor.harvest()
-        timeline = integrated_timeline(monitor_data, job)
+        run.monitor = monitor.harvest()
+        run.timeline = integrated_timeline(run.monitor, job)
     cluster.teardown()
-    return data, monitor_data, timeline, injector.injected if injector else []
+    return run

@@ -23,13 +23,14 @@ from dataclasses import dataclass
 
 from repro.analysis.counterview import counter_rate_table, counters_to_doc
 from repro.analysis.profiles import JobData, harvest_job
-from repro.cluster.launch import block_placement, launch_mpi_job
+from repro.cluster.launch import block_placement
 from repro.cluster.machines import make_chiba
 from repro.core.config import KtauBuildConfig
 from repro.core.counters import PmcRates
+from repro.experiments.common import run_job
 from repro.experiments.fig2_controlled import CONTROLLED_LU
-from repro.monitor import (COUNTER_OUTLIER, NODE_OUTLIER, ClusterMonitor,
-                           MonitorConfig, MonitorData)
+from repro.monitor import (COUNTER_OUTLIER, NODE_OUTLIER, MonitorConfig,
+                           MonitorData)
 from repro.sim.units import MSEC
 from repro.workloads.interference import cache_thrasher_process
 from repro.workloads.lu import lu_app
@@ -84,8 +85,10 @@ class CountersDemoResult:
 def run_counters_demo(seed: int = 1) -> CountersDemoResult:
     """Monitored counters-build LU run with a cache thrasher on one node.
 
-    The monitor runs with default :class:`~repro.monitor.MonitorConfig`
-    thresholds — nothing is tuned toward the demo's conclusion.
+    The monitor runs with the default :class:`~repro.monitor.MonitorConfig`
+    and the calibrated detector thresholds of
+    :mod:`repro.monitor.cluster_monitor` — nothing is tuned toward the
+    demo's conclusion.
     """
     cluster = make_chiba(nnodes=8, seed=seed,
                          ktau=KtauBuildConfig.full(counters=True))
@@ -99,15 +102,10 @@ def run_counters_demo(seed: int = 1) -> CountersDemoResult:
     intruder.pmc_user_rates = THRASH_RATES
     node.daemons.append(intruder)
 
-    monitor = ClusterMonitor(cluster, MonitorConfig())
-    job = launch_mpi_job(cluster, 16, lu_app(CONTROLLED_LU),
-                         placement=block_placement(2, 16),
-                         comm_prefix="lu",
-                         node_setup=monitor.attach_node)
-    for spare in cluster.nodes:
-        if spare.name not in monitor.node_hz:
-            monitor.attach_node(spare)
-    job.run(limit_s=600)
+    job, monitor, _injected = run_job(
+        cluster, 16, lu_app(CONTROLLED_LU), limit_s=600,
+        monitor_config=MonitorConfig(),
+        placement=block_placement(2, 16), comm_prefix="lu")
     data = harvest_job(job)
     monitor_data = monitor.harvest()
     cluster.teardown()

@@ -27,10 +27,12 @@ from repro.analysis.views import kernel_wide_view, node_process_view
 from repro.cluster.launch import block_placement, launch_mpi_job
 from repro.cluster.machines import make_chiba, make_neutron
 from repro.cluster.daemons import start_busy_daemon
+from repro.cluster.node import Node
 from repro.core.config import KtauBuildConfig
 from repro.core.libktau import LibKtau
-from repro.monitor import (ClusterMonitor, MonitorConfig, MonitorData,
-                           integrated_timeline)
+from repro.experiments.common import run_job
+from repro.kernel.task import Task
+from repro.monitor import MonitorConfig, MonitorData, integrated_timeline
 from repro.parallel import run_replications
 from repro.sim.units import MSEC, SEC
 from repro.tau.merge import MergedRow, merged_profile
@@ -43,6 +45,16 @@ CONTROLLED_LU = LuParams(niters=8, iter_compute_ns=80 * MSEC,
                          inorm=4, pipeline_fill_frac=0.03)
 
 PERTURBED_NODE_INDEX = 7
+
+
+def spawn_intruder(node: Node) -> Task:
+    """Start the paper's anomaly on ``node``: sleep, then a CPU-intensive
+    busy loop, scaled to our run length (the paper uses 10 s sleep / 3 s
+    busy)."""
+    intruder = node.kernel.spawn(
+        overhead_process(sleep_ns=600 * MSEC, busy_ns=200 * MSEC), "overhead")
+    node.daemons.append(intruder)
+    return intruder
 
 
 # ---------------------------------------------------------------------------
@@ -88,30 +100,11 @@ def run_fig2ab(seed: int = 1,
     """
     cluster = make_chiba(nnodes=8 + spare_nodes, seed=seed)
     node = cluster.nodes[PERTURBED_NODE_INDEX]
-    # The paper's anomaly: sleep, then a CPU-intensive busy loop, scaled
-    # to our run length (the paper uses 10 s sleep / 3 s busy).
-    intruder = node.kernel.spawn(
-        overhead_process(sleep_ns=600 * MSEC, busy_ns=200 * MSEC), "overhead")
-    node.daemons.append(intruder)
-
-    monitor = None
-    if monitor_config is not None:
-        monitor = ClusterMonitor(cluster, monitor_config)
-    job = launch_mpi_job(cluster, 16, lu_app(CONTROLLED_LU),
-                         placement=block_placement(2, 16), comm_prefix="lu",
-                         node_setup=monitor.attach_node if monitor else None)
-    if monitor is not None:
-        # Spare nodes host no ranks, so the launcher's node_setup hook
-        # never saw them; monitor them too.
-        for spare in cluster.nodes:
-            if spare.name not in monitor.node_hz:
-                monitor.attach_node(spare)
-    injector = None
-    if fault_plan is not None:
-        from repro.faults.injector import FaultInjector
-        injector = FaultInjector(cluster, fault_plan, monitor=monitor)
-        injector.arm()
-    job.run(limit_s=600)
+    intruder = spawn_intruder(node)
+    job, monitor, injected = run_job(
+        cluster, 16, lu_app(CONTROLLED_LU), limit_s=600,
+        monitor_config=monitor_config, fault_plan=fault_plan,
+        placement=block_placement(2, 16), comm_prefix="lu")
     data = harvest_job(job)
     monitor_data = None
     timeline = None
@@ -137,7 +130,7 @@ def run_fig2ab(seed: int = 1,
                         invol_by_node=invol_by_node,
                         node_processes=processes,
                         monitor=monitor_data, timeline=timeline,
-                        injected=injector.injected if injector else None)
+                        injected=injected)
 
 
 # ---------------------------------------------------------------------------

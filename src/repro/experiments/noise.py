@@ -25,9 +25,10 @@ from typing import Optional
 from repro import obs
 from repro.analysis.profiles import JobData, harvest_job
 from repro.cluster.daemons import start_busy_daemon
-from repro.cluster.launch import block_placement, launch_mpi_job
+from repro.cluster.launch import block_placement
 from repro.cluster.machines import make_chiba
-from repro.monitor import ClusterMonitor, MonitorConfig, MonitorData
+from repro.experiments.common import run_job
+from repro.monitor import MonitorConfig, MonitorData
 from repro.parallel import parallel_map
 from repro.sim.units import MSEC
 
@@ -90,14 +91,10 @@ def _run_noise_cell(cell: tuple) -> tuple[float, JobData, Optional[MonitorData]]
                               period_ns=params.noise_period_ns,
                               busy_ns=params.noise_burst_ns,
                               comm="noised", random_phase=True)
-    monitor = None
-    if monitor_config is not None:
-        monitor = ClusterMonitor(cluster, monitor_config)
-    job = launch_mpi_job(cluster, nranks, _noise_app(params),
-                         placement=block_placement(1, nranks),
-                         start_daemons=False,
-                         node_setup=monitor.attach_node if monitor else None)
-    job.run(limit_s=600)
+    job, monitor, _injected = run_job(
+        cluster, nranks, _noise_app(params), limit_s=600,
+        monitor_config=monitor_config,
+        placement=block_placement(1, nranks), start_daemons=False)
     data = harvest_job(job)
     monitor_data = monitor.harvest() if monitor is not None else None
     cluster.teardown()

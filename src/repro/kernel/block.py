@@ -30,27 +30,29 @@ if TYPE_CHECKING:  # pragma: no cover
 class BlockDevice:
     """One disk attached to a node."""
 
-    def __init__(self, kernel: "Kernel", *,
-                 seek_ns: int = 6_000_000,  # ~6 ms average positioning
-                 bytes_per_sec: int = 35_000_000,  # ~35 MB/s media rate
-                 irq_cost_ns: int = 5 * USEC,
-                 end_request_cost_ns: int = 8 * USEC):
+    #: ~6 ms average positioning (seek + rotational).
+    SEEK_NS = 6_000_000
+    #: ~35 MB/s media rate.
+    BYTES_PER_SEC = 35_000_000
+    #: sequential-access bonus: back-to-back requests skip most of the
+    #: positioning cost, like an elevator fed a streaming writer.
+    SEQUENTIAL_FACTOR = 0.15
+    #: the disk interrupt's handler cost.
+    IRQ_COST_NS = 5 * USEC
+    #: the ``end_request`` completion handler's cost.
+    END_REQUEST_COST_NS = 8 * USEC
+
+    def __init__(self, kernel: "Kernel"):
         self.kernel = kernel
-        self.seek_ns = seek_ns
-        self.bytes_per_sec = bytes_per_sec
-        self.end_request_cost_ns = end_request_cost_ns
         # The completion interrupt's tree is the same for every request,
         # and so is the completion's inclusive duration.
-        self._irq = KSpan("do_IRQ", irq_cost_ns,
+        self._irq = KSpan("do_IRQ", self.IRQ_COST_NS,
                           children=[KSpan("ide_intr", 2 * USEC)])
-        self._work_ns = self._irq.total_ns + int(end_request_cost_ns)
+        self._work_ns = self._irq.total_ns + self.END_REQUEST_COST_NS
         self.busy_until = 0
         self.flush_waitq = WaitQueue("blkdev.flush")
         self.requests_completed = 0
         self.bytes_written = 0
-        #: sequential-access bonus: back-to-back requests skip most of the
-        #: positioning cost, like an elevator fed a streaming writer
-        self.sequential_factor = 0.15
 
     # ------------------------------------------------------------------
     def submit(self, nbytes: int, waiter_wq: WaitQueue | None) -> int:
@@ -61,13 +63,13 @@ class BlockDevice:
         ``waiter_wq`` (sync writes) and any fsync barriers that drained.
         """
         engine = self.kernel.engine
-        transfer = (nbytes * SEC) // self.bytes_per_sec
+        transfer = (nbytes * SEC) // self.BYTES_PER_SEC
         if self.busy_until > engine.now:
             # queue not idle: the elevator keeps the head in the area
-            seek = int(self.seek_ns * self.sequential_factor)
+            seek = int(self.SEEK_NS * self.SEQUENTIAL_FACTOR)
             start = self.busy_until
         else:
-            seek = self.seek_ns
+            seek = self.SEEK_NS
             start = engine.now
         done = start + seek + transfer
         self.busy_until = done
@@ -79,7 +81,7 @@ class BlockDevice:
             cpu = kernel.irq.route(flow_hash=None)
             # Only a patched kernel records: an unpatched one builds no spans.
             trees = (
-                (self._irq, KSpan("end_request", self.end_request_cost_ns,
+                (self._irq, KSpan("end_request", self.END_REQUEST_COST_NS,
                                   atomics=[("io.bio_bytes", nbytes)]))
                 if kernel.params.ktau.is_patched else ())
             finish = kernel.irq.deliver(cpu, self._work_ns, trees)

@@ -25,17 +25,17 @@ switched on.
 from __future__ import annotations
 
 import statistics
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.core.points import SCHED_INVOLUNTARY_POINT
 from repro.monitor.alerts import BOTTLENECK, Alert
+from repro.monitor.cluster_monitor import (MAD_THRESHOLD, MAX_INTERVAL_PERIODS,
+                                           MIN_ABS_S, MIN_NODES,
+                                           MonitorConfig)
 from repro.monitor.detect import flag_outliers
 from repro.monitor.intervals import NodeInterval
 from repro.obs import runtime as _obs
 from repro.sim.units import SEC
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.monitor.cluster_monitor import MonitorConfig
 
 #: Kernel paths whose per-interval exclusive time is direct lost time.
 LOST_TIME_EVENTS: tuple[str, ...] = (SCHED_INVOLUNTARY_POINT, "do_IRQ",
@@ -45,7 +45,7 @@ LOST_TIME_EVENTS: tuple[str, ...] = (SCHED_INVOLUNTARY_POINT, "do_IRQ",
 class StreamingBottleneckAttributor:
     """Running (node, path) lost-time ranking fed by closed intervals."""
 
-    def __init__(self, config: "MonitorConfig"):
+    def __init__(self, config: MonitorConfig):
         self.config = config
         #: cumulative lost seconds per (node, path).
         self._lost: dict[tuple[str, str], float] = {}
@@ -60,9 +60,8 @@ class StreamingBottleneckAttributor:
         Mirrors the monitor's detection discipline: accumulation covers
         every node that reported, the outlier test only the nodes whose
         interval has comparable length, and nothing fires below the
-        ``min_nodes`` population.
+        :data:`~repro.monitor.cluster_monitor.MIN_NODES` population.
         """
-        cfg = self.config
         self.intervals_seen += 1
         nodes = sorted(bucket)
         for node in nodes:
@@ -72,12 +71,12 @@ class StreamingBottleneckAttributor:
                     key = (node, event)
                     self._lost[key] = self._lost.get(key, 0.0) + value
 
-        period_s = cfg.period_ns / SEC
+        period_s = self.config.period_ns / SEC
         comparable = [node for node in nodes
                       if bucket[node].wall_s
-                      <= cfg.max_interval_periods * period_s]
+                      <= MAX_INTERVAL_PERIODS * period_s]
         alerts: list[Alert] = []
-        if len(comparable) < cfg.min_nodes:
+        if len(comparable) < MIN_NODES:
             return alerts
         top = self.top(1)
         top_node = top[0]["node"] if top else None
@@ -85,8 +84,7 @@ class StreamingBottleneckAttributor:
             values = [bucket[node].event_excl_s(event)
                       for node in comparable]
             center = statistics.median(values)
-            for i, score in flag_outliers(values, cfg.mad_threshold,
-                                          cfg.min_abs_s):
+            for i, score in flag_outliers(values, MAD_THRESHOLD, MIN_ABS_S):
                 node = comparable[i]
                 if node != top_node or self._last_alert == (node, event):
                     continue

@@ -69,73 +69,75 @@ COUNTER_IPC_METRIC = "ipc"
 APP_PREFIXES = ("lu.", "app.", "sweep3d.")
 
 
+# Detector and collection tuning.  The values are calibrated on the
+# Figure 2-A reproduction: they flag the interference-perturbed node and
+# the intruder process while staying silent on the standard daemon set
+# and on LU's own synchronisation behaviour.
+
+#: kernel events watched by the cross-node outlier detector
+#: (involuntary scheduling is the paper's perturbation signature).
+WATCH_EVENTS: tuple[str, ...] = (SCHED_INVOLUNTARY_POINT,)
+#: modified z-score threshold for node outliers.
+MAD_THRESHOLD = 3.5
+#: absolute excess over the cluster median (seconds per interval)
+#: a node must show before it can be flagged.  Calibrated above the
+#: few-millisecond scheduling spikes LU's own synchronisation
+#: produces on healthy nodes.
+MIN_ABS_S = 0.008
+#: cross-node detection needs a population; below this it is off.
+MIN_NODES = 4
+#: per-interval kernel activity (seconds) a non-app process must
+#: reach to be flagged as interference on its own...
+INTERFERENCE_MIN_S = 0.010
+#: ...and at least this fraction of the interval.
+INTERFERENCE_FRAC = 0.05
+#: when a node IS an outlier, its most active non-app process is
+#: blamed (the paper's A-then-B workflow: a user-mode cycle stealer
+#: shows up mostly as its *victims'* involuntary scheduling, so the
+#: culprit's own kernel footprint only has to clear this small bar).
+ATTRIBUTION_MIN_S = 0.0005
+#: comms never flagged: the monitor's own daemons and the idle task.
+IGNORE_COMMS: tuple[str, ...] = ("ktaud", "swapper")
+#: ring-buffer capacity per (node, metric) series.
+SERIES_CAPACITY = 1024
+#: per-node KTAUD snapshot retention (the monitor differences
+#: consecutive snapshots online, so two is enough).
+MAX_SNAPSHOTS = 2
+#: a node silent for this many extraction periods is ``NODE_STALE``.
+#: Healthy inter-snapshot gaps are barely over one period, so this
+#: never fires on a fault-free run.
+STALE_AFTER_PERIODS = 2.5
+#: ...and for this many is ``NODE_LOST``: intervals close without it.
+LOST_AFTER_PERIODS = 6.0
+#: a pending interval is force-closed (partial view) once the newest
+#: reported interval is this far ahead of it.
+BUCKET_LAG = 2
+#: intervals longer than this many periods (outage spans after a
+#: recovery realignment) are excluded from cross-node outlier
+#: comparison — their per-interval values are not comparable.
+MAX_INTERVAL_PERIODS = 1.6
+#: modified z-score threshold for the counter dimension's cross-node
+#: miss-rate outlier detector (runs only when the monitored kernels
+#: carry the counters build option).
+COUNTER_MAD_THRESHOLD = 3.5
+#: absolute excess (L2 misses per kilocycle) over the cluster median
+#: a node must show before a counter outlier fires.  Healthy nodes
+#: running the same binary agree within a fraction of a miss per
+#: kilocycle; a cache thrasher multiplies the node rate.
+COUNTER_MIN_ABS = 0.5
+
+
 @dataclass(frozen=True)
 class MonitorConfig:
-    """Tuning for one monitored run.
-
-    Defaults are calibrated on the Figure 2-A reproduction: they flag
-    the interference-perturbed node and the intruder process while
-    staying silent on the standard daemon set and on LU's own
-    synchronisation behaviour.
-    """
+    """The settings of one monitored run; the detector thresholds are
+    the module constants above."""
 
     #: KTAUD extraction period on every node.
     period_ns: int = 200 * MSEC
-    #: kernel events watched by the cross-node outlier detector
-    #: (involuntary scheduling is the paper's perturbation signature).
-    watch_events: tuple[str, ...] = (SCHED_INVOLUNTARY_POINT,)
-    #: modified z-score threshold for node outliers.
-    mad_threshold: float = 3.5
-    #: absolute excess over the cluster median (seconds per interval)
-    #: a node must show before it can be flagged.  Calibrated above the
-    #: few-millisecond scheduling spikes LU's own synchronisation
-    #: produces on healthy nodes.
-    min_abs_s: float = 0.008
-    #: cross-node detection needs a population; below this it is off.
-    min_nodes: int = 4
-    #: per-interval kernel activity (seconds) a non-app process must
-    #: reach to be flagged as interference on its own...
-    interference_min_s: float = 0.010
-    #: ...and at least this fraction of the interval.
-    interference_frac: float = 0.05
-    #: when a node IS an outlier, its most active non-app process is
-    #: blamed (the paper's A-then-B workflow: a user-mode cycle stealer
-    #: shows up mostly as its *victims'* involuntary scheduling, so the
-    #: culprit's own kernel footprint only has to clear this small bar).
-    attribution_min_s: float = 0.0005
-    #: comms never flagged: the monitor's own daemons and the idle task.
-    ignore_comms: tuple[str, ...] = ("ktaud", "swapper")
-    #: ring-buffer capacity per (node, metric) series.
-    series_capacity: int = 1024
-    #: per-node KTAUD snapshot retention (the monitor differences
-    #: consecutive snapshots online, so two is enough; ``None`` hoards).
-    max_snapshots: Optional[int] = 2
-    #: a node silent for this many extraction periods is ``NODE_STALE``.
-    #: Healthy inter-snapshot gaps are barely over one period, so the
-    #: default never fires on a fault-free run.
-    stale_after_periods: float = 2.5
-    #: ...and for this many is ``NODE_LOST``: intervals close without it.
-    lost_after_periods: float = 6.0
-    #: a pending interval is force-closed (partial view) once the newest
-    #: reported interval is this far ahead of it.
-    bucket_lag: int = 2
-    #: intervals longer than this many periods (outage spans after a
-    #: recovery realignment) are excluded from cross-node outlier
-    #: comparison — their per-interval values are not comparable.
-    max_interval_periods: float = 1.6
     #: size of the streaming lost-time attributor's (node, path) ranking
     #: (:mod:`repro.monitor.bottleneck`); 0 disables the attributor,
     #: keeping historical monitored runs byte-identical.
     bottleneck_top_k: int = 0
-    #: modified z-score threshold for the counter dimension's cross-node
-    #: miss-rate outlier detector (runs only when the monitored kernels
-    #: carry the counters build option).
-    counter_mad_threshold: float = 3.5
-    #: absolute excess (L2 misses per kilocycle) over the cluster median
-    #: a node must show before a counter outlier fires.  Healthy nodes
-    #: running the same binary agree within a fraction of a miss per
-    #: kilocycle; a cache thrasher multiplies the node rate.
-    counter_min_abs: float = 0.5
 
 
 @dataclass
@@ -215,7 +217,7 @@ class ClusterMonitor:
     def __init__(self, cluster: "Cluster", config: Optional[MonitorConfig] = None):
         self.cluster = cluster
         self.config = config or MonitorConfig()
-        self.series = SeriesStore(self.config.series_capacity)
+        self.series = SeriesStore(SERIES_CAPACITY)
         self.alerts: list[Alert] = []
         self.attributor = None
         if self.config.bottleneck_top_k > 0:
@@ -287,7 +289,7 @@ class ClusterMonitor:
 
         daemon = Ktaud(node.kernel, period_ns=self.config.period_ns,
                        on_snapshot=on_snapshot,
-                       max_snapshots=self.config.max_snapshots)
+                       max_snapshots=MAX_SNAPSHOTS)
         daemon.start()
         node.ktaud = daemon
         self.daemons.append(daemon)
@@ -336,7 +338,7 @@ class ClusterMonitor:
                                 hz=self.node_hz[name],
                                 deltas=deltas, comms=comms,
                                 pmc_deltas=pmc_deltas)
-        for event in self.config.watch_events:
+        for event in WATCH_EVENTS:
             self.series.append(name, event, snap.time_ns,
                                interval.event_excl_s(event))
         self.series.append(name, ACTIVITY_METRIC, snap.time_ns,
@@ -380,9 +382,9 @@ class ClusterMonitor:
         silent no further deliveries arrive and no transition fires —
         the monitor is an observer, it schedules no events of its own.
         """
-        cfg = self.config
-        stale_ns = int(cfg.stale_after_periods * cfg.period_ns)
-        lost_ns = int(cfg.lost_after_periods * cfg.period_ns)
+        period = self.config.period_ns
+        stale_ns = int(STALE_AFTER_PERIODS * period)
+        lost_ns = int(LOST_AFTER_PERIODS * period)
         for node in self.node_names:
             health = self._health[node]
             if health == "lost":
@@ -427,7 +429,7 @@ class ClusterMonitor:
 
     def _close_lagged(self) -> None:
         """Force-close pending intervals the frontier has left behind."""
-        limit = self._frontier - self.config.bucket_lag
+        limit = self._frontier - BUCKET_LAG
         for index in sorted(self._buckets):
             if index <= limit:
                 self._close(index)
@@ -455,21 +457,20 @@ class ClusterMonitor:
         realigned post-recovery intervals span a whole outage and their
         per-interval values are not comparable.
         """
-        cfg = self.config
         nalerts = 0
         nodes = sorted(bucket)
-        period_s = cfg.period_ns / SEC
+        period_s = self.config.period_ns / SEC
         comparable = [node for node in nodes
                       if bucket[node].wall_s
-                      <= cfg.max_interval_periods * period_s]
+                      <= MAX_INTERVAL_PERIODS * period_s]
         outlier_nodes: set[str] = set()
-        if len(comparable) >= cfg.min_nodes:
-            for event in cfg.watch_events:
+        if len(comparable) >= MIN_NODES:
+            for event in WATCH_EVENTS:
                 values = [bucket[node].event_excl_s(event)
                           for node in comparable]
                 center = statistics.median(values)
-                for i, score in flag_outliers(values, cfg.mad_threshold,
-                                              cfg.min_abs_s):
+                for i, score in flag_outliers(values, MAD_THRESHOLD,
+                                              MIN_ABS_S):
                     interval = bucket[comparable[i]]
                     outlier_nodes.add(comparable[i])
                     self.alerts.append(Alert(
@@ -484,12 +485,12 @@ class ClusterMonitor:
         # nodes whose kernels carry the counters build report PMC data.
         counter_nodes = [node for node in comparable
                          if bucket[node].pmc_deltas]
-        if len(counter_nodes) >= cfg.min_nodes:
+        if len(counter_nodes) >= MIN_NODES:
             rates = [bucket[node].miss_per_kcycle()
                      for node in counter_nodes]
             center = statistics.median(rates)
-            for i, score in flag_outliers(rates, cfg.counter_mad_threshold,
-                                          cfg.counter_min_abs):
+            for i, score in flag_outliers(rates, COUNTER_MAD_THRESHOLD,
+                                          COUNTER_MIN_ABS):
                 interval = bucket[counter_nodes[i]]
                 self.alerts.append(Alert(
                     kind=COUNTER_OUTLIER, interval=index,
@@ -506,14 +507,14 @@ class ClusterMonitor:
             suspects: dict[int, float] = {}
             for pid in sorted(activity):
                 comm = interval.comms.get(pid, "?")
-                if pid == 0 or comm in cfg.ignore_comms or self._is_app(comm):
+                if pid == 0 or comm in IGNORE_COMMS or self._is_app(comm):
                     continue
                 suspects[pid] = activity[pid]
             flagged: set[int] = set()
             # Standalone check: a kernel-heavy intruder clears the
             # activity floor on its own, outlier or not.
-            floor = max(cfg.interference_min_s,
-                        cfg.interference_frac * interval.wall_s)
+            floor = max(INTERFERENCE_MIN_S,
+                        INTERFERENCE_FRAC * interval.wall_s)
             for pid in sorted(suspects):
                 if suspects[pid] >= floor:
                     flagged.add(pid)
@@ -523,7 +524,7 @@ class ClusterMonitor:
             # much lower here).
             if node in outlier_nodes and suspects:
                 top = max(sorted(suspects), key=lambda p: suspects[p])
-                if suspects[top] >= cfg.attribution_min_s:
+                if suspects[top] >= ATTRIBUTION_MIN_S:
                     flagged.add(top)
             for pid in sorted(flagged):
                 self.alerts.append(Alert(

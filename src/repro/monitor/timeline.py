@@ -34,6 +34,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.launch import MpiJob
 
 
+#: merged user/kernel profile rows annotated on each ``main()`` span.
+TOP_ROWS = 5
+
+
 def _us(time_ns: int, epoch_ns: int) -> float:
     return (time_ns - epoch_ns) / 1e3
 
@@ -109,16 +113,14 @@ def _rank_trace_records(trace: list[tuple[int, str, bool]], *,
     return records
 
 
-def integrated_timeline(data: MonitorData, job: Optional["MpiJob"] = None,
-                        *, top: int = 5,
-                        process_name: str = "repro.monitor") -> str:
+def integrated_timeline(data: MonitorData, job: "MpiJob") -> str:
     """Export a monitored run as a Chrome trace-event JSON string.
 
     ``data`` is a harvested :class:`~repro.monitor.cluster_monitor.MonitorData`;
-    ``job`` (optional) adds the application layer — its ranks' TAU traces
-    when tracing was enabled, else ``main()`` summary spans annotated
-    with the ``top`` merged user/kernel profile rows.  The output
-    validates under :func:`repro.obs.tracer.validate_trace_events`.
+    ``job`` adds the application layer — its ranks' TAU traces when
+    tracing was enabled, else ``main()`` summary spans annotated with
+    the :data:`TOP_ROWS` top merged user/kernel profile rows.  The
+    output validates under :func:`repro.obs.tracer.validate_trace_events`.
     """
     records: list[dict] = []
     node_pid = {node: i + 1 for i, node in enumerate(data.nodes)}
@@ -130,53 +132,52 @@ def integrated_timeline(data: MonitorData, job: Optional["MpiJob"] = None,
                         "tid": 0, "args": {"name": "kernel (monitor)"}})
         records.extend(_node_thread_records(data, node, pid))
 
-    if job is not None:
-        next_tid = {node: 1 for node in data.nodes}
-        kprofiles: dict[str, dict] = {}
-        for rank in range(job.world.size):
-            node_obj = job.world.rank_nodes[rank]
-            profiler = job.profilers[rank]
-            if node_obj is None or profiler is None:
-                continue
-            node = node_obj.name
-            pid = node_pid.get(node)
-            if pid is None:
-                continue
-            tid = next_tid[node]
-            next_tid[node] = tid + 1
-            records.append({"name": "thread_name", "ph": "M", "pid": pid,
-                            "tid": tid, "args": {"name": f"rank {rank}"}})
-            hz = data.node_hz[node]
-            boot = data.node_boot_offset[node]
-            if profiler.trace:
-                records.extend(_rank_trace_records(
-                    profiler.trace, pid=pid, tid=tid, hz=hz,
-                    boot_offset=boot, epoch_ns=data.start_ns))
-                continue
-            # No event trace: one summary span over the rank's lifetime,
-            # annotated with its top merged user/kernel profile rows.
-            task = job.world.rank_tasks[rank]
-            assert task is not None and job.end_ns is not None
-            udump = profiler.dump()
-            kdump = None
-            if node_obj.kernel.params.ktau.is_patched:
-                if node not in kprofiles:
-                    kprofiles[node] = LibKtau(
-                        node_obj.kernel.ktau_proc).read_profiles(
-                            include_zombies=True)
-                kdump = kprofiles[node].get(task.pid)
-            if kdump is not None:
-                args = rows_to_doc(merged_profile(udump, kdump), hz, top=top)
-            else:
-                rows = sorted(udump.perf.items(), key=lambda kv: -kv[1][2])
-                args = {f"user:{name}": round(excl / hz * 1e3, 3)
-                        for name, (_c, _i, excl) in rows[:top]}
-            end_ns = task.exit_time_ns if task.exit_time_ns else job.end_ns
-            records.append({"name": "main()", "ph": "B", "pid": pid,
-                            "tid": tid, "ts": _us(job.start_ns, data.start_ns),
-                            "cat": "user", "args": args})
-            records.append({"name": "main()", "ph": "E", "pid": pid,
-                            "tid": tid, "ts": _us(end_ns, data.start_ns),
-                            "cat": "user"})
+    next_tid = {node: 1 for node in data.nodes}
+    kprofiles: dict[str, dict] = {}
+    for rank in range(job.world.size):
+        node_obj = job.world.rank_nodes[rank]
+        profiler = job.profilers[rank]
+        if node_obj is None or profiler is None:
+            continue
+        node = node_obj.name
+        pid = node_pid.get(node)
+        if pid is None:
+            continue
+        tid = next_tid[node]
+        next_tid[node] = tid + 1
+        records.append({"name": "thread_name", "ph": "M", "pid": pid,
+                        "tid": tid, "args": {"name": f"rank {rank}"}})
+        hz = data.node_hz[node]
+        boot = data.node_boot_offset[node]
+        if profiler.trace:
+            records.extend(_rank_trace_records(
+                profiler.trace, pid=pid, tid=tid, hz=hz,
+                boot_offset=boot, epoch_ns=data.start_ns))
+            continue
+        # No event trace: one summary span over the rank's lifetime,
+        # annotated with its top merged user/kernel profile rows.
+        task = job.world.rank_tasks[rank]
+        assert task is not None and job.end_ns is not None
+        udump = profiler.dump()
+        kdump = None
+        if node_obj.kernel.params.ktau.is_patched:
+            if node not in kprofiles:
+                kprofiles[node] = LibKtau(
+                    node_obj.kernel.ktau_proc).read_profiles(
+                        include_zombies=True)
+            kdump = kprofiles[node].get(task.pid)
+        if kdump is not None:
+            args = rows_to_doc(merged_profile(udump, kdump), hz, top=TOP_ROWS)
+        else:
+            rows = sorted(udump.perf.items(), key=lambda kv: -kv[1][2])
+            args = {f"user:{name}": round(excl / hz * 1e3, 3)
+                    for name, (_c, _i, excl) in rows[:TOP_ROWS]}
+        end_ns = task.exit_time_ns if task.exit_time_ns else job.end_ns
+        records.append({"name": "main()", "ph": "B", "pid": pid,
+                        "tid": tid, "ts": _us(job.start_ns, data.start_ns),
+                        "cat": "user", "args": args})
+        records.append({"name": "main()", "ph": "E", "pid": pid,
+                        "tid": tid, "ts": _us(end_ns, data.start_ns),
+                        "cat": "user"})
 
     return json.dumps({"traceEvents": records, "displayTimeUnit": "ms"})

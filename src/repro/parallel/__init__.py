@@ -17,16 +17,12 @@ otherwise, so library callers and tests keep their exact historical
 behaviour unless a caller asks for fan-out.
 """
 
-from repro.parallel.merge import group_results, merge_mappings, sum_counters
 from repro.parallel.runner import (ReplicationError, default_workers,
                                    parallel_map, run_replications)
 
 __all__ = [
     "ReplicationError",
     "default_workers",
-    "group_results",
-    "merge_mappings",
     "parallel_map",
     "run_replications",
-    "sum_counters",
 ]

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from repro.analysis.export import to_chrome_trace, validate_chrome_trace
+from repro.analysis.export import to_chrome_trace
 from repro.analysis.tracemerge import MergedEvent
+from repro.obs.tracer import validate_trace_events
 
 
 def span(t0, t1, name, layer="user"):
@@ -19,7 +20,7 @@ class TestExport:
                   span(100, 900, "sys_writev", "kernel"))
         events.sort(key=lambda e: (e.cycles, not e.is_entry))
         payload = to_chrome_trace({"rank0": (events, 1e9)})
-        pairs, instants = validate_chrome_trace(payload)
+        pairs, instants = validate_trace_events(payload)
         assert pairs == 2
         assert instants == 0
         doc = json.loads(payload)
@@ -29,7 +30,7 @@ class TestExport:
     def test_atomic_becomes_instant(self):
         events = [MergedEvent(50, "net.pkt_tx_bytes", "kernel", False, 1500)]
         payload = to_chrome_trace({"rank0": (events, 1e9)})
-        _pairs, instants = validate_chrome_trace(payload)
+        _pairs, instants = validate_trace_events(payload)
         assert instants == 1
         doc = json.loads(payload)
         instant = [r for r in doc["traceEvents"] if r["ph"] == "i"][0]
@@ -39,13 +40,13 @@ class TestExport:
         events = [MergedEvent(10, "lost_region", "kernel", False)] + \
             span(20, 30, "ok", "kernel")
         payload = to_chrome_trace({"rank0": (events, 1e9)})
-        pairs, _ = validate_chrome_trace(payload)
+        pairs, _ = validate_trace_events(payload)
         assert pairs == 1
 
     def test_unclosed_entry_closed_at_end(self):
         events = [MergedEvent(10, "open_forever", "user", True)]
         payload = to_chrome_trace({"rank0": (events, 1e9)})
-        pairs, _ = validate_chrome_trace(payload)
+        pairs, _ = validate_trace_events(payload)
         assert pairs == 1
 
     def test_multiple_threads(self):
@@ -62,7 +63,7 @@ class TestExport:
             {"name": "b", "ph": "E", "pid": 1, "tid": 0, "ts": 1},
         ]})
         with pytest.raises(ValueError):
-            validate_chrome_trace(bad)
+            validate_trace_events(bad)
 
     def test_export_from_real_run(self):
         """Export a genuinely traced simulated run."""
@@ -94,6 +95,6 @@ class TestExport:
         cluster.teardown()
 
         payload = to_chrome_trace(timelines)
-        pairs, instants = validate_chrome_trace(payload)
+        pairs, instants = validate_trace_events(payload)
         assert pairs > 10
         assert instants > 0  # packet-size atomic events

@@ -142,8 +142,7 @@ class TestRetryPolicy:
 # ---------------------------------------------------------------------------
 # Injected faults against a small monitored run
 # ---------------------------------------------------------------------------
-MON = MonitorConfig(period_ns=20 * MSEC, min_nodes=4,
-                    stale_after_periods=2.5, lost_after_periods=6.0)
+MON = MonitorConfig(period_ns=20 * MSEC)
 
 
 def sleeper(duration_ns):

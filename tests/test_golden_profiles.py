@@ -16,6 +16,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.export import profiles_to_json
 from repro.analysis.profiles import harvest_job
 from repro.cluster.launch import block_placement, launch_mpi_job
@@ -64,3 +66,53 @@ def test_lu_counters_profiles_byte_identical_to_golden():
     cluster.teardown()
     assert hashlib.sha256(payload.encode()).hexdigest() \
         == _GOLD["lu_counters_sha256"]
+
+
+# ---------------------------------------------------------------------------
+# Monitored and faulted runs: the online monitor's JSON, the integrated
+# timeline and the chaos artifacts, through every entry point that sets
+# up a monitored run (library, chaos harness, CLI).  Captured before the
+# set-up of these runs moved behind repro.experiments.common.run_job.
+# ---------------------------------------------------------------------------
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_monitored_fig2_byte_identical_to_golden():
+    from repro.experiments.fig2_controlled import run_fig2ab
+    from repro.monitor import MonitorConfig, monitor_data_to_json
+
+    res = run_fig2ab(seed=1,
+                     monitor_config=MonitorConfig(period_ns=100 * MSEC))
+    assert res.monitor is not None and res.timeline is not None
+    assert _sha(monitor_data_to_json(res.monitor)) \
+        == _GOLD["fig2_monitor_sha256"]
+    assert _sha(res.timeline) == _GOLD["fig2_timeline_sha256"]
+
+
+@pytest.mark.parametrize("experiment", ["fig2", "lu"])
+def test_chaos_byte_identical_to_golden(experiment):
+    from repro.analysis.export import canonical_json
+    from repro.experiments.chaos import run_chaos
+
+    report = run_chaos("kill-and-partition", experiment, seed=1)
+    assert _sha(report.alerts_json) \
+        == _GOLD[f"chaos_{experiment}_alerts_sha256"]
+    assert _sha(canonical_json(report.to_doc())) \
+        == _GOLD[f"chaos_{experiment}_report_sha256"]
+
+
+@pytest.mark.parametrize("experiment", ["demo", "chiba"])
+def test_cli_monitor_byte_identical_to_golden(experiment, tmp_path, capsys):
+    from repro.cli import main
+
+    timeline = tmp_path / "timeline.json"
+    alerts = tmp_path / "alerts.json"
+    assert main(["monitor", "--experiment", experiment,
+                 "--timeline-out", str(timeline),
+                 "--alerts-out", str(alerts)]) == 0
+    capsys.readouterr()
+    assert _sha(alerts.read_text()) \
+        == _GOLD[f"monitor_{experiment}_alerts_sha256"]
+    assert _sha(timeline.read_text()) \
+        == _GOLD[f"monitor_{experiment}_timeline_sha256"]

@@ -10,9 +10,8 @@ import os
 
 import pytest
 
-from repro.parallel import (ReplicationError, default_workers, group_results,
-                            merge_mappings, parallel_map, run_replications,
-                            sum_counters)
+from repro.parallel import (ReplicationError, default_workers, parallel_map,
+                            run_replications)
 from repro.parallel.runner import WORKERS_ENV, resolve_workers
 
 
@@ -162,40 +161,3 @@ def test_run_replications_failure_names_the_key():
     with pytest.raises(ReplicationError) as excinfo:
         run_replications({"ok": lambda: 1, ("lu", 3): bad}, workers=2)
     assert excinfo.value.key == ("lu", 3)
-
-
-# ---------------------------------------------------------------------------
-# merges
-# ---------------------------------------------------------------------------
-def test_merge_mappings_first_seen_order():
-    merged = merge_mappings([{"b": 1}, {"a": 2}, {"c": 3}])
-    assert list(merged) == ["b", "a", "c"]
-
-
-def test_merge_mappings_conflict_raises():
-    with pytest.raises(ValueError, match="conflicting"):
-        merge_mappings([{"a": 1}, {"a": 2}])
-
-
-def test_merge_mappings_conflict_resolver():
-    merged = merge_mappings([{"a": 1}, {"a": 2}],
-                            on_conflict=lambda key, old, new: old + new)
-    assert merged == {"a": 3}
-
-
-def test_sum_counters_is_order_independent():
-    parts = [{"x": 1, "y": 2}, {"x": 10}, {"z": 5}]
-    assert sum_counters(parts) == sum_counters(reversed(parts))
-    assert sum_counters(parts) == {"x": 11, "y": 2, "z": 5}
-
-
-def test_group_results_regroups_flat_cells():
-    keys = [("c1", 1), ("c2", 1), ("c1", 2)]
-    grouped = group_results(keys, ["a", "b", "c"], by=lambda cell: cell[0])
-    assert grouped == {"c1": {("c1", 1): "a", ("c1", 2): "c"},
-                       "c2": {("c2", 1): "b"}}
-
-
-def test_group_results_length_mismatch():
-    with pytest.raises(ValueError):
-        group_results([("c", 1)], [], by=lambda cell: cell[0])

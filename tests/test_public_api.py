@@ -31,7 +31,7 @@ PUBLIC_MODULES = [
     "repro.workloads.interference",
     "repro.oprofile", "repro.oprofile.sampler", "repro.oprofile.compare",
     "repro.oprofile.harness",
-    "repro.parallel", "repro.parallel.runner", "repro.parallel.merge",
+    "repro.parallel", "repro.parallel.runner",
     "repro.obs", "repro.obs.runtime", "repro.obs.metrics", "repro.obs.tracer",
     "repro.obs.manifest",
     "repro.monitor", "repro.monitor.cluster_monitor", "repro.monitor.series",
