@@ -14,7 +14,7 @@ import pathlib
 import pytest
 
 from repro.experiments import fig9_10
-from repro.experiments.chiba import get_run, get_standard_runs
+from repro.experiments.chiba import get_run, get_standard_runs, prefetch
 from repro.experiments.common import STANDARD_CHIBA_CONFIGS
 
 REPORT_DIR = pathlib.Path(__file__).parent / "reports"
@@ -51,5 +51,7 @@ def anomaly_lu(lu_runs):
 
 @pytest.fixture(scope="session")
 def fig9_runs():
-    """The three Sweep3D configurations of Figures 9/10."""
+    """The three Sweep3D configurations of Figures 9/10, run across the
+    ``REPRO_WORKERS`` pool like the five-configuration sweeps."""
+    prefetch("sweep3d", configs=fig9_10.FIG9_CONFIGS)
     return {cfg.label: get_run(cfg, "sweep3d") for cfg in fig9_10.FIG9_CONFIGS}

@@ -106,7 +106,7 @@ def extract_waits(merged: list[MergedEvent], *, rank: int, node: str,
     # frames on the kernel stack that are IRQ roots (0 or 1)
     open_irq = 0
 
-    for cycles, name, layer, is_entry, _value in merged:
+    for cycles, name, layer, is_entry, _value, _atomic in merged:
         if layer == "user":
             if is_entry:
                 user_stack.append(name)

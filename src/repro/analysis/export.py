@@ -62,7 +62,7 @@ def to_chrome_trace(events_by_process: dict[str, tuple[list[MergedEvent], float]
             ts_us = (event.cycles - t0) / hz * 1e6
             last_ts = ts_us
             category = event.layer
-            if event.layer == "kernel" and not event.is_entry and event.value:
+            if event.atomic:
                 records.append({"name": event.name, "ph": "i", "s": "t",
                                 "pid": pid, "tid": tid, "ts": ts_us,
                                 "cat": category,

@@ -26,6 +26,8 @@ class MergedEvent(NamedTuple):
     layer: str  # "user" | "kernel"
     is_entry: bool
     value: int = 0
+    #: a kernel atomic record (neither an entry nor an exit)
+    atomic: bool = False
 
 
 #: Ordering of same-timestamp events that preserves nesting, by
@@ -51,11 +53,11 @@ def merge_traces(udump: TauProfileDump, ktrace: TraceDump) -> list[MergedEvent]:
     kernel_rank = tuple(_TIE_RANK["kernel", kind is TraceKind.ENTRY]
                         for kind in TraceKind)
     rows = [(cycles, user_rank[is_entry], seq,
-             cycles, name, "user", is_entry, 0)
+             cycles, name, "user", is_entry, 0, False)
             for seq, (cycles, name, is_entry) in enumerate(udump.trace)]
-    entry = TraceKind.ENTRY
+    entry, atomic = TraceKind.ENTRY, TraceKind.ATOMIC
     rows += [(cycles, kernel_rank[kind], seq,
-              cycles, name, "kernel", kind is entry, value)
+              cycles, name, "kernel", kind is entry, value, kind is atomic)
              for seq, (cycles, name, kind, value)
              in enumerate(ktrace.records, len(rows))]
     rows.sort()
@@ -94,19 +96,23 @@ def events_within(merged: list[MergedEvent], routine: str,
 
 
 def render_timeline(events: list[MergedEvent], hz: float, width: int = 78) -> str:
-    """A text rendering of a merged timeline (indented by nesting)."""
+    """A text rendering of a merged timeline (indented by nesting; an
+    atomic shows its value at the depth it fired in)."""
     if not events:
         return "(empty timeline)\n"
     t0 = events[0].cycles
     lines = []
     depth = 0
     for ev in events:
-        if not ev.is_entry and depth > 0:
+        if not ev.is_entry and not ev.atomic and depth > 0:
             depth -= 1
         stamp_us = (ev.cycles - t0) / hz * 1e6
-        marker = ">" if ev.is_entry else "<"
         tag = "U" if ev.layer == "user" else "K"
-        lines.append(f"{stamp_us:10.2f}us {tag} {'  ' * depth}{marker} {ev.name}"[:width])
+        if ev.atomic:
+            label = f"* {ev.name} = {ev.value}"
+        else:
+            label = f"{'>' if ev.is_entry else '<'} {ev.name}"
+        lines.append(f"{stamp_us:10.2f}us {tag} {'  ' * depth}{label}"[:width])
         if ev.is_entry:
             depth += 1
     return "\n".join(lines) + "\n"

@@ -28,8 +28,7 @@ Semantics reproduced from the paper:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Optional, Sequence
 
 from repro.core.config import KtauBuildConfig, KtauRuntimeControl
 from repro.core.counters import TaskCounters, rates_for_path
@@ -134,37 +133,48 @@ class _StackEntry:
         self.entry_pmc = entry_pmc
 
 
-class _RunPlan:
-    """A span chain resolved for :meth:`Ktau.record_run`: its levels'
-    event IDs (outermost first) and open offsets, the atomic's event ID,
-    and each level's ``(event_id, incl, excl)`` per activation (innermost
-    first) for the last ``step_cycles`` seen."""
+class _Level:
+    """One span of a chain laid out for one :class:`Ktau`: its point, its
+    own cost in cycles, its PMC rates, and its firing state under the
+    chain's resolved version."""
 
-    __slots__ = ("event_ids", "offsets", "atomic_id", "step_cycles",
-                 "levels")
+    __slots__ = ("point", "cycles", "rates", "state")
 
-    def __init__(self, event_ids: tuple[int, ...], offsets: list[int],
-                 atomic_id: int):
-        self.event_ids = event_ids
-        self.offsets = offsets
-        self.atomic_id = atomic_id
-        self.step_cycles: Optional[int] = None
-        self.levels: list[tuple[int, int, int]] = []
+    def __init__(self, point: InstrumentationPoint, cycles: int, rates):
+        self.point = point
+        self.cycles = cycles
+        self.rates = rates
+        self.state = 0
 
-    def levels_for(self, step_cycles: int) -> list[tuple[int, int, int]]:
-        """Per-activation ``(event_id, incl, excl)``, innermost first, of
-        activations ``step_cycles`` long."""
-        if step_cycles != self.step_cycles:
-            self.step_cycles = step_cycles
-            self.levels = []
-            child_incl = 0
-            for offset, event_id in zip(reversed(self.offsets),
-                                        reversed(self.event_ids)):
-                incl = step_cycles - offset
-                self.levels.append((event_id, incl,
-                                    max(incl - child_incl, 0)))
-                child_incl = incl
-        return self.levels
+
+class _Chain:
+    """A span chain laid out for :meth:`Ktau.record`: its levels
+    (outermost first) and the leaf's atomic point, resolved once per
+    firing-state version.  ``event_ids`` (outermost first) and
+    ``atomic_id`` are set while a call can be summed; ``rows`` caches the
+    sums' per-level terms for one ``step_cycles``."""
+
+    __slots__ = ("levels", "atomic", "distinct", "version", "event_ids",
+                 "atomic_id", "rows_key", "rows")
+
+    def __init__(self, chain, registry: EventRegistry, clock: CycleClock):
+        self.levels: list[_Level] = []
+        span = chain
+        while span is not None:
+            rates = span.rates
+            self.levels.append(_Level(
+                registry.point(span.name), clock.cycles_for_ns(span.cost_ns),
+                rates if rates is not None else rates_for_path(span.name)))
+            leaf, span = span, span.child
+        self.atomic = (None if leaf.atomic is None
+                       else registry.point(leaf.atomic, PointKind.ATOMIC))
+        points = {level.point for level in self.levels}
+        self.distinct = len(points) == len(self.levels)
+        self.version: Optional[int] = None
+        self.event_ids: Optional[tuple[int, ...]] = None
+        self.atomic_id: Optional[int] = None
+        self.rows_key: object = ()
+        self.rows: tuple = ()
 
 
 class KtauTaskData:
@@ -265,22 +275,18 @@ class Ktau:
         self.tasks: dict[int, KtauTaskData] = {}
         self.zombies: dict[int, KtauTaskData] = {}
         # Hot-path accelerators.  Firing state is invariant until the
-        # runtime control changes, so it is cached against the control's
-        # version counter, by point and (for span trees) by name.  Span
-        # costs take few distinct values, so their cycle counts are
-        # memoised, and so are the span chains ``record_run`` resolves
-        # (by chain object, cleared with the firing state).  Each charge
-        # rounds its own cycles to ns through the clock rate's memo.
+        # runtime control changes, so it is cached by point against the
+        # control's version counter.  Span chains are laid out once, by
+        # chain object, and resolved once per version.  Each charge rounds
+        # its own cycles to ns through the clock rate's memo.
         self._state_cache: dict[InstrumentationPoint, int] = {}
-        self._span_cache: dict[str, tuple[InstrumentationPoint, int]] = {}
-        self._run_cache: dict[object, _RunPlan | bool] = {}
         self._state_cache_version = -1
-        self._cycles_of: dict[int, int] = {}
+        self._chains: dict[object, _Chain] = {}
         self._ns_of = _NS_OF_CYCLES.setdefault(clock.hz,
                                                _NsOfCycles(clock.hz))
-        # Runs of identical spans are summed only in the plain profiling
-        # build, whose spans write nothing per activation but the totals.
-        self._runs_ok = not (build.tracing or build.counters
+        # Span chains are summed only in the plain profiling build, whose
+        # spans write nothing per activation but the totals.
+        self._sums_ok = not (build.tracing or build.counters
                              or build.callgraph or strict)
         # Harness observability (repro.obs): always-on plain counters for
         # the firing-state cache, published as deltas at flush points
@@ -344,8 +350,6 @@ class Ktau:
         control = self.control
         if control.version != self._state_cache_version:
             self._state_cache.clear()
-            self._span_cache.clear()
-            self._run_cache.clear()
             self._state_cache_version = control.version
             self._cache_invalidations += 1
         state = self._state_cache.get(point)
@@ -545,237 +549,213 @@ class Ktau:
             data.overhead_cycles += cost
 
     # ------------------------------------------------------------------
-    # Kernel span trees
+    # Kernel span chains
     # ------------------------------------------------------------------
-    def record_tree(self, data: KtauTaskData, tree, t_cycles: int,
-                    counters: Optional[TaskCounters] = None,
-                    end_cycles: Optional[int] = None) -> int:
-        """Record a kernel span tree's events from ``t_cycles`` on.
+    def record(self, data: KtauTaskData, chain, t_cycles: int,
+               counters: Optional[TaskCounters] = None,
+               values: Optional[Sequence[int]] = None,
+               step_cycles: Optional[int] = None) -> int:
+        """Record a kernel span chain's events from ``t_cycles`` on; returns
+        the closing stamp.
 
-        ``tree`` is read by duck typing (a :class:`~repro.kernel.irq.KSpan`:
-        ``name``, ``cost_ns``, ``children``, ``atomics``, ``rates``).  A
-        span's own cost is laid out before its children, so its exclusive
-        time is its ``cost_ns``; its atomics fire just before it exits.
-        With counters built in, each span advances ``counters`` by its own
-        cost at its path's rates between its entry and exit snapshots.
-        ``end_cycles``, when given, is the stamp the root and its chain of
-        last children close on, instead of the sum of the laid-out costs.
-        Returns the closing stamp.
+        ``chain`` is read by duck typing (a :class:`~repro.kernel.irq.KSpan`:
+        ``name``, ``cost_ns``, ``child``, ``atomic``, ``rates``): spans
+        nested one in the next, each laying out its own cost before its
+        child.  It is laid out once per measurement system and kept by
+        object, so callers pass long-lived templates.  With counters built
+        in, each span advances ``counters`` by its own cost at its path's
+        rates between its entry and exit snapshots.
+
+        ``values`` runs the leaf once per value, back to back inside one
+        pass of the spans enclosing it, and the leaf's ``atomic`` point
+        fires with the value just before the leaf exits.  With
+        ``step_cycles`` the whole chain runs once per value instead: pass
+        ``i`` opens at ``t_cycles + i * step_cycles`` and all its spans
+        close at that start plus ``step_cycles``.  ``values=None`` records
+        one pass of a chain whose leaf has no atomic.
+
+        In the plain profiling build, for a live task whose chain points
+        are all enabled, distinct and not already open, the call is summed
+        in one step.  Profiles, merge pairs, the parent frame's child
+        time, the firing count and the atomic's totals are added once.
+        The overhead draws are still taken one at a time in the per-event
+        order and each is rounded to nanoseconds on its own, so the
+        samplers' streams and the pending overhead match the per-event
+        result; points bind in the per-event order.  Every other call
+        fires each span's entry and exit, and the atomic, one by one.
         """
-        live = not data.frozen
+        plan = self._chains.get(chain)
+        if plan is None:
+            plan = self._chains[chain] = _Chain(chain, self.registry,
+                                                self.clock)
+        if data.frozen:
+            return self._walk(data, plan, t_cycles, counters, values,
+                              step_cycles, False)
+        if plan.version != self.control.version:
+            self._resolve(plan)
+        if plan.event_ids is not None and not any(
+                map(data.active_counts.get, plan.event_ids)):
+            return self._sum(data, plan, t_cycles, values, step_cycles)
+        return self._walk(data, plan, t_cycles, counters, values,
+                          step_cycles, True)
+
+    def _resolve(self, plan: _Chain) -> None:
+        """Resolve ``plan`` under the current firing-state version; when a
+        call can be summed, bind its points (spans outermost first, the
+        atomic last) and keep their event IDs."""
+        levels, atomic = plan.levels, plan.atomic
+        for level in levels:
+            level.state = self._resolve_state(level.point)
+        plan.version = self.control.version
+        plan.event_ids = None
+        if (self._sums_ok and plan.distinct
+                and all(level.state == 2 for level in levels)
+                and (atomic is None or self._resolve_state(atomic) == 2)):
+            bind = self.registry.bind
+            plan.event_ids = tuple(bind(level.point) for level in levels)
+            plan.atomic_id = None if atomic is None else bind(atomic)
+
+    def _walk(self, data: KtauTaskData, plan: _Chain, t: int,
+              counters: Optional[TaskCounters],
+              values: Optional[Sequence[int]], step_cycles: Optional[int],
+              live: bool) -> int:
+        """:meth:`record` event by event (a frozen task records only its
+        PMCs)."""
+        if not self.build.counters:
+            counters = None
+        levels = plan.levels
+        split = 0 if step_cycles is not None else len(levels) - 1
+        head, body = levels[:split], levels[split:]
+        for level in head:
+            t = self._enter(data, level, t, counters, live)
+        atomic = plan.atomic if live else None
+        for value in values if values is not None else (None,):
+            start = t
+            for level in body:
+                t = self._enter(data, level, t, counters, live)
+            if step_cycles is not None:
+                t = start + step_cycles
+            if atomic is not None:
+                self.atomic(data, atomic, value, t)
+            if live:
+                for level in reversed(body):
+                    self._leave(data, level, t)
         if live:
-            self._firings += 1
-            hit = (self._span_cache.get(tree.name)
-                   if self.control.version == self._state_cache_version
-                   else None)
-            if hit is None:
-                point = self.registry.point(tree.name)
-                hit = self._span_cache[tree.name] = (
-                    point, self._resolve_state(point))
-            point, state = hit
-            if state == 2:
-                event_id = point.event_id
-                if event_id is None:
-                    event_id = self.registry.bind(point)
-                self._open(data, event_id, t_cycles)
-            elif state:
-                self._flag_check(data)
-        cost_cycles = self._cycles_of.get(tree.cost_ns)
-        if cost_cycles is None:
-            cost_cycles = self._cycles_of[tree.cost_ns] = \
-                self.clock.cycles_for_ns(tree.cost_ns)
-        if cost_cycles and counters is not None and self.build.counters:
-            rates = tree.rates
-            counters.advance(cost_cycles, True, rates if rates is not None
-                             else rates_for_path(tree.name))
-        t = t_cycles + cost_cycles
-        children = tree.children
-        if children:
-            if (self._runs_ok and end_cycles is None and len(children) > 1
-                    and (run_end := self._record_leaf_run(
-                        data, children, t)) is not None):
-                t = run_end
-            else:
-                for child in children[:-1]:
-                    t = self.record_tree(data, child, t, counters)
-                t = self.record_tree(data, children[-1], t, counters,
-                                     end_cycles)
-        if end_cycles is not None:
-            t = end_cycles
-        for name, value in tree.atomics:
-            self.atomic(data, self.registry.point(name, PointKind.ATOMIC),
-                        value, t)
-        if live:
-            self._firings += 1
-            if state == 2:
-                self._close(data, t)
-            elif state:
-                self._flag_check(data)
+            for level in reversed(head):
+                self._leave(data, level, t)
         return t
 
-    def _record_leaf_run(self, data: KtauTaskData, children,
-                         t_cycles: int) -> Optional[int]:
-        """:meth:`record_run` for siblings that are identical leaves (same
-        name and cost, no children, one atomic of the same point), each
-        closing at its start plus its cost; ``None`` when they are not."""
-        first = children[0]
-        name, cost_ns, atomics = first.name, first.cost_ns, first.atomics
-        if first.children or len(atomics) != 1:
-            return None
-        atomic_name = atomics[0][0]
-        values = []
-        for child in children:
-            atomics = child.atomics
-            if (child.name != name or child.cost_ns != cost_ns
-                    or child.children or len(atomics) != 1
-                    or atomics[0][0] != atomic_name):
-                return None
-            values.append(atomics[0][1])
-        return self.record_run(data, first, t_cycles, values,
-                               self._cycles_for(cost_ns))
+    def _enter(self, data: KtauTaskData, level: _Level, t: int,
+               counters: Optional[TaskCounters], live: bool) -> int:
+        """Fire ``level``'s entry at ``t`` and lay out its cost; returns
+        the stamp its child opens at."""
+        if live:
+            self._firings += 1
+            if level.state == 2:
+                event_id = level.point.event_id
+                if event_id is None:
+                    event_id = self.registry.bind(level.point)
+                self._open(data, event_id, t)
+            elif level.state:
+                self._flag_check(data)
+        cycles = level.cycles
+        if cycles and counters is not None:
+            counters.advance(cycles, True, level.rates)
+        return t + cycles
 
-    def _cycles_for(self, ns: int) -> int:
-        """``clock.cycles_for_ns``, memoised (span costs repeat)."""
-        cycles = self._cycles_of.get(ns)
-        if cycles is None:
-            cycles = self._cycles_of[ns] = self.clock.cycles_for_ns(ns)
-        return cycles
+    def _leave(self, data: KtauTaskData, level: _Level, t: int) -> None:
+        """Fire ``level``'s exit at ``t`` (its frame is the innermost)."""
+        self._firings += 1
+        if level.state == 2:
+            self._close(data, t)
+        elif level.state:
+            self._flag_check(data)
 
-    def record_run(self, data: KtauTaskData, chain, t_cycles: int,
-                   values: list[int], step_cycles: int) -> Optional[int]:
-        """Record ``len(values)`` back-to-back activations of ``chain`` in
-        one accounting step.
-
-        ``chain`` is a span read like :meth:`record_tree`'s ``tree``
-        whose descendants form a single-child chain of distinct names;
-        its leaf's one atomic names the point that fires once per activation, carrying
-        the next of ``values``.  Activation ``i`` opens at ``t_cycles +
-        i * step_cycles`` with each span's cost laid out before its
-        child, and every level closes at the activation's start plus
-        ``step_cycles``.  ``chain`` is resolved once per firing-state
-        version and kept by object, so callers pass long-lived templates
-        whose names and costs do not change.
-
-        The result is that of recording the activations one by one
-        through :meth:`record_tree`.  Profiles, merge pairs, the parent
-        frame's child time, the firing count and the atomic's totals are
-        added once per run.  The overhead draws are still taken one at a
-        time in the per-activation order (each level's start, the
-        atomic's, then the stops innermost first) and each is rounded to
-        nanoseconds on its own, so the samplers' shared RNG stream and
-        the pending overhead match to the nanosecond.  Points are bound
-        in the per-event order: outer span first, the atomic last.
-
-        Returns the closing stamp of the last activation, or ``None``,
-        having recorded nothing, when the activations need the per-event
-        path: a tracing, counters, call-graph or strict build, a frozen
-        task, a point not enabled, or a chain event already open on the
-        task's stack.
-        """
-        if not self._runs_ok or data.frozen or not values:
-            return None
-        plan = (self._run_cache.get(chain)
-                if self.control.version == self._state_cache_version
-                else None)
-        if plan is None:
-            plan = self._plan_run(chain)
-        if not plan:
-            return None
+    def _sum(self, data: KtauTaskData, plan: _Chain, t: int,
+             values: Optional[Sequence[int]],
+             step_cycles: Optional[int]) -> int:
+        """:meth:`record` in one accounting step."""
+        if plan.rows_key != step_cycles:
+            plan.rows = self._rows(plan, step_cycles)
+            plan.rows_key = step_cycles
+        head_rows, body_rows, head_cycles, step, (h, b, a) = plan.rows
+        n = 1 if values is None else len(values)
         active = data.active_counts
-        event_ids = plan.event_ids
-        for event_id in event_ids:
-            if active.get(event_id):
-                return None
-
-        n = len(values)
-        for event_id in event_ids:  # opened and closed again
+        for event_id in plan.event_ids:  # opened and closed again
             active[event_id] = 0
-        stats = data.atomic.get(plan.atomic_id)
-        if stats is None:
-            stats = data.atomic[plan.atomic_id] = AtomicData()
-        stats.count += n
-        stats.sum += sum(values)
-        low, high = min(values), max(values)
-        if stats.min is None or low < stats.min:
-            stats.min = low
-        if stats.max is None or high > stats.max:
-            stats.max = high
+        if a:
+            stats = data.atomic.get(plan.atomic_id)
+            if stats is None:
+                stats = data.atomic[plan.atomic_id] = AtomicData()
+            stats.count += n
+            stats.sum += sum(values)
+            low, high = min(values), max(values)
+            if stats.min is None or low < stats.min:
+                stats.min = low
+            if stats.max is None or high > stats.max:
+                stats.max = high
         user_ctx = data.user_context if self.build.merge_context else None
-        profile = data.profile
-        for event_id, incl, excl in plan.levels_for(step_cycles):
+        profile, pairs = data.profile, data.context_pairs
+        # Innermost first, the order the per-event path closes them in.
+        for event_id, count, incl, excl in (
+                [(event_id, n, n * incl, n * excl)
+                 for event_id, incl, excl in body_rows]
+                + [(event_id, 1, incl + n * step, excl)
+                   for event_id, incl, excl in head_rows]):
             perf = profile.get(event_id)
             if perf is None:
                 perf = profile[event_id] = PerfData()
-            perf.count += n
-            perf.incl_cycles += n * incl
-            perf.excl_cycles += n * excl
+            perf.count += count
+            perf.incl_cycles += incl
+            perf.excl_cycles += excl
             if user_ctx is not None:
-                pair = data.context_pairs.get((user_ctx, event_id))
+                pair = pairs.get((user_ctx, event_id))
                 if pair is None:
-                    data.context_pairs[(user_ctx, event_id)] = [n, n * excl]
+                    pairs[(user_ctx, event_id)] = [count, excl]
                 else:
-                    pair[0] += n
-                    pair[1] += n * excl
-        if data.stack:  # the outermost level spans the whole step
-            data.stack[-1].child_cycles += n * step_cycles
+                    pair[0] += count
+                    pair[1] += excl
+        end = t + head_cycles + n * step
+        if data.stack:
+            data.stack[-1].child_cycles += end - t
 
-        overhead = self.overhead
-        depth = len(event_ids)
-        costs = list(map(next, ((overhead.starts,) * (depth + 1)
-                                + (overhead.stops,) * depth) * n))
+        starts, stops = self.overhead.starts, self.overhead.stops
+        costs = list(map(next, (starts,) * h
+                         + ((starts,) * (b + a) + (stops,) * b) * n
+                         + (stops,) * h))
         data.pending_overhead_ns += sum(map(self._ns_of.__getitem__, costs))
         data.overhead_cycles += sum(costs)
-        self._firings += n * (2 * depth + 1)
-        return t_cycles + n * step_cycles
+        self._firings += 2 * h + n * (2 * b + a)
+        return end
 
-    def _plan_run(self, chain) -> _RunPlan | bool:
-        """Resolve ``chain`` for :meth:`record_run` and cache the result:
-        its plan, binding the points outer span first and the atomic
-        last, or ``False`` when a chain point or the atomic is not in
-        firing state 2."""
-        registry = self.registry
-        points, offsets = [], []
+    @staticmethod
+    def _rows(plan: _Chain, step_cycles: Optional[int]) -> tuple:
+        """The per-level terms of :meth:`_sum` for ``step_cycles``: the
+        enclosing spans' ``(event_id, incl less n * step, excl)`` and the
+        repeated spans' per-pass ``(event_id, incl, excl)``, both
+        innermost first; the enclosing spans' own cycles; the pass's
+        length; and the counts of enclosing spans, repeated spans and
+        atomics, which give the draw order."""
+        levels, event_ids = plan.levels, plan.event_ids
+        split = 0 if step_cycles is not None else len(levels) - 1
+        step = levels[-1].cycles if step_cycles is None else step_cycles
+        head_cycles = sum(level.cycles for level in levels[:split])
+        head_rows, body_rows = [], []
         offset = 0
-        span = chain
-        while True:
-            hit = (self._span_cache.get(span.name)
-                   if self.control.version == self._state_cache_version
-                   else None)
-            if hit is None:
-                point = registry.point(span.name)
-                hit = self._span_cache[span.name] = (
-                    point, self._resolve_state(point))
-            if hit[1] != 2:
-                self._run_cache[chain] = False
-                return False
-            points.append(hit[0])
-            offsets.append(offset)
-            offset += self._cycles_for(span.cost_ns)
-            if not span.children:
-                break
-            span = span.children[0]
-        atomic_point = registry.point(span.atomics[0][0], PointKind.ATOMIC)
-        state = (self._state_cache.get(atomic_point)
-                 if self.control.version == self._state_cache_version
-                 else None)
-        if state is None:
-            state = self._resolve_state(atomic_point)
-        if state != 2:
-            self._run_cache[chain] = False
-            return False
-        plan = self._run_cache[chain] = _RunPlan(
-            tuple(map(registry.bind, points)), offsets,
-            registry.bind(atomic_point))
-        return plan
-
-    @contextmanager
-    def span(self, data: KtauTaskData, point: InstrumentationPoint) -> Iterator[None]:
-        """Entry/exit pair as a context manager, usable across generator yields."""
-        self.entry(data, point)
-        try:
-            yield
-        finally:
-            self.exit(data, point)
+        for i, level in enumerate(levels[:split]):
+            head_rows.append((event_ids[i], head_cycles - offset,
+                              level.cycles))
+            offset += level.cycles
+        child_incl = 0
+        offset = sum(level.cycles for level in levels[split:])
+        for i in reversed(range(split, len(levels))):
+            offset -= levels[i].cycles
+            incl = step - offset
+            body_rows.append((event_ids[i], incl, max(incl - child_incl, 0)))
+            child_incl = incl
+        head_rows.reverse()
+        return (head_rows, body_rows, head_cycles, step,
+                (split, len(levels) - split, int(plan.atomic is not None)))
 
     # ------------------------------------------------------------------
     # Harness observability (repro.obs)

@@ -44,11 +44,13 @@ class BlockDevice:
 
     def __init__(self, kernel: "Kernel"):
         self.kernel = kernel
-        # The completion interrupt's tree is the same for every request,
-        # and so is the completion's inclusive duration.
+        # The completion's chains are the same for every request (only
+        # ``end_request``'s size differs), and so is its inclusive duration.
         self._irq = KSpan("do_IRQ", self.IRQ_COST_NS,
-                          children=[KSpan("ide_intr", 2 * USEC)])
-        self._work_ns = self._irq.total_ns + self.END_REQUEST_COST_NS
+                          KSpan("ide_intr", 2 * USEC))
+        self._end = KSpan("end_request", self.END_REQUEST_COST_NS,
+                          atomic="io.bio_bytes")
+        self._work_ns = self._irq.total_ns + self._end.total_ns
         self.busy_until = 0
         self.flush_waitq = WaitQueue("blkdev.flush")
         self.requests_completed = 0
@@ -79,12 +81,8 @@ class BlockDevice:
             self.requests_completed += 1
             kernel = self.kernel
             cpu = kernel.irq.route(flow_hash=None)
-            # Only a patched kernel records: an unpatched one builds no spans.
-            trees = (
-                (self._irq, KSpan("end_request", self.END_REQUEST_COST_NS,
-                                  atomics=[("io.bio_bytes", nbytes)]))
-                if kernel.params.ktau.is_patched else ())
-            finish = kernel.irq.deliver(cpu, self._work_ns, trees)
+            finish = kernel.irq.deliver(cpu, self._work_ns, (
+                (self._irq, None), (self._end, (nbytes,))))
 
             def wake_waiters() -> None:
                 if waiter_wq is not None:

@@ -1,25 +1,25 @@
 """Hard IRQs, softirqs (bottom halves), and asynchronous kernel work.
 
-Interrupt-context work is modelled as a *span tree*: a nested structure of
-named, costed kernel routines (e.g. ``do_IRQ { eth_interrupt } do_softirq {
-net_rx_action { tcp_v4_rcv ... } }``).  Delivering a tree to a CPU:
+Interrupt-context work is modelled as *span chains*: named, costed kernel
+routines nested one in the next (``do_IRQ { eth_interrupt }``, ``do_softirq
+{ net_rx_action { tcp_v4_rcv x k } }``), each a per-kernel template.
+Delivering a sequence of ``(chain, values)`` runs to a CPU:
 
 1. picks the target context — the task currently running there, or the
    node's idle task (``swapper``) when the CPU is idle; this is exactly
    KTAU's process-centric attribution of interrupt work to whatever
    process context it happens to run in;
 2. records KTAU entry/exit events for every span with explicit timestamps
-   through :meth:`~repro.core.measurement.Ktau.record_tree` (the whole
+   through :meth:`~repro.core.measurement.Ktau.record` (the whole
    sequence is computed synchronously at delivery time);
 3. *stretches* whatever the CPU was executing by the work's inclusive
    duration, which the caller passes in, plus the measurement overhead
    the recording charged — the mechanism by which interrupt load (and
    instrumentation perturbation) delays application progress.
 
-Only a patched kernel records; an unpatched one ignores any trees it is
-handed.  The receive path builds its span trees only on a patched kernel:
-on an unpatched one a frame group delivers its bare duration and
-allocates no spans.
+Only a patched kernel records; an unpatched one ignores the runs it is
+handed.  Templates are built with their kernel or device, so delivering
+builds no spans.
 
 IRQ routing implements the paper's two regimes: everything to CPU0 (the
 Chiba default, source of Figure 8's bimodal interrupt distribution) or
@@ -62,35 +62,34 @@ IRQ_CONTEXT_BOUNDARIES: tuple[str, ...] = (
 
 
 class KSpan:
-    """A costed, nested kernel routine for interrupt-context execution.
+    """A costed kernel routine for interrupt-context execution, and the
+    chain of routines nested in it.
 
-    ``cost_ns`` is this routine's *own* (exclusive) work; children execute
-    after it, inside the routine.  ``atomics`` are (point-name, value)
-    pairs fired just before the routine exits.  ``rates`` overrides the
-    per-path PMC cost model for this span (the TCP receive path uses it
-    to fold the SMP cache-mismatch factor into the miss rate); ``None``
-    falls back to the :data:`repro.core.counters.PATH_RATES` table.
-    ``total_ns`` is the tree's inclusive duration, fixed at construction:
-    a span's children never change after it is built, so one span can be
-    shared by many trees.
+    ``cost_ns`` is this routine's *own* (exclusive) work; ``child``, if
+    any, executes after it, inside the routine.  ``atomic`` names the
+    atomic point a leaf fires just before it exits, once per value it is
+    recorded with.  ``rates`` overrides the per-path PMC cost model for
+    this span (the TCP receive path uses it to fold the SMP cache-mismatch
+    factor into the miss rate); ``None`` falls back to the
+    :data:`repro.core.counters.PATH_RATES` table.  ``total_ns`` is one
+    pass's inclusive duration.  A chain never changes after it is built,
+    so each kernel builds its chains once, as templates.
     """
 
-    __slots__ = ("name", "cost_ns", "children", "atomics", "rates",
-                 "total_ns")
+    __slots__ = ("name", "cost_ns", "child", "atomic", "rates", "total_ns")
 
     def __init__(self, name: str, cost_ns: int,
-                 children: Optional[list["KSpan"]] = None,
-                 atomics: Optional[list[tuple[str, int]]] = None,
-                 rates=None):
+                 child: Optional["KSpan"] = None,
+                 atomic: Optional[str] = None, rates=None):
         self.name = name
         self.cost_ns = int(cost_ns)
-        self.children = children or []
-        self.atomics = atomics or []
+        self.child = child
+        self.atomic = atomic
         self.rates = rates
-        self.total_ns = self.cost_ns + sum(c.total_ns for c in self.children)
+        self.total_ns = self.cost_ns + (0 if child is None else child.total_ns)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"KSpan({self.name}, {self.cost_ns}ns, {len(self.children)} children)"
+        return f"KSpan({self.name}, {self.cost_ns}ns, child={self.child!r})"
 
 
 class IrqController:
@@ -126,12 +125,15 @@ class IrqController:
     # Delivery
     # ------------------------------------------------------------------
     def deliver(self, cpu_idx: int, work_ns: int,
-                trees: Sequence[KSpan] = (), count_irq: bool = True) -> int:
+                runs: Sequence[tuple[KSpan, Optional[Sequence[int]]]] = (),
+                count_irq: bool = True) -> int:
         """Run ``work_ns`` of interrupt-context work on CPU ``cpu_idx``.
 
-        ``trees`` are the span trees that work records, one after
-        another; their inclusive durations sum to ``work_ns``.  An
-        unpatched kernel records nothing and ignores any trees passed.
+        ``runs`` are the ``(chain, values)`` pairs that work records, one
+        after another (``values`` as in
+        :meth:`~repro.core.measurement.Ktau.record`); their inclusive
+        durations sum to ``work_ns``.  An unpatched kernel records
+        nothing and ignores the runs passed.
         Returns the completion time (engine ns) so callers can schedule
         follow-on actions (e.g. waking a socket reader) at the moment the
         bottom half actually finishes.
@@ -148,10 +150,11 @@ class IrqController:
         if data is not None:
             before = data.pending_overhead_ns
             t = kernel.clock.cycles_at(now_ns)
-            for tree in trees:
+            for chain, values in runs:
                 # Interrupt time is stolen from the victim's burst (never
                 # charged by ``_charge_time``): only the spans advance PMCs.
-                t = kernel.ktau.record_tree(data, tree, t, target.counters)
+                t = kernel.ktau.record(data, chain, t, target.counters,
+                                       values)
             # Interrupt-context measurement cost is paid immediately (it
             # extends the interrupt, not the task's next burst).
             total += data.pending_overhead_ns - before

@@ -73,11 +73,10 @@ class Kernel:
 
         self._rx = tcp_mod.RxPath(params.net)
         self._tx = tcp_mod.TxPath(params.net, self.clock)
-        # The timer tick's trees: every tick, and every 16th tick's.
+        # The timer tick's runs: every tick's, and every 16th tick's.
         apic = KSpan("smp_apic_timer_interrupt", params.timer_tick_cost_ns)
-        softirq = KSpan("do_softirq", 1_000,
-                        children=[KSpan("run_timer_softirq", 2_000)])
-        self._tick_trees = ((apic,), (apic, softirq))
+        softirq = KSpan("do_softirq", 1_000, KSpan("run_timer_softirq", 2_000))
+        self._tick_runs = (((apic, None),), ((apic, None), (softirq, None)))
         self._tick_work = (apic.total_ns, apic.total_ns + softirq.total_ns)
         self._tick_count = 0
         # Per-CPU bottom-half backlog: softirq work on one CPU serialises,
@@ -184,9 +183,9 @@ class Kernel:
     def _net_rx_bh(self, sock: StreamSocket, segments: list[int], cpu: int) -> None:
         mismatch = cpu != sock.consumer_cpu
         rx = self._rx
-        # Only a patched kernel records: an unpatched one builds no spans.
-        trees = rx.trees(mismatch, segments) if self.params.ktau.is_patched else ()
-        done = self.irq.deliver(cpu, rx.work_ns(mismatch, len(segments)), trees)
+        done = self.irq.deliver(cpu, rx.work_ns(mismatch, len(segments)),
+                                ((rx.hard, None),
+                                 (rx.softirq[mismatch], segments)))
         if done > self._softirq_busy_until[cpu]:
             self._softirq_busy_until[cpu] = done
         nbytes = sum(segments)
@@ -208,7 +207,7 @@ class Kernel:
             self._tick_count += 1
             softirq = self._tick_count % 16 == 0
             self.irq.deliver(cpu_idx, self._tick_work[softirq],
-                             self._tick_trees[softirq])
+                             self._tick_runs[softirq])
             # rebalance_tick: idle CPUs pull queued work from busy siblings.
             self.sched.tick_balance(cpu_idx)
             period = self.params.timer_tick_ns

@@ -4,7 +4,7 @@
   NICs) and pipes (intra-node), both blocking via kernel wait queues.
 * :mod:`repro.kernel.net.nic` — the Ethernet NIC: bandwidth-serialised
   transmit, link latency, batched (interrupt-coalesced) delivery.
-* :mod:`repro.kernel.net.tcp` — span-tree builders for the TCP send and
+* :mod:`repro.kernel.net.tcp` — span chains and costs for the TCP send and
   receive kernel paths, including the SMP cache-locality cost model behind
   Figure 10.
 """

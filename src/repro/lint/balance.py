@@ -19,8 +19,6 @@ control-flow structure:
 * ``try/finally`` runs the final body on every exit path (the standard
   way kernel code guarantees the exit side); explicit ``return`` /
   ``raise`` / ``break`` / ``continue`` are tracked as abrupt exits.
-* ``with ktau.span(...)`` is modelled as balanced push/pop (its
-  implementation is the audited try/finally in ``repro.core.measurement``).
 
 Escapes that are split across functions by design (KTAU's voluntary /
 involuntary scheduling spans open in ``_ktau_sched_out`` and close in
@@ -79,15 +77,6 @@ def _match_instr_call(call: ast.Call) -> Optional[tuple[str, str]]:
     if len(call.args) < 2:  # excludes sys.exit(code) etc.
         return None
     return func.attr, _point_key(call.args[1])
-
-
-def _match_span_call(call: ast.Call) -> Optional[str]:
-    """Point key when ``call`` is a ``*.span(data, point)`` call."""
-    func = call.func
-    if (isinstance(func, ast.Attribute) and func.attr == "span"
-            and len(call.args) >= 2):
-        return _point_key(call.args[1])
-    return None
 
 
 def _cond_key(test: ast.expr) -> tuple[str, bool]:
@@ -396,34 +385,10 @@ class _FunctionAnalysis:
 
     def _analyze_with(self, stmt: ast.stmt, states: set[_State],
                       result: _BlockResult) -> set[_State]:
-        span_keys: list[tuple[str, int]] = []
-        for item in stmt.items:  # type: ignore[attr-defined]
-            expr = item.context_expr
-            if isinstance(expr, ast.Call):
-                key = _match_span_call(expr)
-                if key is not None:
-                    span_keys.append((key, expr.lineno))
-        entered = set(states)
-        for key, line in span_keys:
-            entered = {st.push(key, line) for st in entered}
-        bres = self._analyze_block(stmt.body, entered)  # type: ignore[attr-defined]
+        bres = self._analyze_block(stmt.body, set(states))  # type: ignore[attr-defined]
+        result.exits.extend(bres.exits)
         result.boundaries |= bres.boundaries
-
-        def _leave(st: _State, where: int) -> _State:
-            # span() guarantees the pop on every exit path (try/finally).
-            for key, line in reversed(span_keys):
-                if st.stack and st.stack[-1][0] == key:
-                    st = st.pop()
-                else:
-                    self._report(
-                        "KTAU101", line,
-                        f"span('{key}') not innermost at with-block exit "
-                        f"(line {where}); entries inside the block leak")
-            return st
-        for ex in bres.exits:
-            result.exits.append(_Exit(ex.kind, _leave(ex.state, ex.line),
-                                      ex.line))
-        return {_leave(st, stmt.lineno) for st in bres.normal}
+        return bres.normal
 
     def _analyze_match(self, stmt: ast.Match, states: set[_State],
                        result: _BlockResult) -> set[_State]:

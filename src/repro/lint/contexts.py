@@ -8,7 +8,7 @@ trip it:
 * **KTAU701** — a blocking operation (a ``yield Block(...)`` waitqueue
   sleep, directly or transitively) is reachable from a declared
   interrupt-context root without passing through a sanctioned context
-  handoff.  IRQ/softirq work (span-tree delivery, NIC rx/tx paths) must
+  handoff.  IRQ/softirq work (span-chain delivery, NIC rx/tx paths) must
   never sleep.
 * **KTAU702** — interrupt-context code calls a scheduler context-switch
   primitive directly (``_advance``/``_run_task``/``_deschedule``/...).

@@ -106,7 +106,7 @@ class OProfileSampler:
         else:
             buffer.append(Sample(kernel.engine.now, cpu_idx, pid, comm, symbol))
         # the profiling interrupt itself costs CPU in the current context
-        kernel.irq.deliver(cpu_idx, self._irq.total_ns, (self._irq,),
+        kernel.irq.deliver(cpu_idx, self._irq.total_ns, ((self._irq, None),),
                            count_irq=False)
 
     # ------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Mirrors the shapes used in repro.kernel: presence-guarded entry and exit
 correlating on the same condition, try/finally closing on every path,
-nested LIFO spans inside a per-iteration loop, and a span context
-manager.  Expected findings: none.
+and nested LIFO spans inside a per-iteration loop.  Expected findings:
+none.
 """
 
 
@@ -30,11 +30,6 @@ def nested_lifo_in_loop(kernel, data, segments):
         kernel.ktau.exit(data, kernel.point("tcp_sendmsg"))
         total += seg
     return total
-
-
-def via_span(ktau, data, point):
-    with ktau.span(data, point):
-        return 42
 
 
 def closes_before_each_exit(kernel, data, fast):

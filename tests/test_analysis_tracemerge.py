@@ -51,7 +51,7 @@ class TestMergeTraces:
         ktrace = make_ktrace([(5, "net.pkt_tx_bytes", TraceKind.ATOMIC, 1500)])
         merged = merge_traces(udump, ktrace)
         assert merged[0].value == 1500
-        assert not merged[0].is_entry
+        assert not merged[0].is_entry and merged[0].atomic
 
 
 class TestEventsWithin:
@@ -154,6 +154,28 @@ class TestRenderTimeline:
         lines = text.splitlines()
         assert "> MPI_Send()" in lines[0]
         assert lines[1].index("sys_writev") > lines[0].index("MPI_Send()")
+
+    def test_atomic_keeps_the_depth(self):
+        """An atomic inside a span renders at that span's inner depth and
+        does not close it: what follows stays at its own depth."""
+        udump = make_udump([(0, "MPI_Send()", True), (100, "MPI_Send()", False)])
+        ktrace = make_ktrace([
+            (10, "tcp_sendmsg", TraceKind.ENTRY, 0),
+            (20, "net.pkt_tx_bytes", TraceKind.ATOMIC, 1448),
+            (20, "tcp_sendmsg", TraceKind.EXIT, 0),
+            (30, "tcp_sendmsg", TraceKind.ENTRY, 0),
+            (40, "net.pkt_tx_bytes", TraceKind.ATOMIC, 0),
+            (40, "tcp_sendmsg", TraceKind.EXIT, 0),
+        ])
+        lines = render_timeline(merge_traces(udump, ktrace), hz=1e9).splitlines()
+
+        def indent(line):
+            body = line.split(" U ")[-1].split(" K ")[-1]
+            return len(body) - len(body.lstrip())
+
+        assert [indent(line) for line in lines] == [0, 2, 4, 2, 2, 4, 2, 0]
+        assert lines[2].endswith("* net.pkt_tx_bytes = 1448")
+        assert lines[-1].endswith("< MPI_Send()")
 
     def test_empty(self):
         assert "empty" in render_timeline([], hz=1e9)

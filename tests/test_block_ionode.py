@@ -168,17 +168,18 @@ class TestBlockDevice:
 
     def test_vanilla_completions_build_no_spans(self, monkeypatch):
         """An unpatched kernel records nothing, so a completion builds no
-        span: the device's interrupt tree is built with the device."""
+        span: the device's chains are built with the device."""
         dev, built = spans_built_by_writes(monkeypatch,
                                            KtauBuildConfig.vanilla())
         assert dev.requests_completed == 5
         assert built == []
 
-    def test_patched_completion_builds_only_its_end_request(self,
-                                                            monkeypatch):
+    def test_patched_completions_build_no_spans(self, monkeypatch):
+        """A patched kernel records each completion through the device's
+        chains, the request size as ``end_request``'s value."""
         dev, built = spans_built_by_writes(monkeypatch)
         assert dev.requests_completed == 5
-        assert built == ["end_request"] * 5
+        assert built == []
 
 
 class TestIoNodeScenario:

@@ -90,14 +90,6 @@ class TestEntryExit:
         ktau.exit(data, pt, at_cycles=1600)
         assert data.profile[pt.event_id].incl_cycles == 600
 
-    def test_span_context_manager(self):
-        engine, ktau = make_ktau()
-        data = ktau.register_task(1, "t")
-        pt = ktau.registry.point("schedule")
-        with ktau.span(data, pt):
-            advance(engine, 77)
-        assert data.profile[pt.event_id].incl_cycles == 77
-
 
 class TestAtomic:
     def test_atomic_statistics(self):

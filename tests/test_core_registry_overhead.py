@@ -195,10 +195,11 @@ class TestRoundingMemo:
         ktau = make_ktau(hz, OverheadModel(RngHub(5).stream("ovh")))
         twin = OverheadModel(RngHub(5).stream("ovh"))
         data = ktau.register_task(1, "t")
-        chain = KSpan("tcp_sendmsg", 900, children=[
-            KSpan("dev_queue_xmit", 300, atomics=[("net.pkt_tx_bytes", 0)])])
+        chain = KSpan("tcp_sendmsg", 900,
+                      KSpan("dev_queue_xmit", 300, atomic="net.pkt_tx_bytes"))
         values = [1448] * 3000  # refills both samplers inside the run
-        assert ktau.record_run(data, chain, 0, values, 1_000) == 3_000_000
+        assert ktau.record(data, chain, 0, values=values,
+                           step_cycles=1_000) == 3_000_000
         draws = []
         for _ in values:
             draws += [twin.start_cycles() for _ in range(3)]

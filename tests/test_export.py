@@ -28,13 +28,22 @@ class TestExport:
         assert {"MPI_Send()", "sys_writev", "thread_name"} <= names
 
     def test_atomic_becomes_instant(self):
-        events = [MergedEvent(50, "net.pkt_tx_bytes", "kernel", False, 1500)]
+        events = [MergedEvent(50, "net.pkt_tx_bytes", "kernel", False, 1500,
+                              atomic=True)]
         payload = to_chrome_trace({"rank0": (events, 1e9)})
         _pairs, instants = validate_trace_events(payload)
         assert instants == 1
         doc = json.loads(payload)
         instant = [r for r in doc["traceEvents"] if r["ph"] == "i"][0]
         assert instant["args"]["value"] == 1500
+
+    def test_zero_valued_atomic_is_an_instant_not_an_exit(self):
+        events = span(0, 100, "dev_queue_xmit", "kernel")
+        events.insert(1, MergedEvent(100, "net.pkt_tx_bytes", "kernel", False,
+                                     0, atomic=True))
+        pairs, instants = validate_trace_events(
+            to_chrome_trace({"rank0": (events, 1e9)}))
+        assert (pairs, instants) == (1, 1)
 
     def test_orphaned_exit_dropped(self):
         events = [MergedEvent(10, "lost_region", "kernel", False)] + \

@@ -1,5 +1,8 @@
-"""Tests for interrupt delivery, span trees, and attribution."""
+"""Tests for interrupt delivery, span chains, and attribution."""
 
+import pytest
+
+from repro.core.config import KtauBuildConfig
 from repro.kernel.irq import KSpan
 from repro.kernel.kernel import Kernel
 from repro.kernel.params import KernelParams
@@ -15,22 +18,22 @@ def make_kernel(**kw):
     return engine, Kernel(engine, params, "irqtest", RngHub(1))
 
 
-def tree():
-    return KSpan("do_IRQ", 4 * USEC, children=[
-        KSpan("eth_interrupt", 1 * USEC)])
+def runs():
+    return [(KSpan("do_IRQ", 4 * USEC, KSpan("eth_interrupt", 1 * USEC)),
+             None)]
 
 
 class TestSpanTree:
     def test_total_ns_nested(self):
-        t = KSpan("do_softirq", 10, children=[
-            KSpan("net_rx_action", 5, children=[KSpan("tcp_v4_rcv", 100)])])
+        t = KSpan("do_softirq", 10,
+                  KSpan("net_rx_action", 5, KSpan("tcp_v4_rcv", 100)))
         assert t.total_ns == 115
 
 
 class TestDelivery:
     def test_idle_cpu_attributes_to_swapper(self):
         engine, kernel = make_kernel()
-        kernel.irq.deliver(0, 5 * USEC, [tree()])
+        kernel.irq.deliver(0, 5 * USEC, runs())
         swapper = kernel.ktau.tasks[0]
         irq_id = kernel.ktau.registry.id_of("do_IRQ")
         assert swapper.profile[irq_id].count == 1
@@ -49,7 +52,7 @@ class TestDelivery:
         task = kernel.spawn(app, "app", cpus_allowed={0})
         # deliver an interrupt mid-burst
         engine.schedule(5 * MSEC,
-                        lambda: kernel.irq.deliver(0, 5 * USEC, [tree()]))
+                        lambda: kernel.irq.deliver(0, 5 * USEC, runs()))
         engine.run_until_idle()
         irq_id = kernel.ktau.registry.id_of("do_IRQ")
         data = kernel.ktau.zombies[task.pid]
@@ -59,8 +62,8 @@ class TestDelivery:
 
     def test_multiple_trees_sequential_timestamps(self):
         engine, kernel = make_kernel()
-        trees = [tree(), KSpan("do_softirq", 3 * USEC,
-                               children=[KSpan("net_rx_action", 1 * USEC)])]
+        trees = runs() + [(KSpan("do_softirq", 3 * USEC,
+                                 KSpan("net_rx_action", 1 * USEC)), None)]
         work = 4 * USEC + 1 * USEC + 3 * USEC + 1 * USEC
         end = kernel.irq.deliver(0, work, trees)
         # the recording itself charges measurement overhead into the
@@ -77,23 +80,55 @@ class TestDelivery:
     def test_irq_counts(self):
         engine, kernel = make_kernel()
         for _ in range(3):
-            kernel.irq.deliver(1, 5 * USEC, [tree()])
+            kernel.irq.deliver(1, 5 * USEC, runs())
         assert kernel.irq.irq_counts == [0, 3]
 
     def test_vanilla_kernel_records_nothing(self):
-        from repro.core.config import KtauBuildConfig
-
         engine = Engine()
         params = KernelParams(ncpus=1, timer_tick_ns=None,
                               ktau=KtauBuildConfig.vanilla())
         kernel = Kernel(engine, params, "vanilla", RngHub(1))
-        end = kernel.irq.deliver(0, 5 * USEC, [tree()])
+        end = kernel.irq.deliver(0, 5 * USEC, runs())
         assert end == engine.now + 5 * USEC
         assert kernel.ktau.registry.bound_count == 0
-        # the receive path hands an unpatched kernel no trees at all
+        # and records nothing without runs either
         end = kernel.irq.deliver(0, 5 * USEC)
         assert end == engine.now + 5 * USEC
         assert kernel.ktau.registry.bound_count == 0
+
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "deliver stamps interrupt spans with clock.cycles_at(now), which "
+        "omits the clock's boot offset; every other record uses "
+        "clock.read()"))
+    def test_interrupt_and_syscall_records_share_a_time_base(self):
+        """One task's interrupt records and syscall records are stamped
+        on one TSC: an interrupt delivered between two syscalls lies
+        between their records."""
+        engine = Engine()
+        params = KernelParams(ncpus=1, timer_tick_ns=None,
+                              minor_fault_prob=0.0,
+                              ktau=KtauBuildConfig().with_tracing())
+        kernel = Kernel(engine, params, "timebase", RngHub(1))
+        assert kernel.clock.boot_offset_cycles > 0
+
+        def app(ctx):
+            yield from ctx.syscall("sys_getppid")
+            yield from ctx.compute(10 * MSEC)
+            yield from ctx.syscall("sys_getppid")
+
+        task = kernel.spawn(app, "app")
+        engine.schedule(5 * MSEC,
+                        lambda: kernel.irq.deliver(0, 5 * USEC, runs()))
+        engine.run_until_idle()
+        reg = kernel.ktau.registry
+        stamps = {}
+        for record in kernel.ktau.zombies[task.pid].trace.peek():
+            stamps.setdefault(reg.name_of(record.event_id), []).append(
+                record.cycles)
+        syscalls, irqs = stamps["sys_getppid"], stamps["do_IRQ"]
+        assert len(syscalls) == 4 and len(irqs) == 2
+        assert syscalls[1] < min(irqs) <= max(irqs) < syscalls[2]
 
 
 class TestTimerTick:

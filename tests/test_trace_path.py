@@ -101,7 +101,8 @@ def ref_merge_traces(udump, ktrace):
               for cycles, name, is_entry in udump.trace]
     for cycles, name, kind, value in ktrace.records:
         events.append(MergedEvent(cycles, name, "kernel",
-                                  kind is TraceKind.ENTRY, value))
+                                  kind is TraceKind.ENTRY, value,
+                                  kind is TraceKind.ATOMIC))
     events.sort(key=lambda e: (e.cycles, _ref_tie_rank(e)))
     return events
 
