@@ -42,8 +42,7 @@ def test_ablation_cache_mismatch_factor():
     between matched and mismatched receive processing disappears."""
 
     def no_mismatch(_i, params: KernelParams) -> KernelParams:
-        from dataclasses import replace
-        return params.with_(net=replace(params.net, cache_mismatch_factor=1.0))
+        return params.with_(cache_mismatch_factor=1.0)
 
     with_model = run_lu(irq_balance=True)
     without = run_lu(irq_balance=True, tweak=no_mismatch)

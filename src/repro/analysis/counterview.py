@@ -12,8 +12,7 @@ rate views that make the distinction visible:
   (the counter analogue of the kernel-wide time view);
 * :func:`merged_time_counter_view` — one process's profile with time
   and counter columns side by side, per event;
-* :func:`node_counter_totals` / :func:`counter_cdf` — per-node and
-  per-rank distributions (counter CDFs alongside the paper's time CDFs);
+* :func:`node_counter_totals` — per-node lifetime PMC totals;
 * :func:`render_counter_table` / :func:`counters_to_doc` — terminal and
   canonical-JSON output.
 
@@ -27,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.analysis.cdf import cdf_points
 from repro.analysis.render import ascii_table
 from repro.core.wire import TaskProfileDump
 
@@ -148,34 +146,6 @@ def node_counter_totals(node_profiles: dict[str, dict[int, TaskProfileDump]]
         if seen:
             out[node] = tuple(total)
     return out
-
-
-def counter_cdf(node_profiles: dict[str, dict[int, TaskProfileDump]],
-                metric: str = "miss_per_kcycle",
-                comm_prefix: Optional[str] = None):
-    """Per-process CDF of a lifetime counter rate across the whole run.
-
-    ``metric`` is ``"miss_per_kcycle"`` or ``"ipc"``; ``comm_prefix``
-    restricts to processes whose comm starts with it (e.g. the MPI job's
-    ranks, the paper's "% MPI Ranks" y-axis).  Returns ``(xs, fracs)``
-    exactly like the time CDFs in :mod:`repro.analysis.cdf`.
-    """
-    if metric not in ("miss_per_kcycle", "ipc"):
-        raise ValueError(f"unknown counter metric {metric!r}")
-    values: list[float] = []
-    for profiles in node_profiles.values():
-        for dump in profiles.values():
-            if dump.pmc is None or dump.pmc[0] == 0:
-                continue
-            if comm_prefix is not None \
-                    and not dump.comm.startswith(comm_prefix):
-                continue
-            cycles, insn, l2, _minflt, _majflt = dump.pmc
-            if metric == "ipc":
-                values.append(insn / cycles)
-            else:
-                values.append(l2 * 1000.0 / cycles)
-    return cdf_points(values)
 
 
 def render_counter_table(rows: list[CounterRow], top: int = 20,

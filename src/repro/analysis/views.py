@@ -13,9 +13,6 @@
 * :func:`pmc_interval_view` — the counter-dimension sibling: per-pid
   lifetime PMC deltas between snapshots, with the same pid-churn reset
   tolerance.
-* :func:`merged_counter_view` — one process's per-event time *and*
-  counter columns side by side (delegates to
-  :mod:`repro.analysis.counterview`).
 """
 
 from __future__ import annotations
@@ -132,17 +129,6 @@ def pmc_interval_view(prev: Optional[dict[int, TaskProfileDump]],
         if any(delta):
             out[pid] = delta
     return out
-
-
-def merged_counter_view(dump: TaskProfileDump, hz: float):
-    """Per-event time+counter rows for one process (sorted by excl time).
-
-    Thin delegation so callers browsing views find the counter dimension
-    next to the time views; see
-    :func:`repro.analysis.counterview.merged_time_counter_view`.
-    """
-    from repro.analysis.counterview import merged_time_counter_view
-    return merged_time_counter_view(dump, hz)
 
 
 def group_breakdown(dump: TaskProfileDump, hz: float) -> dict[str, float]:

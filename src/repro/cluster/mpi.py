@@ -117,17 +117,17 @@ class MpiRank:
     # ------------------------------------------------------------------
     # Point-to-point
     # ------------------------------------------------------------------
-    def send(self, dst: int, nbytes: int, tag: int = 0):
+    def send(self, dst: int, nbytes: int):
         """Blocking standard send (buffered: returns when handed to the NIC)."""
         with self._tau("MPI_Send()"):
             yield from self._send_raw(dst, nbytes)
 
-    def recv(self, src: int, nbytes: int, tag: int = 0):
+    def recv(self, src: int, nbytes: int):
         """Blocking receive of a message of known size from ``src``."""
         with self._tau("MPI_Recv()"):
             yield from self._recv_raw(src, nbytes)
 
-    def irecv(self, src: int, nbytes: int, tag: int = 0) -> Request:
+    def irecv(self, src: int, nbytes: int) -> Request:
         """Post a non-blocking receive (completed in :meth:`wait`)."""
         return Request(src, nbytes)
 

@@ -27,6 +27,10 @@ from repro.core.points import ALL_GROUPS, Group
 class KtauBuildConfig:
     """Compile-time KTAU configuration for one kernel build.
 
+    The merge support — tracking the user-level (TAU) context active when
+    each kernel event fires, behind the merged user/kernel views (Figures
+    2-D, 4, 9) — is always built into a patched kernel.
+
     Attributes
     ----------
     compiled_groups:
@@ -36,9 +40,6 @@ class KtauBuildConfig:
         Build the tracing data path (per-task circular buffers).
     trace_buffer_entries:
         Entries per per-task circular trace buffer.
-    merge_context:
-        Track the user-level (TAU) context active when kernel events fire,
-        enabling the merged user/kernel views (Figures 2-D, 4, 9).
     counters:
         Also snapshot hardware performance counters (instructions, L2
         misses) at event boundaries — the paper's §6 "performance counter
@@ -51,15 +52,13 @@ class KtauBuildConfig:
     compiled_groups: frozenset[Group] = field(default_factory=lambda: frozenset(ALL_GROUPS))
     tracing: bool = False
     trace_buffer_entries: int = 4096
-    merge_context: bool = True
     counters: bool = False
     callgraph: bool = False
 
     @staticmethod
     def vanilla() -> "KtauBuildConfig":
         """A kernel with no KTAU patch at all (perturbation ``Base``)."""
-        return KtauBuildConfig(compiled_groups=frozenset(), tracing=False,
-                               merge_context=False)
+        return KtauBuildConfig(compiled_groups=frozenset())
 
     @staticmethod
     def full(tracing: bool = False, counters: bool = False) -> "KtauBuildConfig":

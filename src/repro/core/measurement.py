@@ -22,8 +22,8 @@ Semantics reproduced from the paper:
 * **Process-centric attribution** — kernel events are recorded against
   whatever task is *current* on the CPU, including interrupt handling that
   merely happens to run in that task's context; the user-level (TAU)
-  context active at event entry is tracked when ``merge_context`` is
-  built in, powering the merged user/kernel views.
+  context active at event entry is always tracked, powering the merged
+  user/kernel views.
 """
 
 from __future__ import annotations
@@ -194,7 +194,7 @@ class KtauTaskData:
         the merge support.
     context_pairs:
         ``(user_context, event_id) -> [count, excl_cycles]`` attribution
-        map (the merged-view data source), kept when ``merge_context``.
+        map (the merged-view data source).
     pending_overhead_ns:
         Measurement overhead charged but not yet folded into simulated
         time; the CPU executor drains this into the task's next burst.
@@ -339,7 +339,7 @@ class Ktau:
     def _flag_check(self, data: KtauTaskData) -> None:
         """Charge a disabled point's flag check (the enabled paths charge
         their draws in line)."""
-        cycles = self.overhead.disabled_check_cycles
+        cycles = self.overhead.DISABLED_CHECK_CYCLES
         if cycles:
             data.pending_overhead_ns += self.clock.ns_for_cycles(cycles)
             data.overhead_cycles += cycles
@@ -442,7 +442,7 @@ class Ktau:
         cost = self.overhead.start_cycles()
         if data.trace is not None:
             data.trace.append(TraceRecord(now, event_id, TraceKind.ENTRY))
-            cost += self.overhead.trace_extra_cycles
+            cost += self.overhead.TRACE_EXTRA_CYCLES
         if cost:
             data.pending_overhead_ns += self._ns_of[cost]
             data.overhead_cycles += cost
@@ -469,7 +469,7 @@ class Ktau:
         perf.excl_cycles += excl
         if stack:
             stack[-1].child_cycles += incl
-        if self.build.merge_context and frame.user_ctx is not None:
+        if frame.user_ctx is not None:
             key = (frame.user_ctx, event_id)
             pair = data.context_pairs.get(key)
             if pair is None:
@@ -510,7 +510,7 @@ class Ktau:
         cost = self.overhead.stop_cycles()
         if data.trace is not None:
             data.trace.append(TraceRecord(now, event_id, TraceKind.EXIT))
-            cost += self.overhead.trace_extra_cycles
+            cost += self.overhead.TRACE_EXTRA_CYCLES
         if cost:
             data.pending_overhead_ns += self._ns_of[cost]
             data.overhead_cycles += cost
@@ -543,7 +543,7 @@ class Ktau:
         if data.trace is not None:
             stamp = self.clock.read() if at_cycles is None else at_cycles
             data.trace.append(TraceRecord(stamp, event_id, TraceKind.ATOMIC, value))
-            cost += self.overhead.trace_extra_cycles
+            cost += self.overhead.TRACE_EXTRA_CYCLES
         if cost:
             data.pending_overhead_ns += self._ns_of[cost]
             data.overhead_cycles += cost
@@ -694,7 +694,7 @@ class Ktau:
                 stats.min = low
             if stats.max is None or high > stats.max:
                 stats.max = high
-        user_ctx = data.user_context if self.build.merge_context else None
+        user_ctx = data.user_context
         profile, pairs = data.profile, data.context_pairs
         # Innermost first, the order the per-event path closes them in.
         for event_id, count, incl, excl in (

@@ -70,35 +70,23 @@ class _GammaTail:
 class OverheadModel:
     """Cycle costs of KTAU measurement operations.
 
-    Parameters
-    ----------
-    rng:
-        Deterministic stream for the heavy-tailed samplers.
-    start_min, start_mean, start_std:
-        Distribution of a profile *start* operation, in cycles.
-    stop_min, stop_mean, stop_std:
-        Distribution of a profile *stop* operation, in cycles.
-    disabled_check_cycles:
-        Cost of the runtime enable-flag check paid by compiled-in but
-        disabled instrumentation (the ``Ktau Off`` configuration).
-    trace_extra_cycles:
-        Additional cost per operation when tracing is also enabled (the
-        ring-buffer store).
+    ``rng`` is the deterministic stream for the heavy-tailed samplers.
     """
 
-    #: Paper Table 4 defaults (Chiba-City P3, cycles).
+    #: Paper Table 4 (Chiba-City P3, cycles): (min, mean, std) of a
+    #: profile *start* and a profile *stop* operation.
     START = (160.0, 244.4, 236.3)
     STOP = (214.0, 295.3, 268.8)
+    #: Cost of the runtime enable-flag check paid by compiled-in but
+    #: disabled instrumentation (the ``Ktau Off`` configuration).
+    DISABLED_CHECK_CYCLES = 3
+    #: Additional cost per operation when tracing is also enabled (the
+    #: ring-buffer store).
+    TRACE_EXTRA_CYCLES = 40
 
-    def __init__(self, rng: np.random.Generator, *,
-                 start: tuple[float, float, float] = START,
-                 stop: tuple[float, float, float] = STOP,
-                 disabled_check_cycles: int = 3,
-                 trace_extra_cycles: int = 40):
-        self._start = _GammaTail(rng, *start)
-        self._stop = _GammaTail(rng, *stop)
-        self.disabled_check_cycles = int(disabled_check_cycles)
-        self.trace_extra_cycles = int(trace_extra_cycles)
+    def __init__(self, rng: np.random.Generator):
+        self._start = _GammaTail(rng, *self.START)
+        self._stop = _GammaTail(rng, *self.STOP)
         # The per-event draws, in cycles: an enabled entry costs a start,
         # an exit a stop, and an atomic event is modelled like a start.
         # ``starts`` and ``stops`` are the streams themselves, for callers
@@ -125,9 +113,9 @@ class ZeroOverheadModel(OverheadModel):
     measurement without perturbation.
     """
 
+    DISABLED_CHECK_CYCLES = TRACE_EXTRA_CYCLES = 0
+
     def __init__(self) -> None:  # noqa: D107 - no RNG needed
-        self.disabled_check_cycles = 0
-        self.trace_extra_cycles = 0
         self.starts = self.stops = repeat(0)
         self.start_cycles = self.stop_cycles = self.atomic_cycles = \
             self.starts.__next__

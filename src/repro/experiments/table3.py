@@ -121,14 +121,13 @@ def build(nranks: int = 16, seeds: tuple[int, ...] = (1, 2, 3),
     return rows
 
 
-def build_sweep3d(nranks: int = 16, seeds: tuple[int, ...] = (1, 2),
-                  params: Sweep3dParams | None = None,
-                  workers: int | None = None) -> tuple[float, float, float]:
-    """Sweep3D Base vs ProfAll+Tau: (base avg, instrumented avg, %slow)."""
-    if params is None:
-        params = Sweep3dParams(niters=3, octant_compute_ns=60 * MSEC,
-                               face_bytes=4_096, pipeline_fill_frac=0.01)
-    configs = _configs(nranks)
+def build_sweep3d() -> tuple[float, float, float]:
+    """Sweep3D Base vs ProfAll+Tau on 16 ranks over seeds 1 and 2:
+    (base avg, instrumented avg, %slow)."""
+    params = Sweep3dParams(niters=3, octant_compute_ns=60 * MSEC,
+                           face_bytes=4_096, pipeline_fill_frac=0.01)
+    seeds = (1, 2)
+    configs = _configs(16)
     cells = [(name, seed) for name in ("Base", "ProfAll+Tau") for seed in seeds]
 
     def run_cell(cell: tuple[str, int]) -> float:
@@ -136,8 +135,7 @@ def build_sweep3d(nranks: int = 16, seeds: tuple[int, ...] = (1, 2),
         return run_chiba_app(configs[name].with_seed(seed), "sweep3d",
                              params).exec_time_s
 
-    flat = parallel_map(run_cell, cells, workers=workers, keys=cells,
-                        label="table3-sweep3d")
+    flat = parallel_map(run_cell, cells, keys=cells, label="table3-sweep3d")
     base = flat[:len(seeds)]
     inst = flat[len(seeds):]
     base_avg = sum(base) / len(base)

@@ -18,7 +18,9 @@ from repro.core.registry import InstrumentationPoint, PointKind
 from repro.kernel.irq import IrqController, KSpan
 from repro.kernel.net.nic import Nic
 from repro.kernel.net.socket import StreamSocket
-from repro.kernel.params import KernelParams
+from repro.kernel.params import (KSOFTIRQD_DELAY_NS, SOFTIRQ_OVERLOAD_THRESHOLD_NS,
+                                 SOFTIRQ_OVERLOAD_WINDOW_NS, TCP_TX_COST_NS,
+                                 TIMER_TICK_COST_NS, KernelParams)
 from repro.kernel.sched import Scheduler
 from repro.kernel.syscalls import SyscallTable
 from repro.kernel.task import Task
@@ -71,10 +73,10 @@ class Kernel:
                 # PMCs — the same process-centric attribution as time.
                 self.swapper.ktau.counter_source = self.swapper.counters.read
 
-        self._rx = tcp_mod.RxPath(params.net)
-        self._tx = tcp_mod.TxPath(params.net, self.clock)
+        self._rx = tcp_mod.RxPath(params.cache_mismatch_factor)
+        self._tx = tcp_mod.TxPath(TCP_TX_COST_NS, self.clock)
         # The timer tick's runs: every tick's, and every 16th tick's.
-        apic = KSpan("smp_apic_timer_interrupt", params.timer_tick_cost_ns)
+        apic = KSpan("smp_apic_timer_interrupt", TIMER_TICK_COST_NS)
         softirq = KSpan("do_softirq", 1_000, KSpan("run_timer_softirq", 2_000))
         self._tick_runs = (((apic, None),), ((apic, None), (softirq, None)))
         self._tick_work = (apic.total_ns, apic.total_ns + softirq.total_ns)
@@ -155,20 +157,20 @@ class Kernel:
         sock.rx_proc_calls += len(segments)
         sock.rx_proc_ns += per_seg * len(segments)
         now = self.engine.now
-        net = self.params.net
         work = per_seg * len(segments)
 
-        # ksoftirqd overload deferral (see NetParams): too much bottom-half
-        # work on a busy CPU punts further groups to ksoftirqd's schedule.
+        # ksoftirqd overload deferral (see repro.kernel.params): too much
+        # bottom-half work on a busy CPU punts further groups to
+        # ksoftirqd's schedule.
         window = self._softirq_window[cpu]
-        if now - window[0] > net.softirq_overload_window_ns:
+        if now - window[0] > SOFTIRQ_OVERLOAD_WINDOW_NS:
             window[0] = now
             window[1] = 0
         window[1] += work
         defer = 0
         cpu_busy = self.sched.cpus[cpu].current is not None
-        if cpu_busy and window[1] > net.softirq_overload_threshold_ns:
-            defer = net.ksoftirqd_delay_ns
+        if cpu_busy and window[1] > SOFTIRQ_OVERLOAD_THRESHOLD_NS:
+            defer = KSOFTIRQD_DELAY_NS
 
         backlog = max(0, self._softirq_busy_until[cpu] - now) + defer
         if backlog > 0:

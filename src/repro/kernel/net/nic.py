@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.kernel.params import BANDWIDTH_BYTES_PER_SEC, LATENCY_NS
 from repro.sim.units import SEC
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -57,7 +58,7 @@ class Nic:
         """
         engine = self.kernel.engine
         nbytes = sum(segments)
-        bw = self.kernel.params.net.bandwidth_bytes_per_sec
+        bw = BANDWIDTH_BYTES_PER_SEC
         serialize_ns = (nbytes * SEC) // bw
         start = max(engine.now, self.busy_until)
         done = start + serialize_ns
@@ -70,7 +71,7 @@ class Nic:
 
         engine.schedule_at(done, on_serialized)
 
-        latency = self.kernel.params.net.latency_ns
+        latency = LATENCY_NS
         dst = sock.dst_kernel
         if self.fault_hook is not None:
             verdict = self.fault_hook(self.kernel, dst, nbytes)
@@ -92,7 +93,7 @@ class Nic:
             # and the group costs one wire time end to end; under fan-in
             # the receive NIC becomes the bottleneck and delivery slips.
             rx_nic = dst.nic
-            rx_bw = dst.params.net.bandwidth_bytes_per_sec
+            rx_bw = BANDWIDTH_BYTES_PER_SEC
             rx_start = max(engine.now, rx_nic.rx_busy_until)
             rx_done = rx_start + (nbytes * SEC) // rx_bw
             rx_nic.rx_busy_until = rx_done

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.kernel.params import SNDBUF_BYTES
 from repro.kernel.waitqueue import WaitQueue
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -50,7 +51,7 @@ class StreamSocket:
         # Stable per-connection hash: with irq-balancing on, a connection's
         # interrupts consistently land on one CPU.
         self.flow_hash = self.sock_id * 2654435761 % (2 ** 31)
-        self.sndbuf_bytes = src_kernel.params.net.sndbuf_bytes
+        self.sndbuf_bytes = SNDBUF_BYTES
         self.sndbuf_used = 0
         self.snd_waitq = WaitQueue(f"sock{self.sock_id}.snd")
         self.rx_available = 0

@@ -29,10 +29,11 @@ from typing import TYPE_CHECKING
 
 from repro.core.counters import rates_for_path, scale_miss_rate
 from repro.kernel.irq import KSpan
+from repro.kernel.params import (IRQ_COST_NS, SOFTIRQ_DISPATCH_COST_NS,
+                                 TCP_RX_COST_NS)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
-    from repro.kernel.params import NetParams
     from repro.kernel.task import Task
     from repro.sim.clock import CycleClock
 
@@ -45,30 +46,30 @@ class RxPath:
 
     ``per_seg_ns`` and ``softirq`` are indexed by the cache-mismatch flag
     (``False``, ``True``); a frame group records ``hard`` once and
-    ``softirq[mismatch]`` with its segment sizes.
+    ``softirq[mismatch]`` with its segment sizes.  ``mismatch_factor``
+    is the kernel's ``cache_mismatch_factor``.
     """
 
     __slots__ = ("per_seg_ns", "hard", "softirq", "_fixed_ns")
 
-    def __init__(self, net: "NetParams"):
-        cost = net.tcp_rx_cost_ns
+    def __init__(self, mismatch_factor: float):
         #: per-segment receive-processing cost
-        self.per_seg_ns = (cost, int(cost * net.cache_mismatch_factor))
-        self.hard = KSpan("do_IRQ", net.irq_cost_ns,
+        self.per_seg_ns = (TCP_RX_COST_NS,
+                           int(TCP_RX_COST_NS * mismatch_factor))
+        self.hard = KSpan("do_IRQ", IRQ_COST_NS,
                           KSpan("eth_interrupt", 1_000))
         # The PMU dimension of the cache-locality model: a mismatched
         # receive dilates processing time *and* inflates the L2 miss rate
         # by the same factor, so counter views can tell "slow because more
         # work" from "slow because cache-hostile".
         rates = rates_for_path("tcp_v4_rcv")
-        softirq_ns = int(net.softirq_dispatch_cost_ns)
         self.softirq = tuple(
-            KSpan("do_softirq", softirq_ns, KSpan("net_rx_action", 1_000,
+            KSpan("do_softirq", SOFTIRQ_DISPATCH_COST_NS, KSpan("net_rx_action", 1_000,
                   KSpan("tcp_v4_rcv", per_seg, atomic="net.pkt_rx_bytes",
                         rates=leaf_rates)))
             for per_seg, leaf_rates in zip(self.per_seg_ns, (
-                rates, scale_miss_rate(rates, net.cache_mismatch_factor))))
-        self._fixed_ns = self.hard.total_ns + softirq_ns + 1_000
+                rates, scale_miss_rate(rates, mismatch_factor))))
+        self._fixed_ns = self.hard.total_ns + SOFTIRQ_DISPATCH_COST_NS + 1_000
 
     def work_ns(self, mismatch: bool, nsegs: int) -> int:
         """Inclusive duration of a group of ``nsegs`` segments."""
@@ -76,12 +77,15 @@ class RxPath:
 
 
 class TxPath:
-    """One kernel's transmit path: a segment's cost and span chain."""
+    """One kernel's transmit path: a segment's cost and span chain.
+
+    ``cost`` is the per-segment transmit cost in ns (the kernel's is
+    :data:`~repro.kernel.params.TCP_TX_COST_NS`).
+    """
 
     __slots__ = ("cost_ns", "seg_cycles", "pmc_cycles", "chain")
 
-    def __init__(self, net: "NetParams", clock: "CycleClock"):
-        cost = net.tcp_tx_cost_ns
+    def __init__(self, cost: int, clock: "CycleClock"):
         (send, send_frac), (queue, queue_frac), (dev, _) = TX_SPLIT
         send_ns = int(cost * send_frac)
         queue_ns = int(cost * queue_frac)

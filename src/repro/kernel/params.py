@@ -1,9 +1,11 @@
-"""Tunable kernel parameters.
+"""Kernel parameters: the fields experiments set, and calibrated costs.
 
-Everything behavioural in the simulated kernel is parameterised here, with
-defaults calibrated against the paper's era (Linux 2.6.14 on Pentium III
-SMP nodes with 100 Mbit Ethernet).  Experiment configurations override
-individual fields; ablation benchmarks sweep the ones DESIGN.md calls out.
+:class:`KernelParams` holds the fields experiments set on one node's
+kernel (clock, CPUs, interrupt routing, the KTAU build and boot options,
+and the cache-mismatch ablation knob).  The simulated kernel's cost model
+is calibration, not configuration: its values are the module constants
+below, calibrated against the paper's era (Linux 2.6.14 on Pentium III
+SMP nodes with 100 Mbit Ethernet).
 """
 
 from __future__ import annotations
@@ -14,93 +16,75 @@ from typing import Optional
 from repro.core.config import KtauBuildConfig
 from repro.sim.units import MSEC, USEC
 
+# ----------------------------------------------------------------------
+# O(1)-scheduler-era scheduling behaviour
+# ----------------------------------------------------------------------
+#: Full timeslice granted to a task (Linux 2.6 default ~100 ms for nice 0).
+TIMESLICE_NS = 100 * MSEC
+#: A woken task preempts the running one when its sleep average exceeds
+#: the runner's by this margin (the interactivity bonus of the 2.6
+#: scheduler, reduced to one number).
+WAKEUP_PREEMPT_MARGIN_NS = 10 * MSEC
+#: Saturation value of the per-task sleep average.
+SLEEP_AVG_CAP_NS = 1000 * MSEC
+#: A queued task that ran within this window is considered cache-hot and
+#: is not stolen by an idle CPU (2.6 ``cache_hot_time``); this is what
+#: lets transient co-location cause real preemption before idle balancing
+#: untangles it.
+CACHE_HOT_NS = int(2.5 * MSEC)
+#: Probability that a wakeup places an unpinned task on a random allowed
+#: CPU instead of its last CPU — an abstraction of the 2.6 load balancer's
+#: imperfect placement under IRQ and daemon noise.  Pinning (a singleton
+#: ``cpus_allowed``) bypasses it entirely.
+WAKEUP_MISPLACE_PROB = 0.02
+#: When the woken task's previous CPU is busy, probability that the wakeup
+#: moves it to an idle CPU instead of queueing it behind its previous
+#: CPU's runner.  The 2.6 scheduler mostly wakes tasks on their previous
+#: CPU ("weak CPU affinity ... the four LU processes mostly stay on their
+#: respective processors", §5.1), relying on later balancing; a low value
+#: reproduces that stickiness and the mutual-preemption churn unpinned
+#: co-located ranks exhibit.
+IDLE_WAKE_PROB = 0.0
+#: Direct cost of a context switch (register/TLB/cache switch).
+CTX_SWITCH_COST_NS = 6 * USEC
 
-@dataclass(frozen=True)
-class SchedParams:
-    """O(1)-scheduler-era scheduling behaviour.
+# ----------------------------------------------------------------------
+# Ethernet + TCP-path cost model.  Costs are per-segment kernel CPU work,
+# calibrated so a kernel TCP operation lands in the paper's Figure 10
+# range (27–36 µs on a 450 MHz Pentium III).
+# ----------------------------------------------------------------------
+BANDWIDTH_BYTES_PER_SEC = 12_500_000  # 100 Mbit/s
+LATENCY_NS = 60 * USEC
+MTU_BYTES = 1500
+IRQ_COST_NS = 4 * USEC
+SOFTIRQ_DISPATCH_COST_NS = 3 * USEC
+TCP_RX_COST_NS = 30 * USEC  # per-segment tcp_v4_rcv + friends
+TCP_TX_COST_NS = 24 * USEC  # per-segment tcp_sendmsg + xmit path
+SYSCALL_ENTRY_COST_NS = 2 * USEC  # trap + fd lookup etc.
+SNDBUF_BYTES = 65_536
+#: ksoftirqd overload deferral: when more than the threshold of
+#: bottom-half work lands on one CPU within the window while that CPU is
+#: running a task, further groups are punted to ksoftirqd, which has to
+#: be *scheduled* — adding the delay before the data is processed.  This
+#: is the amplifier that makes concentrating all device interrupts on
+#: CPU0 (no irq-balancing) expensive out of proportion to the raw softirq
+#: time (§5.2 / Figure 8).
+SOFTIRQ_OVERLOAD_WINDOW_NS = 10 * 1000 * 1000
+SOFTIRQ_OVERLOAD_THRESHOLD_NS = 1_800_000
+KSOFTIRQD_DELAY_NS = 3 * 1000 * 1000
 
-    Attributes
-    ----------
-    timeslice_ns:
-        Full timeslice granted to a task (Linux 2.6 default ~100 ms for
-        nice 0).
-    wakeup_preempt_margin_ns:
-        A woken task preempts the running one when its sleep average
-        exceeds the runner's by this margin (the interactivity bonus of
-        the 2.6 scheduler, reduced to one number).
-    sleep_avg_cap_ns:
-        Saturation value of the per-task sleep average.
-    cache_hot_ns:
-        A queued task that ran within this window is considered cache-hot
-        and is not stolen by an idle CPU (2.6 ``cache_hot_time``); this is
-        what lets transient co-location cause real preemption before idle
-        balancing untangles it.
-    wakeup_misplace_prob:
-        Probability that a wakeup places an unpinned task on a random
-        allowed CPU instead of its last CPU — an abstraction of the 2.6
-        load balancer's imperfect placement under IRQ and daemon noise.
-        Pinning (a singleton ``cpus_allowed``) bypasses it entirely.
-    idle_wake_prob:
-        When the woken task's previous CPU is busy, probability that the
-        wakeup moves it to an idle CPU instead of queueing it behind its
-        previous CPU's runner.  The 2.6 scheduler mostly wakes tasks on
-        their previous CPU ("weak CPU affinity ... the four LU processes
-        mostly stay on their respective processors", §5.1), relying on
-        later balancing; a low value reproduces that stickiness and the
-        mutual-preemption churn unpinned co-located ranks exhibit.
-    ctx_switch_cost_ns:
-        Direct cost of a context switch (register/TLB/cache switch).
-    """
-
-    timeslice_ns: int = 100 * MSEC
-    wakeup_preempt_margin_ns: int = 10 * MSEC
-    sleep_avg_cap_ns: int = 1000 * MSEC
-    cache_hot_ns: int = int(2.5 * MSEC)
-    wakeup_misplace_prob: float = 0.02
-    idle_wake_prob: float = 0.0
-    ctx_switch_cost_ns: int = 6 * USEC
-
-
-@dataclass(frozen=True)
-class NetParams:
-    """Ethernet + TCP-path cost model.
-
-    Costs are per-segment kernel CPU work, in nanoseconds, calibrated so a
-    kernel TCP operation lands in the paper's Figure 10 range (27–36 µs on
-    a 450 MHz Pentium III).
-
-    ``cache_mismatch_factor`` is the SMP cache-locality dilation: TCP
-    receive processing that runs on a different CPU than the consuming
-    task's pays this factor (the paper's explanation for 64x2 TCP being
-    ~11.5 % more expensive; see §5.2 and [19] therein).
-    """
-
-    bandwidth_bytes_per_sec: int = 12_500_000  # 100 Mbit/s
-    latency_ns: int = 60 * USEC
-    mtu_bytes: int = 1500
-    irq_cost_ns: int = 4 * USEC
-    softirq_dispatch_cost_ns: int = 3 * USEC
-    tcp_rx_cost_ns: int = 30 * USEC  # per-segment tcp_v4_rcv + friends
-    tcp_tx_cost_ns: int = 24 * USEC  # per-segment tcp_sendmsg + xmit path
-    syscall_entry_cost_ns: int = 2 * USEC  # trap + fd lookup etc.
-    cache_mismatch_factor: float = 1.2
-    sndbuf_bytes: int = 65_536
-    rcvbuf_bytes: int = 262_144
-    #: ksoftirqd overload deferral: when more than ``threshold`` of
-    #: bottom-half work lands on one CPU within ``window`` while that CPU
-    #: is running a task, further groups are punted to ksoftirqd, which
-    #: has to be *scheduled* — adding ``delay`` before the data is
-    #: processed.  This is the amplifier that makes concentrating all
-    #: device interrupts on CPU0 (no irq-balancing) expensive out of
-    #: proportion to the raw softirq time (§5.2 / Figure 8).
-    softirq_overload_window_ns: int = 10 * 1000 * 1000
-    softirq_overload_threshold_ns: int = 1_800_000
-    ksoftirqd_delay_ns: int = 3 * 1000 * 1000
+# ----------------------------------------------------------------------
+# Timer tick and exceptions
+# ----------------------------------------------------------------------
+#: Kernel time of one local APIC timer interrupt.
+TIMER_TICK_COST_NS = 3 * USEC
+#: Kernel time per minor page fault.
+MINOR_FAULT_COST_NS = 2 * USEC
 
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Everything that configures one node's kernel.
+    """The fields experiments set on one node's kernel.
 
     Attributes
     ----------
@@ -129,8 +113,12 @@ class KernelParams:
     minor_fault_prob:
         Probability that a user compute burst begins with a minor page
         fault (exercises the exception path).
-    minor_fault_cost_ns:
-        Kernel time per minor fault.
+    cache_mismatch_factor:
+        The SMP cache-locality dilation: TCP receive processing that runs
+        on a different CPU than the consuming task's pays this factor
+        (the paper's explanation for 64x2 TCP being ~11.5 % more
+        expensive; see §5.2 and [19] therein).  The DESIGN §4 ablation
+        sets it to 1.0.
     """
 
     hz: float = 450e6
@@ -144,17 +132,14 @@ class KernelParams:
     #: residual 64x2 gap; [19] in the paper studies the TCP side of it).
     smp_compute_dilation: float = 0.08
     timer_tick_ns: Optional[int] = 10 * MSEC
-    timer_tick_cost_ns: int = 3 * USEC
     irq_balance: bool = False
     irq_target_cpu: int = 0
-    sched: SchedParams = field(default_factory=SchedParams)
-    net: NetParams = field(default_factory=NetParams)
     ktau: KtauBuildConfig = field(default_factory=KtauBuildConfig)
     #: Kernel command line; KTAU boot options (``ktau=off``,
     #: ``ktau.groups=...``, ``ktau.nopoints=...``) are parsed at boot.
     boot_cmdline: str = ""
     minor_fault_prob: float = 0.002
-    minor_fault_cost_ns: int = 2 * USEC
+    cache_mismatch_factor: float = 1.2
 
     @property
     def online_cpus(self) -> int:

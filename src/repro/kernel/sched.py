@@ -33,6 +33,11 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core.counters import rates_for_path
 from repro.kernel.effects import Block, Compute, Exit, KCompute, Migrate, Syscall
+from repro.kernel.params import (CACHE_HOT_NS, CTX_SWITCH_COST_NS,
+                                 IDLE_WAKE_PROB, MINOR_FAULT_COST_NS,
+                                 SLEEP_AVG_CAP_NS, TIMESLICE_NS,
+                                 WAKEUP_MISPLACE_PROB,
+                                 WAKEUP_PREEMPT_MARGIN_NS)
 from repro.kernel.task import Task, TaskState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -89,7 +94,6 @@ class Scheduler:
 
     def __init__(self, kernel: "Kernel"):
         self.kernel = kernel
-        self.params = kernel.params.sched
         self.cpus = [Cpu(i) for i in range(kernel.params.online_cpus)]
         self._rng = kernel.rng_hub.stream(f"sched.{kernel.name}")
         self._fault_rng = kernel.rng_hub.stream(f"fault.{kernel.name}")
@@ -118,7 +122,7 @@ class Scheduler:
             task.wake_handle = None
         task.blocked_on = None
         slept = now - task.blocked_at
-        task.sleep_avg_ns = min(task.sleep_avg_ns + slept, self.params.sleep_avg_cap_ns)
+        task.sleep_avg_ns = min(task.sleep_avg_ns + slept, SLEEP_AVG_CAP_NS)
         task.send_value = task.wake_value
         task.wake_value = None
         self._enqueue(task, self._pick_cpu(task), allow_preempt=True)
@@ -174,7 +178,7 @@ class Scheduler:
     # CPU selection and enqueueing
     # ==================================================================
     def _pick_cpu(self, task: Task) -> int:
-        """Wakeup CPU placement (2.6-flavoured, see SchedParams).
+        """Wakeup CPU placement (2.6-flavoured, see repro.kernel.params).
 
         Pinned tasks always go to their CPU.  Otherwise: the last CPU if
         it is free; else an idle allowed CPU; else — under placement
@@ -187,8 +191,7 @@ class Scheduler:
         # Imperfect wake balancing first: occasionally the task lands on a
         # random allowed CPU even when a better one exists — the transient
         # co-location that idle stealing then has to untangle.
-        if self.params.wakeup_misplace_prob > 0 and (
-                self._rng.random() < self.params.wakeup_misplace_prob):
+        if self._rng.random() < WAKEUP_MISPLACE_PROB:
             return int(allowed[int(self._rng.integers(len(allowed)))])
         last = task.last_cpu if task.last_cpu in task.cpus_allowed else allowed[0]
         last_cpu = self.cpus[last]
@@ -197,7 +200,10 @@ class Scheduler:
         # Previous CPU busy: weak affinity mostly queues behind it anyway;
         # only sometimes does the wakeup find an idle CPU instead.
         idle = [i for i in allowed if self.cpus[i].idle]
-        if idle and self._rng.random() < self.params.idle_wake_prob:
+        # IDLE_WAKE_PROB is 0.0, so this never moves the task, but the
+        # draw stays: it advances the scheduler's RNG stream, and every
+        # later placement (hence every seeded result) depends on it.
+        if idle and self._rng.random() < IDLE_WAKE_PROB:
             return idle[0]
         if not idle:
             return min(allowed, key=lambda i: (self.cpus[i].load(), i != last))
@@ -239,8 +245,8 @@ class Scheduler:
     def _should_preempt(self, woken: Task, running: Task) -> bool:
         if running.is_idle:
             return True
-        margin = self.params.wakeup_preempt_margin_ns
-        return woken.sleep_avg_ns > running.sleep_avg_ns + margin
+        return (woken.sleep_avg_ns
+                > running.sleep_avg_ns + WAKEUP_PREEMPT_MARGIN_NS)
 
     # ==================================================================
     # Deschedule / reschedule
@@ -326,7 +332,6 @@ class Scheduler:
         earliest cooling time so the idle CPU is not stranded.
         """
         now = self.kernel.engine.now
-        hot = self.params.cache_hot_ns
         best: Optional[tuple[int, Cpu, Task]] = None
         earliest_cool: Optional[int] = None
         for other in self.cpus:
@@ -335,7 +340,7 @@ class Scheduler:
             for cand in other.runqueue:
                 if cpu.idx not in cand.cpus_allowed:
                     continue
-                cool_at = cand.last_ran_at + hot
+                cool_at = cand.last_ran_at + CACHE_HOT_NS
                 if cool_at > now:
                     if earliest_cool is None or cool_at < earliest_cool:
                         earliest_cool = cool_at
@@ -367,11 +372,11 @@ class Scheduler:
         cpu.run_started = now
         cpu.stint_stolen = 0
         if cpu.prev_task is not task:
-            cpu.switch_penalty_ns = self.params.ctx_switch_cost_ns
+            cpu.switch_penalty_ns = CTX_SWITCH_COST_NS
         self._ktau_sched_in(task)
         # O(1) semantics: an expired slice refills on the next run.
         if task.timeslice_ns <= 0:
-            task.timeslice_ns = self.params.timeslice_ns
+            task.timeslice_ns = TIMESLICE_NS
         self._arm_expiry(cpu)
         self._advance(cpu)
 
@@ -392,7 +397,7 @@ class Scheduler:
                 return
             if not cpu.runqueue:
                 # Nobody waiting: refill the slice and keep running.
-                task.timeslice_ns = self.params.timeslice_ns
+                task.timeslice_ns = TIMESLICE_NS
                 self._arm_expiry(cpu)
                 return
             self._deschedule(cpu, voluntary=False, requeue=True)
@@ -575,7 +580,7 @@ class Scheduler:
             return
         kernel = self.kernel
         t0 = kernel.clock.read()
-        t1 = t0 + kernel.clock.cycles_for_ns(params.minor_fault_cost_ns)
+        t1 = t0 + kernel.clock.cycles_for_ns(MINOR_FAULT_COST_NS)
         point = kernel.point("do_page_fault")
         kernel.ktau.entry(task.ktau, point, at_cycles=t0)
         if params.ktau.counters:
@@ -589,7 +594,7 @@ class Scheduler:
                                   rates_for_path("do_page_fault"))
             task.pmc_ahead_cycles += fault_cycles
         kernel.ktau.exit(task.ktau, point, at_cycles=t1)
-        task.pending_burst_ns += params.minor_fault_cost_ns
+        task.pending_burst_ns += MINOR_FAULT_COST_NS
 
     # ==================================================================
     # Signals and exit

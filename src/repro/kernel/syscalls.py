@@ -17,6 +17,7 @@ from repro.kernel.effects import Block, Exit, KCompute, Migrate
 from repro.kernel.net import tcp
 from repro.kernel.net.nic import Nic
 from repro.kernel.net.socket import Pipe, StreamSocket
+from repro.kernel.params import MTU_BYTES, SYSCALL_ENTRY_COST_NS
 from repro.sim.units import USEC
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -61,7 +62,7 @@ class SyscallTable:
         if data is not None:
             kernel.ktau.entry(data, kernel.point(name))
         try:
-            yield KCompute(kernel.params.net.syscall_entry_cost_ns)
+            yield KCompute(SYSCALL_ENTRY_COST_NS)
             result = yield from handler(kernel, task, **args)
         finally:
             if data is not None:
@@ -80,7 +81,7 @@ def sys_writev(kernel: "Kernel", task: "Task", sock: StreamSocket, nbytes: int):
     transmit CPU cost, and hands frame groups to the NIC.
     """
     data = task.ktau
-    mtu = kernel.params.net.mtu_bytes
+    mtu = MTU_BYTES
     group_max = Nic.coalesce_segments
     if data is not None:
         kernel.ktau.entry(data, kernel.point("sock_sendmsg"))

@@ -12,6 +12,7 @@ import enum
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from repro.core.counters import TaskCounters
+from repro.kernel.params import TIMESLICE_NS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.measurement import KtauTaskData
@@ -78,7 +79,7 @@ class Task:
         self.cpus_allowed: set[int] = set(cpus_allowed) if cpus_allowed else set(
             range(kernel.params.online_cpus))
         self.last_cpu: int = min(self.cpus_allowed)
-        self.timeslice_ns: int = kernel.params.sched.timeslice_ns
+        self.timeslice_ns: int = TIMESLICE_NS
         self.sleep_avg_ns: int = 0
         self.last_ran_at: int = 0
         self.last_deschedule_reason: Optional[str] = None  # "vol" | "invol"

@@ -10,7 +10,7 @@ context attribution, build the integrated view the paper shows:
   user/kernel call stack.
 
 The per-(user-routine, kernel-event) attribution comes from KTAU's
-``merge_context`` support (``context_pairs``); cycle counts from both
+merge support (``context_pairs``); cycle counts from both
 layers share the node TSC, so the subtraction is exact.
 """
 

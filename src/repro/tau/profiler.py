@@ -13,7 +13,7 @@ exclusive time is the job of the merge (:mod:`repro.tau.merge`), which
 subtracts the kernel time KTAU attributed to this user context.
 
 The profiler also maintains ``task.ktau.user_context`` — the innermost
-active user routine — which is how KTAU's ``merge_context`` support knows
+active user routine — which is how KTAU's merge support knows
 what user-level context each kernel event belongs to.
 """
 

@@ -40,7 +40,6 @@ class Sweep3dParams:
     octant_compute_ns: int = 3 * MSEC  # per-rank compute per octant sweep
     face_bytes: int = 6_144  # inflow/outflow face message
     noise: float = 0.02
-    flux_allreduce: bool = True
     #: Fraction of the octant compute done before forwarding downstream
     #: (Sweep3D pipelines over k-planes and angle blocks; see the LU
     #: parameter of the same name).
@@ -52,7 +51,6 @@ class Sweep3dParams:
             octant_compute_ns=int(self.octant_compute_ns * factor),
             face_bytes=max(512, int(self.face_bytes * factor)),
             noise=self.noise,
-            flux_allreduce=self.flux_allreduce,
             pipeline_fill_frac=self.pipeline_fill_frac,
         )
 
@@ -97,8 +95,7 @@ def sweep3d_app(params: Sweep3dParams):
                     if dn_y is not None:
                         yield from mpi.send(dn_y, params.face_bytes)
                     yield from ctx.compute(total - fill)
-            if params.flux_allreduce:
-                with timer("flux_err"):
-                    yield from mpi.allreduce(24)
+            with timer("flux_err"):
+                yield from mpi.allreduce(24)
 
     return app

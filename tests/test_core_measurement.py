@@ -280,13 +280,3 @@ class TestContextPairs:
         ktau.entry(data, pt)
         ktau.exit(data, pt)
         assert not data.context_pairs
-
-    def test_merge_disabled_records_no_pairs(self):
-        build = KtauBuildConfig(merge_context=False)
-        engine, ktau = make_ktau(build=build)
-        data = ktau.register_task(1, "t")
-        data.user_context = "main()"
-        pt = ktau.registry.point("schedule")
-        ktau.entry(data, pt)
-        ktau.exit(data, pt)
-        assert not data.context_pairs

@@ -146,14 +146,14 @@ class TestOverheadModel:
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
-            OverheadModel(RngHub(1).stream("x"), start=(200.0, 100.0, 50.0))
+            _GammaTail(RngHub(1).stream("x"), 200.0, 100.0, 50.0)
 
     def test_zero_model(self):
         model = ZeroOverheadModel()
         assert model.start_cycles() == 0
         assert model.stop_cycles() == 0
         assert model.atomic_cycles() == 0
-        assert model.disabled_check_cycles == 0
+        assert model.DISABLED_CHECK_CYCLES == 0
 
     def test_zero_model_streams_yield_zero(self):
         model = ZeroOverheadModel()
@@ -185,7 +185,7 @@ class TestRoundingMemo:
         draws = [*islice(model.starts, _GammaTail.BATCH),
                  *islice(model.stops, _GammaTail.BATCH)]
         memo = make_ktau(hz)._ns_of
-        for cycles in draws + [c + model.trace_extra_cycles for c in draws]:
+        for cycles in draws + [c + model.TRACE_EXTRA_CYCLES for c in draws]:
             assert memo[cycles] == round(cycles * SEC / hz)
 
     @pytest.mark.parametrize("hz", RATES_HZ)

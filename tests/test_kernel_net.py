@@ -4,7 +4,9 @@ import pytest
 
 from repro.kernel.kernel import Kernel
 from repro.kernel.net.socket import Pipe, StreamSocket
-from repro.kernel.params import KernelParams
+from repro.kernel.params import (IRQ_COST_NS, LATENCY_NS,
+                                 SOFTIRQ_DISPATCH_COST_NS, TCP_RX_COST_NS,
+                                 KernelParams)
 from repro.sim.engine import Engine
 from repro.sim.rng import RngHub
 from repro.sim.units import MSEC, SEC, USEC
@@ -56,7 +58,7 @@ class TestStreamSocket:
         engine, k1, k2, sock = make_pair()
         got = transfer(engine, k1, k2, sock, 100)
         # one-way must exceed link latency
-        assert got[0][0] >= k1.params.net.latency_ns
+        assert got[0][0] >= LATENCY_NS
 
     def test_bandwidth_bound(self):
         engine, k1, k2, sock = make_pair()
@@ -126,17 +128,16 @@ class TestCacheMismatch:
         CPUs in between splits the two (a known model inconsistency,
         pinned here until it is resolved)."""
         engine, k1, k2, sock = make_pair()  # every IRQ on CPU0
-        net = k2.params.net
         k2._softirq_busy_until[0] = 100 * USEC  # earlier softirq work
         k2.net_rx(sock, [1448, 1448])  # reader on CPU0: matched
-        fixed = net.irq_cost_ns + net.softirq_dispatch_cost_ns + 2_000
+        fixed = IRQ_COST_NS + SOFTIRQ_DISPATCH_COST_NS + 2_000
         assert k2._softirq_busy_until[0] == \
-            100 * USEC + fixed + 2 * net.tcp_rx_cost_ns
+            100 * USEC + fixed + 2 * TCP_RX_COST_NS
         sock.consumer_cpu = 1  # the reader moves before the bottom half
         engine.run(until=1 * SEC)
         assert sock.rx_proc_calls == 2
-        assert sock.rx_proc_ns == 2 * net.tcp_rx_cost_ns  # arrival cost
-        mismatched = int(net.tcp_rx_cost_ns * net.cache_mismatch_factor)
+        assert sock.rx_proc_ns == 2 * TCP_RX_COST_NS  # arrival cost
+        mismatched = int(TCP_RX_COST_NS * k2.params.cache_mismatch_factor)
         rcv = k2.ktau.tasks[0].profile[k2.ktau.registry.id_of("tcp_v4_rcv")]
         assert rcv.count == 2  # recorded at the bottom half's cost
         assert rcv.excl_cycles == 2 * k2.clock.cycles_for_ns(mismatched)
@@ -155,6 +156,32 @@ class TestCacheMismatch:
         params = KernelParams(ncpus=2, irq_target_cpu=1, timer_tick_ns=None)
         k3 = Kernel(engine2, params, "t", RngHub(1))
         assert k3.irq.route(123) == 1
+
+
+class TestCacheMismatchAblation:
+    """``cache_mismatch_factor`` is the §4 ablation knob: at 1.0 a
+    mismatched receive costs and misses exactly like a matched one."""
+
+    @staticmethod
+    def rx_of(**kw):
+        params = KernelParams(timer_tick_ns=None, **kw)
+        return Kernel(Engine(), params, "n", RngHub(1))._rx
+
+    @staticmethod
+    def leaf_rates(rx, mismatch):
+        return rx.softirq[mismatch].child.child.rates
+
+    def test_ablated_factor_removes_both_dilations(self):
+        rx = self.rx_of(cache_mismatch_factor=1.0)
+        assert rx.per_seg_ns[True] == rx.per_seg_ns[False] == TCP_RX_COST_NS
+        assert self.leaf_rates(rx, True).l2_miss_per_kcycle == \
+            self.leaf_rates(rx, False).l2_miss_per_kcycle
+
+    def test_default_keeps_the_dilation(self):
+        rx = self.rx_of()
+        assert rx.per_seg_ns == (TCP_RX_COST_NS, int(TCP_RX_COST_NS * 1.2))
+        assert self.leaf_rates(rx, True).l2_miss_per_kcycle == \
+            pytest.approx(self.leaf_rates(rx, False).l2_miss_per_kcycle * 1.2)
 
 
 class TestPipes:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.kernel.effects import Block, Compute, Exit, KCompute, Syscall
 from repro.kernel.kernel import Kernel
-from repro.kernel.params import KernelParams, SchedParams
+from repro.kernel.params import KernelParams
 from repro.kernel.task import TaskState
 from repro.kernel.waitqueue import WaitQueue
 from repro.sim.engine import Engine

@@ -43,7 +43,8 @@ from repro.kernel.irq import KSpan
 from repro.kernel.kernel import Kernel
 from repro.kernel.net import tcp as tcp_mod
 from repro.kernel.net.tcp import TX_SPLIT, RxPath, TxPath, record_tx_spans
-from repro.kernel.params import NetParams
+from repro.kernel.params import (IRQ_COST_NS, SOFTIRQ_DISPATCH_COST_NS,
+                                 TCP_RX_COST_NS, KernelParams)
 from repro.sim.clock import CycleClock
 from repro.sim.engine import Engine
 from repro.sim.rng import RngHub
@@ -167,21 +168,21 @@ def reference_tx(ktau, data, counters, segments, cost):
     return ahead
 
 
-def reference_rx_trees(net, mismatch, segments):
+def reference_rx_trees(factor, mismatch, segments):
     """Interrupt-context span trees for an arriving frame group, built
-    leaf by leaf."""
-    per_seg = net.tcp_rx_cost_ns
+    leaf by leaf, with cache-mismatch factor ``factor``."""
+    per_seg = TCP_RX_COST_NS
     if mismatch:
-        per_seg = int(per_seg * net.cache_mismatch_factor)
+        per_seg = int(per_seg * factor)
     rx_rates = rates_for_path("tcp_v4_rcv")
     if mismatch:
-        rx_rates = scale_miss_rate(rx_rates, net.cache_mismatch_factor)
+        rx_rates = scale_miss_rate(rx_rates, factor)
     rcv_spans = [Tree("tcp_v4_rcv", per_seg, [], [("net.pkt_rx_bytes", seg)],
                       rx_rates)
                  for seg in segments]
-    hard = Tree("do_IRQ", net.irq_cost_ns, [Tree("eth_interrupt", 1_000, [], [])],
+    hard = Tree("do_IRQ", IRQ_COST_NS, [Tree("eth_interrupt", 1_000, [], [])],
                 [])
-    soft = Tree("do_softirq", net.softirq_dispatch_cost_ns,
+    soft = Tree("do_softirq", SOFTIRQ_DISPATCH_COST_NS,
                 [Tree("net_rx_action", 1_000, rcv_spans, [])], [])
     return [hard, soft]
 
@@ -201,8 +202,8 @@ def count_spans(tree):
 def make_world(cfg):
     build = KtauBuildConfig(
         compiled_groups=frozenset(ALL_GROUPS) - set(cfg["compiled_out"]),
-        tracing=cfg["tracing"], merge_context=cfg["merge"],
-        counters=cfg["counters"], callgraph=cfg["callgraph"])
+        tracing=cfg["tracing"], counters=cfg["counters"],
+        callgraph=cfg["callgraph"])
     control = KtauRuntimeControl(build)
     if cfg["disabled_group"] is not None:
         control.disable(cfg["disabled_group"])
@@ -298,7 +299,6 @@ configs = st.fixed_dictionaries({
     "tracing": st.booleans(),
     "counters": st.booleans(),
     "callgraph": st.booleans(),
-    "merge": st.booleans(),
     "strict": st.booleans(),
     "compiled_out": st.sampled_from([(), (Group.BH,), (Group.NET,)]),
     "disabled_group": st.sampled_from([None, Group.IRQ, Group.NET]),
@@ -332,10 +332,9 @@ def record_both(cfg, call_list):
 
 def fake_tx_kernel(ktau, cost):
     """What ``record_tx_spans`` reads of a kernel, transmitting at ``cost``."""
-    net = SimpleNamespace(tcp_tx_cost_ns=cost)
     return SimpleNamespace(ktau=ktau, clock=ktau.clock,
-                           _tx=TxPath(net, ktau.clock),
-                           params=SimpleNamespace(net=net, ktau=ktau.build))
+                           _tx=TxPath(cost, ktau.clock),
+                           params=SimpleNamespace(ktau=ktau.build))
 
 
 def tx_both(cfg, groups, cost):
@@ -380,7 +379,7 @@ def test_tx_spans_match_per_segment_loop(cfg, groups, cost):
 
 def _cfg(**overrides):
     cfg = {"hz": 450e6, "tracing": True, "counters": True, "callgraph": True,
-           "merge": True, "compiled_out": (), "disabled_group": None,
+           "compiled_out": (), "disabled_group": None,
            "disabled_point": None, "frozen": False, "outer": True,
            "user_ctx": "main()", "primed": 0, "extra_stops": 0, "seed": 3}
     cfg.update(overrides)
@@ -415,8 +414,7 @@ def lu_inputs():
         return deliver(self, cpu_idx, work_ns, runs, count_irq)
 
     def spy_tx(kernel, task, segments):
-        stream.append(("tx", (list(segments),
-                              kernel.params.net.tcp_tx_cost_ns)))
+        stream.append(("tx", (list(segments), kernel._tx.cost_ns)))
         return tx(kernel, task, segments)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -526,13 +524,13 @@ def test_rx_templates_match_reference_trees(overrides, hz, groups):
     across groups and flags; what is recorded, and each group's
     closed-form work, must match the per-leaf trees."""
     cfg = _cfg(**overrides, hz=hz)
-    net = NetParams()
-    rx = RxPath(net)
+    factor = KernelParams().cache_mismatch_factor
+    rx = RxPath(factor)
     (ktau_ref, data_ref, counters_ref) = ref = make_world(cfg)
     (ktau, data, counters) = new = make_world(cfg)
     t_ref = t_new = T0
     for mismatch, segments in groups:
-        trees = reference_rx_trees(net, mismatch, segments)
+        trees = reference_rx_trees(factor, mismatch, segments)
         assert rx.work_ns(mismatch, len(segments)) == \
             sum(map(total_ns, trees))
         for tree in trees:
@@ -653,8 +651,8 @@ def test_runs_follow_runtime_control_between_runs(point):
     ktau, data, counters = new
     kernel = fake_tx_kernel(ktau, cost)
     task = SimpleNamespace(ktau=data, counters=counters, pmc_ahead_cycles=0)
-    net = NetParams()
-    rx = RxPath(net)
+    factor = KernelParams().cache_mismatch_factor
+    rx = RxPath(factor)
     segments = [1448, 1448, 60]
     t_ref = t_new = T0
     for toggle in (None, "disable_points", "enable_points", None):
@@ -663,7 +661,7 @@ def test_runs_follow_runtime_control_between_runs(point):
                 getattr(world[0].control, toggle)(point)
         reference_tx(*ref, segments, cost)
         record_tx_spans(kernel, task, segments)
-        for tree in reference_rx_trees(net, False, segments):
+        for tree in reference_rx_trees(factor, False, segments):
             t_ref = reference_tree(*ref[:2], tree, t_ref, ref[2])
         t_new = ktau.record(data, rx.hard, t_new, counters)
         t_new = ktau.record(data, rx.softirq[False], t_new, counters,
