@@ -68,6 +68,33 @@ def test_lu_counters_profiles_byte_identical_to_golden():
         == _GOLD["lu_counters_sha256"]
 
 
+def test_lu_extensions_export_and_traces_byte_identical_to_golden():
+    """The same LU run with tracing, counters and the call graph all
+    built in (the build ``examples/merged_callgraph.py`` uses): the
+    export, with its counter and call-graph sections, and every task's
+    drained trace, in node and pid order.  The 256-entry rings overflow,
+    so the records they keep and the lost counts are pinned too."""
+    from repro.core.config import KtauBuildConfig
+
+    params = LuParams(niters=3, iter_compute_ns=8 * MSEC, halo_bytes=8192,
+                      sweep_msg_bytes=2048, inorm=2)
+    cluster = make_chiba(nnodes=4, seed=1, ktau=KtauBuildConfig(
+        tracing=True, counters=True, callgraph=True,
+        trace_buffer_entries=256))
+    job = launch_mpi_job(cluster, 8, lu_app(params),
+                         placement=block_placement(2, 8))
+    job.run(limit_s=600)
+    digest = hashlib.sha256(profiles_to_json(harvest_job(job)).encode())
+    for node in cluster.nodes:
+        proc, ktau = node.kernel.ktau_proc, node.kernel.ktau
+        for pid in sorted({*ktau.tasks, *ktau.zombies}):
+            packed, size = proc.trace_read(pid, 1 << 30)
+            assert len(packed) == size
+            digest.update(packed)
+    cluster.teardown()
+    assert digest.hexdigest() == _GOLD["lu_extensions_sha256"]
+
+
 # ---------------------------------------------------------------------------
 # Monitored and faulted runs: the online monitor's JSON, the integrated
 # timeline and the chaos artifacts, through every entry point that sets
