@@ -76,6 +76,18 @@ class TraceBuffer:
         self._buf.append(record)
         self.total_records += 1
 
+    def extend(self, records: list[TraceRecord]) -> None:
+        """Append ``records`` in order: the ring drops and counts exactly
+        the records that appending them one by one would."""
+        if self.strict:
+            for record in records:
+                self.append(record)
+            return
+        self.lost_count += max(0, len(self._buf) + len(records)
+                               - self.capacity)
+        self._buf.extend(records)
+        self.total_records += len(records)
+
     def __len__(self) -> int:
         return len(self._buf)
 

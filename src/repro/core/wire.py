@@ -163,7 +163,7 @@ def pack_profiles(tasks: dict[int, KtauTaskData], registry: EventRegistry) -> by
     mapping = registry.mapping_table()
     flags = 0
     for data in tasks.values():
-        if data.counter_source is not None:
+        if data.counters is not None:
             flags |= FLAG_COUNTERS
             break
     out.extend(_HDR.pack(MAGIC_PROFILE, VERSION, flags, len(tasks), len(mapping)))
@@ -199,9 +199,9 @@ def pack_profiles(tasks: dict[int, KtauTaskData], registry: EventRegistry) -> by
             count, incl = data.callgraph[(parent, event_id)]
             _pack_str(out, parent)
             out.extend(_EDGE_FIXED.pack(event_id, count, incl))
-        if data.counter_source is not None:
+        if data.counters is not None:
             out.append(1)
-            out.extend(_PMC_BLOCK.pack(*data.counter_source()))
+            out.extend(_PMC_BLOCK.pack(*data.counters.read()))
         else:
             out.append(0)
     return bytes(out)

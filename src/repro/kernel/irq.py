@@ -153,8 +153,7 @@ class IrqController:
             for chain, values in runs:
                 # Interrupt time is stolen from the victim's burst (never
                 # charged by ``_charge_time``): only the spans advance PMCs.
-                t = kernel.ktau.record(data, chain, t, target.counters,
-                                       values)
+                t = kernel.ktau.record(data, chain, t, values)
             # Interrupt-context measurement cost is paid immediately (it
             # extends the interrupt, not the task's next burst).
             total += data.pending_overhead_ns - before

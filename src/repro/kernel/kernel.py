@@ -71,7 +71,7 @@ class Kernel:
             if params.ktau.counters:
                 # Interrupt work on an idle CPU advances the idle task's
                 # PMCs — the same process-centric attribution as time.
-                self.swapper.ktau.counter_source = self.swapper.counters.read
+                self.swapper.ktau.counters = self.swapper.counters
 
         self._rx = tcp_mod.RxPath(params.cache_mismatch_factor)
         self._tx = tcp_mod.TxPath(TCP_TX_COST_NS, self.clock)
@@ -119,7 +119,7 @@ class Kernel:
         if self.params.ktau.is_patched:
             task.ktau = self.ktau.register_task(pid, comm)
             if self.params.ktau.counters:
-                task.ktau.counter_source = task.counters.read
+                task.ktau.counters = task.counters
         ctx = UserContext(self, task)
         task.frames.append(behavior(ctx))
         self.tasks[pid] = task

@@ -114,8 +114,8 @@ def record_tx_spans(kernel: "Kernel", task: "Task", segments: list[int]) -> int:
     tx = kernel._tx
     data = task.ktau
     if data is not None and segments:
-        kernel.ktau.record(data, tx.chain, kernel.clock.read(), task.counters,
-                           segments, tx.seg_cycles)
+        kernel.ktau.record(data, tx.chain, kernel.clock.read(), segments,
+                           tx.seg_cycles)
         if kernel.params.ktau.counters:
             # The legs advanced the PMCs inside their spans; the cost is
             # folded into the caller's upcoming kernel burst, so mark

@@ -5,7 +5,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.tracebuf import TraceBuffer, TraceKind, TraceRecord
+from repro.core.tracebuf import (TraceBuffer, TraceKind, TraceOverflowError,
+                                 TraceRecord)
 
 
 def rec(i):
@@ -92,3 +93,29 @@ def test_property_last_capacity_records_survive(capacity, bursts):
             assert len(buf) == 0
             model = []
     assert buf.total_records == written
+
+
+@given(capacity=st.integers(1, 16), strict=st.booleans(),
+       bursts=st.lists(st.integers(0, 40), max_size=5))
+def test_property_extend_matches_appends(capacity, strict, bursts):
+    """``extend`` keeps, drops and counts exactly the records that one
+    ``append`` per record would, and a strict ring raises at the same
+    record."""
+    one, block = TraceBuffer(capacity, strict), TraceBuffer(capacity, strict)
+    written = 0
+    for n in bursts:
+        records = [rec(written + i) for i in range(n)]
+        written += n
+        errors = []
+        for write in (lambda: [one.append(r) for r in records],
+                      lambda: block.extend(records)):
+            try:
+                write()
+                errors.append(None)
+            except TraceOverflowError as exc:
+                errors.append(str(exc))
+        assert errors[0] == errors[1]
+        assert (one.peek(), one.lost_count, one.total_records) == \
+            (block.peek(), block.lost_count, block.total_records)
+        if errors[0] is not None:
+            break

@@ -15,6 +15,7 @@ The load-bearing claims:
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,11 +46,11 @@ def build_ktau(**opts):
 
 
 def with_counter_cell(ktau, pid, comm):
-    """Register a task whose PMC source reads a mutable cell the test
-    controls — the counter deltas are then exact, not modelled."""
+    """Register a task whose PMCs read a mutable cell the test controls —
+    the counter deltas are then exact, not modelled."""
     data = ktau.register_task(pid, comm)
     cell = [(0, 0, 0, 0, 0)]
-    data.counter_source = lambda: tuple(cell[0])
+    data.counters = SimpleNamespace(read=lambda: tuple(cell[0]))
     return data, cell
 
 

@@ -14,12 +14,19 @@ configurations, receive groups, and the chain and segment stream captured
 from a small LU run.  Each implementation records the same input into its
 own fresh, identically seeded measurement system, and every observable of
 the result must be identical: profiles, atomics, merge pairs, counter
-profile, call graph, recursion counts, overhead, trace, PMCs, the open
-stack, the mapping order, the firing-cache counters and the samplers'
-next draws.  In the plain profiling build a call is summed in one step,
-so the inputs include that build, calls recorded more than once (warm,
-bound points), and sampler refills inside a sum in either order
-(``primed``, ``extra_stops``).
+profile, call graph, recursion counts, overhead, trace (its records,
+lost and written counts), PMCs, the open stack, the mapping order, the
+firing-cache counters and the samplers' next draws.  Outside strict mode
+a live call whose chain points all fire, differ and are not open is
+summed in one step, in any combination of tracing, counters and call
+graph, so the inputs include such builds, calls recorded more than once
+(warm, bound points), sampler refills inside a sum in either order
+(``primed``, ``extra_stops``), and rings of 8 or 3 entries, sometimes
+pre-filled, that a summed call overflows part way (``ring``,
+``prefill``).  Calls are walked event by event under strict builds,
+frozen tasks, compiled-out or disabled points, chains that repeat a name,
+and chains whose point is already open (``outer``); the generated
+configurations cover each.
 """
 
 from types import SimpleNamespace
@@ -35,7 +42,7 @@ from repro.core.measurement import Ktau
 from repro.core.overhead import OverheadModel
 from repro.core.points import ALL_GROUPS, Group
 from repro.core.registry import PointKind
-from repro.core.tracebuf import TraceKind
+from repro.core.tracebuf import TraceKind, TraceOverflowError, TraceRecord
 from repro.cluster.launch import block_placement, launch_mpi_job
 from repro.cluster.machines import make_chiba
 from repro.kernel import irq as irq_mod
@@ -203,7 +210,7 @@ def make_world(cfg):
     build = KtauBuildConfig(
         compiled_groups=frozenset(ALL_GROUPS) - set(cfg["compiled_out"]),
         tracing=cfg["tracing"], counters=cfg["counters"],
-        callgraph=cfg["callgraph"])
+        callgraph=cfg["callgraph"], trace_buffer_entries=cfg["ring"])
     control = KtauRuntimeControl(build)
     if cfg["disabled_group"] is not None:
         control.disable(cfg["disabled_group"])
@@ -221,11 +228,14 @@ def make_world(cfg):
     data = ktau.register_task(7, "rank0")
     counters = TaskCounters()
     if build.counters:
-        data.counter_source = counters.read
+        data.counters = counters
     data.user_context = cfg["user_ctx"]
     if cfg["outer"]:
         ktau.entry(data, ktau.registry.point(OUTER), at_cycles=T0 - 500)
         counters.advance(900, True)
+    if data.trace is not None:  # so that a call can overflow the ring
+        for i in range(min(cfg["prefill"], cfg["ring"] - len(data.trace))):
+            data.trace.append(TraceRecord(i, 0, TraceKind.ENTRY))
     data.frozen = cfg["frozen"]
     return ktau, data, counters
 
@@ -243,7 +253,8 @@ def observe(ktau, data, counters):
         "pending_overhead_ns": data.pending_overhead_ns,
         "overhead_cycles": data.overhead_cycles,
         "unmatched_exits": data.unmatched_exits,
-        "trace": None if trace is None else trace.peek(),
+        "trace": None if trace is None else (
+            trace.peek(), trace.lost_count, trace.total_records),
         "stack": [(f.event_id, f.entry_cycles, f.child_cycles, f.user_ctx,
                    f.entry_pmc) for f in data.stack],
         "mapping": ktau.registry.mapping_table(),
@@ -310,24 +321,49 @@ configs = st.fixed_dictionaries({
     "primed": st.sampled_from([0, 4090]),
     "extra_stops": st.sampled_from([0, 6]),
     "seed": st.integers(0, 2 ** 16),
+    "ring": st.sampled_from([4096, 8, 3]),
+    "prefill": st.sampled_from([0, 0, 2, 7]),
 })
-#: As ``configs``, or the plain profiling build with every point enabled
-#: and a live task, whose calls are summed.
+#: As ``configs``, or a non-strict build with every point enabled and a
+#: live task, whose calls are summed in any combination of tracing,
+#: counters and call graph.
 run_configs = st.one_of(configs, configs.map(
-    lambda cfg: {**cfg, "tracing": False, "counters": False,
-                 "callgraph": False, "strict": False, "compiled_out": (),
+    lambda cfg: {**cfg, "strict": False, "compiled_out": (),
                  "disabled_group": None, "disabled_point": None,
                  "frozen": False}))
 
 
+def outcome(run, world):
+    """``run()`` and what ``world`` observes after it.  A strict ring's
+    overflow aborts the call: its message stands for the result, and the
+    firing cache's miss count is left out, since the recorder resolves all
+    of a chain's points before it fires the first."""
+    try:
+        result = run()
+    except TraceOverflowError as exc:
+        seen = observe(*world)
+        firings, _misses, *rest = seen["firing_cache"]
+        seen["firing_cache"] = (firings, *rest)
+        return f"overflow: {exc}", seen
+    return result, observe(*world)
+
+
 def record_both(cfg, call_list):
-    ref = make_world(cfg)
-    new = make_world(cfg)
-    t_ref = t_new = T0
-    for chain, values, step in call_list:
-        t_ref = reference_record(*ref[:2], chain, t_ref, ref[2], values, step)
-        t_new = new[0].record(new[1], chain, t_new, new[2], values, step)
-    return (t_ref, observe(*ref)), (t_new, observe(*new))
+    ref, new = make_world(cfg), make_world(cfg)
+
+    def reference_calls():
+        t = T0
+        for chain, values, step in call_list:
+            t = reference_record(*ref[:2], chain, t, ref[2], values, step)
+        return t
+
+    def calls():
+        t = T0
+        for chain, values, step in call_list:
+            t = new[0].record(new[1], chain, t, values, step)
+        return t
+
+    return outcome(reference_calls, ref), outcome(calls, new)
 
 
 def fake_tx_kernel(ktau, cost):
@@ -339,15 +375,19 @@ def fake_tx_kernel(ktau, cost):
 
 def tx_both(cfg, groups, cost):
     ref = make_world(cfg)
-    ahead = sum(reference_tx(*ref, segments, cost) for segments in groups)
-    ktau, data, counters = make_world(cfg)
+    reference = outcome(lambda: sum(reference_tx(*ref, segments, cost)
+                                    for segments in groups), ref)
+    ktau, data, _ = new = make_world(cfg)
     kernel = fake_tx_kernel(ktau, cost)
-    task = SimpleNamespace(ktau=data, counters=counters, pmc_ahead_cycles=0)
-    for segments in groups:
-        total = record_tx_spans(kernel, task, segments)
-        assert total == cost * len(segments)
-    return (ahead, observe(*ref)), (task.pmc_ahead_cycles,
-                                   observe(ktau, data, counters))
+    task = SimpleNamespace(ktau=data, pmc_ahead_cycles=0)
+
+    def transmit():
+        for segments in groups:
+            total = record_tx_spans(kernel, task, segments)
+            assert total == cost * len(segments)
+        return task.pmc_ahead_cycles
+
+    return reference, outcome(transmit, new)
 
 
 # ----------------------------------------------------------------------
@@ -381,7 +421,8 @@ def _cfg(**overrides):
     cfg = {"hz": 450e6, "tracing": True, "counters": True, "callgraph": True,
            "compiled_out": (), "disabled_group": None,
            "disabled_point": None, "frozen": False, "outer": True,
-           "user_ctx": "main()", "primed": 0, "extra_stops": 0, "seed": 3}
+           "user_ctx": "main()", "primed": 0, "extra_stops": 0, "seed": 3,
+           "ring": 4096, "prefill": 0}
     cfg.update(overrides)
     return cfg
 
@@ -439,14 +480,14 @@ def replay_reference(world, stream):
 
 def replay(world, stream):
     """As :func:`replay_reference`, through the recorder under test."""
-    ktau, data, counters = world
-    task = SimpleNamespace(ktau=data, counters=counters, pmc_ahead_cycles=0)
+    ktau, data, _ = world
+    task = SimpleNamespace(ktau=data, pmc_ahead_cycles=0)
     kernels = {}  # one per transmit cost, as one per node
     t = T0
     for kind, item in stream:
         if kind == "irq":
             for chain, values in item[0]:
-                t = ktau.record(data, chain, t, counters, values)
+                t = ktau.record(data, chain, t, values)
         else:
             segments, cost = item
             kernel = kernels.get(cost)
@@ -457,6 +498,10 @@ def replay(world, stream):
 
 
 PLAIN = {"tracing": False, "counters": False, "callgraph": False}
+#: The plain profiling build, each extension alone, and all three.
+BUILDS = {"plain": PLAIN, "tracing": {**PLAIN, "tracing": True},
+          "counters": {**PLAIN, "counters": True},
+          "callgraph": {**PLAIN, "callgraph": True}, "all": {}}
 
 
 @pytest.mark.parametrize("overrides", [
@@ -471,16 +516,18 @@ def test_captured_lu_inputs_replay_identically(lu_inputs, overrides):
 
 
 def test_run_path_covers_captured_lu_stream(lu_inputs, monkeypatch):
-    """Non-vacuity: in the plain profiling build, at least 90% of the LU
-    stream's span activations, and of its interrupt spans alone, are
-    summed rather than recorded event by event."""
+    """Non-vacuity: in the plain profiling build, and with tracing,
+    counters or the call graph built in, alone or together, at least 90%
+    of the LU stream's span activations, and of its interrupt spans
+    alone, are summed rather than recorded event by event."""
     irq_spans = sum(count_spans(tree)
                     for kind, item in lu_inputs if kind == "irq"
                     for chain, values in item[0]
                     for tree in trees_of(chain, values))
     tx_spans = 3 * sum(len(item[0]) for kind, item in lu_inputs
                        if kind == "tx")
-    summed = {"irq": 0, "tx": 0}
+    assert irq_spans > 300 and tx_spans > 300
+    summed = {}
     sum_ = Ktau._sum
 
     def spy(self, data, plan, t, values, step_cycles):
@@ -492,10 +539,12 @@ def test_run_path_covers_captured_lu_stream(lu_inputs, monkeypatch):
         return sum_(self, data, plan, t, values, step_cycles)
 
     monkeypatch.setattr(Ktau, "_sum", spy)
-    replay(make_world(_cfg(**PLAIN)), lu_inputs)
-    assert irq_spans > 300 and tx_spans > 300
-    assert summed["irq"] >= 0.9 * irq_spans
-    assert summed["irq"] + summed["tx"] >= 0.9 * (irq_spans + tx_spans)
+    for build, overrides in BUILDS.items():
+        summed.update(irq=0, tx=0)
+        replay(make_world(_cfg(**overrides)), lu_inputs)
+        assert summed["irq"] >= 0.9 * irq_spans, build
+        assert summed["irq"] + summed["tx"] >= \
+            0.9 * (irq_spans + tx_spans), build
 
 
 def test_captured_work_is_the_trees_total(lu_inputs):
@@ -527,7 +576,7 @@ def test_rx_templates_match_reference_trees(overrides, hz, groups):
     factor = KernelParams().cache_mismatch_factor
     rx = RxPath(factor)
     (ktau_ref, data_ref, counters_ref) = ref = make_world(cfg)
-    (ktau, data, counters) = new = make_world(cfg)
+    ktau, data, _ = new = make_world(cfg)
     t_ref = t_new = T0
     for mismatch, segments in groups:
         trees = reference_rx_trees(factor, mismatch, segments)
@@ -536,9 +585,8 @@ def test_rx_templates_match_reference_trees(overrides, hz, groups):
         for tree in trees:
             t_ref = reference_tree(ktau_ref, data_ref, tree, t_ref,
                                    counters_ref)
-        t_new = ktau.record(data, rx.hard, t_new, counters)
-        t_new = ktau.record(data, rx.softirq[mismatch], t_new, counters,
-                            segments)
+        t_new = ktau.record(data, rx.hard, t_new)
+        t_new = ktau.record(data, rx.softirq[mismatch], t_new, segments)
     assert (t_new, observe(*new)) == (t_ref, observe(*ref))
 
 
@@ -586,12 +634,11 @@ def patched_lu_records(monkeypatch):
     calls, built = [], []
     record, init = Ktau.record, KSpan.__init__
 
-    def spy_record(self, data, chain, t_cycles, counters=None, values=None,
+    def spy_record(self, data, chain, t_cycles, values=None,
                    step_cycles=None):
         calls.append((chain, None if values is None else list(values),
                       step_cycles))
-        return record(self, data, chain, t_cycles, counters, values,
-                      step_cycles)
+        return record(self, data, chain, t_cycles, values, step_cycles)
 
     def spy_init(self, name, *args, **kwargs):
         built.append(name)
@@ -648,9 +695,9 @@ def test_runs_follow_runtime_control_between_runs(point):
     cfg = _cfg(**PLAIN)
     cost = 24 * USEC
     ref, new = make_world(cfg), make_world(cfg)
-    ktau, data, counters = new
+    ktau, data, _ = new
     kernel = fake_tx_kernel(ktau, cost)
-    task = SimpleNamespace(ktau=data, counters=counters, pmc_ahead_cycles=0)
+    task = SimpleNamespace(ktau=data, pmc_ahead_cycles=0)
     factor = KernelParams().cache_mismatch_factor
     rx = RxPath(factor)
     segments = [1448, 1448, 60]
@@ -663,9 +710,8 @@ def test_runs_follow_runtime_control_between_runs(point):
         record_tx_spans(kernel, task, segments)
         for tree in reference_rx_trees(factor, False, segments):
             t_ref = reference_tree(*ref[:2], tree, t_ref, ref[2])
-        t_new = ktau.record(data, rx.hard, t_new, counters)
-        t_new = ktau.record(data, rx.softirq[False], t_new, counters,
-                            segments)
+        t_new = ktau.record(data, rx.hard, t_new)
+        t_new = ktau.record(data, rx.softirq[False], t_new, segments)
     assert (t_new, observe(*new)) == (t_ref, observe(*ref))
 
 
@@ -695,7 +741,8 @@ def test_tx_at_107_mhz_ends_each_segment_at_its_whole_cost():
     ref, new = tx_both(_cfg(hz=107e6), [[1448, 1448, 512]], cost)
     assert new == ref
     _, obs = new
-    exits = [r.cycles for r in obs["trace"] if r.kind == TraceKind.EXIT]
+    records, _lost, _written = obs["trace"]
+    exits = [r.cycles for r in records if r.kind == TraceKind.EXIT]
     assert exits[2::3] == [T0 + k * clock.cycles_for_ns(cost) for k in (1, 2, 3)]
     assert new[0] == 3 * legs  # the PMCs still advance by every leg
 
@@ -721,3 +768,29 @@ def test_frozen_task_records_nothing_but_pmcs():
     assert new == ref
     assert new[1]["profile"] == [] and new[1]["pending_overhead_ns"] == 0
     assert new[1]["pmc"][0] > 0
+
+
+def test_summed_pmcs_truncate_each_span(monkeypatch):
+    """A summed call advances the PMCs by each span's own truncated
+    advance, once per pass, as the per-event path does; truncating the
+    summed cycles instead would count more instructions and misses here,
+    where ``cycles * ipc`` is fractional and the leaf runs five times."""
+    rates = PmcRates(ipc=0.55, l2_miss_per_kcycle=3.0)
+    chain = KSpan("net_rx_action", 1_000, KSpan(
+        "tcp_v4_rcv", 7_000, atomic="net.pkt_rx_bytes", rates=rates))
+    cfg = _cfg(**BUILDS["counters"])
+    cycles = CycleClock(Engine(), hz=cfg["hz"]).cycles_for_ns(7_000)
+    insn, l2 = int(cycles * rates.ipc), int(cycles * 3.0) // 1000
+    assert (int(5 * cycles * rates.ipc), int(5 * cycles * 3.0) // 1000) \
+        != (5 * insn, 5 * l2)
+
+    def walk(*args):
+        raise AssertionError("the call was walked, not summed")
+
+    monkeypatch.setattr(Ktau, "_walk", walk)
+    ref, new = record_both(cfg, [(chain, [1448, 1448, 1448, 1448, 60],
+                                  None)])
+    assert new == ref
+    leaf = new[1]["mapping"][2][0]  # after OUTER and net_rx_action
+    assert dict(new[1]["counter_profile"])[leaf] == \
+        [5, 5 * cycles, 5 * insn, 5 * l2, 0, 0]
