@@ -143,3 +143,28 @@ def test_cli_monitor_byte_identical_to_golden(experiment, tmp_path, capsys):
         == _GOLD[f"monitor_{experiment}_alerts_sha256"]
     assert _sha(timeline.read_text()) \
         == _GOLD[f"monitor_{experiment}_timeline_sha256"]
+
+
+# ---------------------------------------------------------------------------
+# The two fig2 benchmark workloads at their default seed: the same outputs
+# perfbench/run.py pins, checked here by the tier-1 suite.
+# ---------------------------------------------------------------------------
+def test_fig2_traced_byte_identical_to_golden():
+    from repro.analysis.export import canonical_json
+    from repro.experiments.bottleneck import run_bottleneck_fig2
+    from repro.monitor import MonitorConfig
+
+    result = run_bottleneck_fig2(
+        1, top_k=10, monitor_config=MonitorConfig(period_ns=100 * MSEC,
+                                                  bottleneck_top_k=10))
+    assert _sha(canonical_json({"report": result.report.to_doc(),
+                                "monitor": result.monitor.to_doc()})) \
+        == _GOLD["fig2_traced_sha256"]
+
+
+def test_fig2_counters_byte_identical_to_golden():
+    from repro.analysis.export import canonical_json
+    from repro.experiments.counters_demo import run_counters_demo
+
+    assert _sha(canonical_json(run_counters_demo(1).to_doc())) \
+        == _GOLD["fig2_counters_sha256"]
