@@ -22,6 +22,7 @@ from typing import Iterable, Optional
 from repro.analysis.profiles import JobData
 from repro.analysis.tracemerge import MergedEvent
 from repro.core.wire import TaskProfileDump
+from repro.obs.tracer import span_records
 from repro.tau.profiler import TauProfileDump
 
 
@@ -56,34 +57,10 @@ def to_chrome_trace(events_by_process: dict[str, tuple[list[MergedEvent], float]
         if not events:
             continue
         t0 = events[0].cycles
-        stack: list[str] = []
-        last_ts = 0.0
-        for event in events:
-            ts_us = (event.cycles - t0) / hz * 1e6
-            last_ts = ts_us
-            category = event.layer
-            if event.atomic:
-                records.append({"name": event.name, "ph": "i", "s": "t",
-                                "pid": pid, "tid": tid, "ts": ts_us,
-                                "cat": category,
-                                "args": {"value": event.value}})
-                continue
-            if event.is_entry:
-                stack.append(event.name)
-            else:
-                # Circular trace buffers can lose a region's entry record;
-                # drop orphaned exits rather than mis-nest the viewer.
-                if not stack or stack[-1] != event.name:
-                    continue
-                stack.pop()
-            records.append({"name": event.name,
-                            "ph": "B" if event.is_entry else "E",
-                            "pid": pid, "tid": tid, "ts": ts_us,
-                            "cat": category})
-        # Close regions still open when the trace ends.
-        while stack:
-            records.append({"name": stack.pop(), "ph": "E", "pid": pid,
-                            "tid": tid, "ts": last_ts, "cat": "truncated"})
+        records.extend(span_records(
+            (((event.cycles - t0) / hz * 1e6, event.name,
+              None if event.atomic else event.is_entry, event.layer,
+              event.value) for event in events), pid=pid, tid=tid))
     return json.dumps({"traceEvents": records, "displayTimeUnit": "ms"})
 
 

@@ -1,96 +1,109 @@
-"""Closed forms of the §6 extensions for a summed kernel span-chain call.
+"""Closed forms of a summed kernel span-chain call.
 
 :meth:`repro.core.measurement.Ktau.record` sums a live chain call in one
-step.  The profile terms live there; this module holds what the PMC,
-call-graph and tracing extensions add, as per-chain terms computed once
-(:func:`extension_terms`) and applied per call (:func:`add_extensions`).
-A chain has enclosing levels, opened once per call, around repeated
-levels, opened once per value (a *pass*); each pass's spans close
-innermost first, then the enclosing ones.  Every result equals the
-per-event path's, in the same order.
+step.  :func:`layout` lays a chain out once per pass length, in one pass
+over its levels: the profile terms of its closes and what the PMC,
+call-graph and tracing extensions add.  :func:`add_extensions` applies
+the extensions' terms per call.  A chain has enclosing levels, opened
+once per call, around repeated levels, opened once per value (a
+*pass*); each pass's spans close innermost first, then the enclosing
+ones.  Every result equals the per-event path's, in the same order.
 """
 
 from __future__ import annotations
 
-from operator import add
 from typing import Optional, Sequence
 
 from repro.core.tracebuf import TraceKind, TraceRecord
 
 
-def extension_terms(build, plan, split: int, head_cycles: int,
-                    step: int) -> Optional[tuple]:
-    """The ``(pmc, parents, trace)`` terms of ``plan`` (a laid-out chain:
+def layout(build, plan, step_cycles: Optional[int]) -> tuple:
+    """The terms of a summed call of ``plan`` (a laid-out chain:
     ``levels`` with ``point``, ``cycles`` and ``rates``, ``event_ids``,
-    ``atomic_id``) whose first ``split`` levels enclose the repeated
-    ones, each ``None`` when ``build`` leaves its extension out, or
-    ``None`` when it has none.  Rows follow the closes: repeated levels
-    innermost first, then enclosing.
+    ``atomic``, ``atomic_id``) for ``step_cycles``: ``(closes,
+    head_cycles, step, draws, extras)``.  With ``step_cycles`` every
+    level repeats and a pass is that long; without, the leaf repeats
+    inside the levels enclosing it and a pass is the leaf's own cycles.
 
-    * ``pmc``: the enclosing and repeated levels' total ``(cycles, insn,
-      l2)`` advances, and per close ``(c0, i0, l0, c1, i1, l1)``: its
-      entry-to-exit delta is ``c0 + n * c1`` (and so on).
-    * ``parents``: each close's call-graph parent, ``None`` for the
-      outermost level, whose parent encloses the call.
-    * ``trace``: the enclosing and the repeated levels' ``(offset,
-      event_id)`` entries, outermost first; the atomic's ID; the repeated
-      and the enclosing levels' exits, innermost first; the first pass's
-      offset and the pass length.
+    * ``closes``: per close, innermost first, ``(event_id, enclosing,
+      incl, excl)``.  A call of ``n`` passes closes a repeated level
+      ``n`` times, adding ``n * incl`` and ``n * excl``, and an
+      enclosing level once, adding ``incl + n * step`` and ``excl``.
+    * ``head_cycles``: the enclosing levels' own cycles; ``step``: the
+      pass's length.
+    * ``draws``: the counts of enclosing levels, repeated levels and
+      atomics, which give the draw order.
+    * ``extras``: ``None`` when ``build`` has no extension, else
+      ``(pmc, parents, trace)``, each ``None`` when ``build`` leaves its
+      extension out.  ``pmc``: per close ``(c0, i0, l0, c1, i1, l1)``,
+      its entry-to-exit ``(cycles, insn, l2)`` delta being ``c0 + n *
+      c1`` (and so on); the outermost close's is the call's advance.
+      ``parents``: per close its call-graph parent, ``None`` for the
+      outermost level, whose parent encloses the call.  ``trace``: the
+      enclosing and the repeated levels' ``(offset, event_id)`` entries,
+      outermost first; the atomic's ID; the repeated and the enclosing
+      levels' exits, innermost first; ``head_cycles`` and ``step``.
     """
-    if not (build.counters or build.callgraph or build.tracing):
-        return None
     levels, event_ids = plan.levels, plan.event_ids
-    pmc = parents = trace = None
-    if build.counters:
-        # What TaskCounters.advance adds for each span on its own.
-        own = [(level.cycles, int(level.cycles * level.rates.ipc),
-                int(level.cycles * level.rates.l2_miss_per_kcycle) // 1000)
-               for level in levels]
-
-        def inward_sums(rows):  # innermost first
-            sums, total = [], (0, 0, 0)
-            for row in reversed(rows):
-                total = tuple(map(add, total, row))
-                sums.append(total)
-            return sums
-
-        body_sums, head_sums = inward_sums(own[split:]), inward_sums(
-            own[:split])
-        body_total = body_sums[-1]
-        head_total = head_sums[-1] if head_sums else (0, 0, 0)
-        pmc = ((*head_total, *body_total),
-               [(0, 0, 0, *sums) for sums in body_sums]
-               + [(*sums, *body_total) for sums in head_sums])
-    if build.callgraph:
-        parent_of = [None] + [f"K:{level.point.name}"
-                              for level in levels[:-1]]
-        parents = parent_of[split:][::-1] + parent_of[:split][::-1]
-    if build.tracing:
-        offsets, offset = [], 0
-        for i, level in enumerate(levels):
-            if i == split:  # a pass's offsets are from its start
-                offset = 0
-            offsets.append(offset)
-            offset += level.cycles
+    split = 0 if step_cycles is not None else len(levels) - 1
+    step = levels[-1].cycles if step_cycles is None else step_cycles
+    # Entry offsets: an enclosing level's from the call's start, a
+    # repeated level's from its pass's start.
+    offsets, offset = [], 0
+    for i, level in enumerate(levels):
+        if i == split:
+            head_cycles, offset = offset, 0
+        offsets.append(offset)
+        offset += level.cycles
+    closes, pmc, parents = [], [], []
+    inner, child_incl = (0, 0, 0), 0
+    for i in reversed(range(len(levels))):
+        level = levels[i]
+        cycles = level.cycles
+        if i == split - 1:  # past the repeated levels: their pass's total
+            body, inner = inner, (0, 0, 0)
+        # What TaskCounters.advance adds for each span on its own, summed
+        # over the span and those inside it.
+        inner = (inner[0] + cycles, inner[1] + int(cycles * level.rates.ipc),
+                 inner[2] + int(cycles * level.rates.l2_miss_per_kcycle)
+                 // 1000)
+        if i < split:
+            closes.append((event_ids[i], True, head_cycles - offsets[i],
+                           cycles))
+            pmc.append((*inner, *body))
+        else:
+            incl = step - offsets[i]
+            closes.append((event_ids[i], False, incl,
+                           max(incl - child_incl, 0)))
+            child_incl = incl
+            pmc.append((0, 0, 0, *inner))
+        parents.append(f"K:{levels[i - 1].point.name}" if i else None)
+    extras = None
+    if build.counters or build.callgraph or build.tracing:
         entries = list(zip(offsets, event_ids))
-        trace = (entries[:split], entries[split:], plan.atomic_id,
-                 event_ids[split:][::-1], event_ids[:split][::-1],
-                 head_cycles, step)
-    return pmc, parents, trace
+        extras = (pmc if build.counters else None,
+                  parents if build.callgraph else None,
+                  (entries[:split], entries[split:], plan.atomic_id,
+                   event_ids[split:][::-1], event_ids[:split][::-1],
+                   head_cycles, step) if build.tracing else None)
+    return (closes, head_cycles, step,
+            (split, len(levels) - split, int(plan.atomic is not None)),
+            extras)
 
 
 def add_extensions(data, terms: tuple, closes: list, t: int, end: int,
                    values: Optional[Sequence[int]], name_of) -> int:
-    """Apply ``terms`` to task ``data`` for one summed call from ``t`` to
-    ``end`` whose ``closes`` are ``(event_id, count, incl, excl)``
-    (``name_of`` names an event ID): advance its PMCs and counter profile,
-    add its call-graph edges and append its trace records.  Returns
-    ``end``, as the int the call's last trace records share if any."""
-    pmc, parents, trace = terms
+    """Apply ``terms`` (a :func:`layout`'s ``extras``) to task ``data``
+    for one summed call from ``t`` to ``end`` whose ``closes`` are
+    ``(event_id, count, incl, excl)`` (``name_of`` names an event ID):
+    advance its PMCs and counter profile, add its call-graph edges and
+    append its trace records.  Returns ``end``, as the int the call's
+    last trace records share if any."""
+    rows, parents, trace = terms
     n = 1 if values is None else len(values)
     counters = data.counters
-    if pmc is not None and counters is not None:
-        (hc, hi, hl, bc, bi, bl), rows = pmc
+    if rows is not None and counters is not None:
+        hc, hi, hl, bc, bi, bl = rows[-1]
         counters.cycles += hc + n * bc
         counters.insn_retired += hi + n * bi
         counters.l2_misses += hl + n * bl

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.chainsum import add_extensions, extension_terms
+from repro.core.chainsum import add_extensions, layout
 from repro.core.config import KtauBuildConfig, KtauRuntimeControl
 from repro.core.counters import TaskCounters, rates_for_path
 from repro.core.overhead import OverheadModel, ZeroOverheadModel
@@ -136,24 +136,22 @@ class _StackEntry:
 
 class _Level:
     """One span of a chain laid out for one :class:`Ktau`: its point, its
-    own cost in cycles, its PMC rates, and its firing state under the
-    chain's resolved version."""
+    own cost in cycles and its PMC rates."""
 
-    __slots__ = ("point", "cycles", "rates", "state")
+    __slots__ = ("point", "cycles", "rates")
 
     def __init__(self, point: InstrumentationPoint, cycles: int, rates):
         self.point = point
         self.cycles = cycles
         self.rates = rates
-        self.state = 0
 
 
 class _Chain:
     """A span chain laid out for :meth:`Ktau.record`: its levels
     (outermost first) and the leaf's atomic point, resolved once per
     firing-state version.  ``event_ids`` (outermost first) and
-    ``atomic_id`` are set while a call can be summed; ``rows`` caches the
-    sums' per-level terms for one ``step_cycles``."""
+    ``atomic_id`` are set while a call can be summed; ``rows`` caches its
+    :func:`~repro.core.chainsum.layout` for one ``step_cycles``."""
 
     __slots__ = ("levels", "atomic", "distinct", "version", "event_ids",
                  "atomic_id", "rows_key", "rows")
@@ -333,13 +331,21 @@ class Ktau:
     # ------------------------------------------------------------------
     # The three instrumentation macros
     # ------------------------------------------------------------------
-    def _flag_check(self, data: KtauTaskData) -> None:
-        """Charge a disabled point's flag check (the enabled paths charge
-        their draws in line)."""
-        cycles = self.overhead.DISABLED_CHECK_CYCLES
-        if cycles:
-            data.pending_overhead_ns += self.clock.ns_for_cycles(cycles)
-            data.overhead_cycles += cycles
+    def _fire(self, data: KtauTaskData, point: InstrumentationPoint) -> int:
+        """Count a firing of ``point`` in ``data``'s task and return its
+        firing state, charging a disabled point's flag check (the enabled
+        paths charge their draws in line)."""
+        self._firings += 1
+        state = (self._state_cache.get(point)
+                 if self.control.version == self._state_cache_version else None)
+        if state is None:
+            state = self._resolve_state(point)
+        if state == 1:
+            cycles = self.overhead.DISABLED_CHECK_CYCLES
+            if cycles:
+                data.pending_overhead_ns += self._ns_of[cycles]
+                data.overhead_cycles += cycles
+        return state
 
     def _resolve_state(self, point: InstrumentationPoint) -> int:
         """Firing state of ``point`` when the in-line cache check misses:
@@ -371,16 +377,7 @@ class Ktau:
         of time (interrupt/softirq sequences) stamp events at their true
         positions instead of the current TSC.
         """
-        if data.frozen:
-            return
-        self._firings += 1
-        state = (self._state_cache.get(point)
-                 if self.control.version == self._state_cache_version else None)
-        if state is None:
-            state = self._resolve_state(point)
-        if state != 2:
-            if state:
-                self._flag_check(data)
+        if data.frozen or self._fire(data, point) != 2:
             return
         event_id = point.event_id
         if event_id is None:
@@ -391,16 +388,7 @@ class Ktau:
     def exit(self, data: KtauTaskData, point: InstrumentationPoint,
              at_cycles: Optional[int] = None) -> None:
         """Entry/exit macro: exit side."""
-        if data.frozen:
-            return
-        self._firings += 1
-        state = (self._state_cache.get(point)
-                 if self.control.version == self._state_cache_version else None)
-        if state is None:
-            state = self._resolve_state(point)
-        if state != 2:
-            if state:
-                self._flag_check(data)
+        if data.frozen or self._fire(data, point) != 2:
             return
         event_id = point.event_id
         if event_id is None:
@@ -516,16 +504,7 @@ class Ktau:
         """Atomic-event macro: a stand-alone event carrying a value."""
         if point.kind != PointKind.ATOMIC:
             raise ValueError(f"{point.name} is not an atomic point")
-        if data.frozen:
-            return
-        self._firings += 1
-        state = (self._state_cache.get(point)
-                 if self.control.version == self._state_cache_version else None)
-        if state is None:
-            state = self._resolve_state(point)
-        if state != 2:
-            if state:
-                self._flag_check(data)
+        if data.frozen or self._fire(data, point) != 2:
             return
         event_id = point.event_id
         if event_id is None:
@@ -580,60 +559,60 @@ class Ktau:
         at a time in the per-event order and each is rounded to
         nanoseconds on its own, so the samplers' streams and the pending
         overhead match the per-event result; points bind in the per-event
-        order.  Every other call fires each span's entry and exit, and the
-        atomic, one by one.
+        order.  Every other call (a strict build, a frozen task, a point
+        that does not fire, a repeated or already open point) is walked:
+        each span's entry and exit, and the atomic, fire one by one
+        through the macros' firing check.  Only a live call outside
+        strict mode resolves its points before the first fires, so a
+        strict ring overflow that aborts a call leaves the firing-cache
+        counts the per-call macros would.
         """
         plan = self._chains.get(chain)
         if plan is None:
             plan = self._chains[chain] = _Chain(chain, self.registry,
                                                 self.clock)
-        if data.frozen:
-            return self._walk(data, plan, t_cycles, values, step_cycles,
-                              False)
-        if plan.version != self.control.version:
-            self._resolve(plan)
-        if plan.event_ids is not None and not any(
-                map(data.active_counts.get, plan.event_ids)):
-            return self._sum(data, plan, t_cycles, values, step_cycles)
-        return self._walk(data, plan, t_cycles, values, step_cycles, True)
+        if not (data.frozen or self.strict):
+            if plan.version != self.control.version:
+                self._resolve(plan)
+            if plan.event_ids is not None and not any(
+                    map(data.active_counts.get, plan.event_ids)):
+                return self._sum(data, plan, t_cycles, values, step_cycles)
+        return self._walk(data, plan, t_cycles, values, step_cycles)
 
     def _resolve(self, plan: _Chain) -> None:
         """Resolve ``plan`` under the current firing-state version; when a
         call can be summed, bind its points (spans outermost first, the
         atomic last) and keep their event IDs."""
         levels, atomic = plan.levels, plan.atomic
-        for level in levels:
-            level.state = self._resolve_state(level.point)
+        states = [self._resolve_state(level.point) for level in levels]
         plan.version = self.control.version
         plan.event_ids = None
-        if (not self.strict and plan.distinct
-                and all(level.state == 2 for level in levels)
+        if (plan.distinct and all(state == 2 for state in states)
                 and (atomic is None or self._resolve_state(atomic) == 2)):
             bind = self.registry.bind
             plan.event_ids = tuple(bind(level.point) for level in levels)
             plan.atomic_id = None if atomic is None else bind(atomic)
 
     def _walk(self, data: KtauTaskData, plan: _Chain, t: int,
-              values: Optional[Sequence[int]], step_cycles: Optional[int],
-              live: bool) -> int:
-        """:meth:`record` event by event (a frozen task records only its
-        PMCs)."""
-        counters = data.counters
+              values: Optional[Sequence[int]],
+              step_cycles: Optional[int]) -> int:
+        """:meth:`record` event by event, each point resolved as it fires
+        (a frozen task records only its PMCs)."""
+        live = not data.frozen
         levels = plan.levels
         split = 0 if step_cycles is not None else len(levels) - 1
         head, body = levels[:split], levels[split:]
         for level in head:
-            t = self._enter(data, level, t, counters, live)
-        atomic = plan.atomic if live else None
+            t = self._enter(data, level, t)
         for value in values if values is not None else (None,):
             start = t
             for level in body:
-                t = self._enter(data, level, t, counters, live)
+                t = self._enter(data, level, t)
             if step_cycles is not None:
                 t = start + step_cycles
-            if atomic is not None:
-                self.atomic(data, atomic, value, t)
             if live:
+                if plan.atomic is not None:
+                    self.atomic(data, plan.atomic, value, t)
                 for level in reversed(body):
                     self._leave(data, level, t)
         if live:
@@ -641,40 +620,33 @@ class Ktau:
                 self._leave(data, level, t)
         return t
 
-    def _enter(self, data: KtauTaskData, level: _Level, t: int,
-               counters: Optional[TaskCounters], live: bool) -> int:
+    def _enter(self, data: KtauTaskData, level: _Level, t: int) -> int:
         """Fire ``level``'s entry at ``t`` and lay out its cost; returns
         the stamp its child opens at."""
-        if live:
-            self._firings += 1
-            if level.state == 2:
-                event_id = level.point.event_id
-                if event_id is None:
-                    event_id = self.registry.bind(level.point)
-                self._open(data, event_id, t)
-            elif level.state:
-                self._flag_check(data)
+        point = level.point
+        if not data.frozen and self._fire(data, point) == 2:
+            event_id = point.event_id
+            if event_id is None:
+                event_id = self.registry.bind(point)
+            self._open(data, event_id, t)
         cycles = level.cycles
-        if cycles and counters is not None:
-            counters.advance(cycles, True, level.rates)
+        if cycles and data.counters is not None:
+            data.counters.advance(cycles, True, level.rates)
         return t + cycles
 
     def _leave(self, data: KtauTaskData, level: _Level, t: int) -> None:
         """Fire ``level``'s exit at ``t`` (its frame is the innermost)."""
-        self._firings += 1
-        if level.state == 2:
+        if self._fire(data, level.point) == 2:
             self._close(data, t)
-        elif level.state:
-            self._flag_check(data)
 
     def _sum(self, data: KtauTaskData, plan: _Chain, t: int,
              values: Optional[Sequence[int]],
              step_cycles: Optional[int]) -> int:
         """:meth:`record` in one accounting step."""
         if plan.rows_key != step_cycles:
-            plan.rows = self._rows(plan, step_cycles)
+            plan.rows = layout(self.build, plan, step_cycles)
             plan.rows_key = step_cycles
-        head_rows, body_rows, head_cycles, step, (h, b, a), extras = plan.rows
+        rows, head_cycles, step, (h, b, a), extras = plan.rows
         n = 1 if values is None else len(values)
         active = data.active_counts
         for event_id in plan.event_ids:  # opened and closed again
@@ -693,10 +665,9 @@ class Ktau:
         user_ctx = data.user_context
         profile, pairs = data.profile, data.context_pairs
         # Innermost first, the order the per-event path closes them in.
-        closes = ([(event_id, n, n * incl, n * excl)
-                   for event_id, incl, excl in body_rows]
-                  + [(event_id, 1, incl + n * step, excl)
-                     for event_id, incl, excl in head_rows])
+        closes = [(event_id, 1, incl + n * step, excl) if enclosing
+                  else (event_id, n, n * incl, n * excl)
+                  for event_id, enclosing, incl, excl in rows]
         for event_id, count, incl, excl in closes:
             perf = profile.get(event_id)
             if perf is None:
@@ -731,36 +702,6 @@ class Ktau:
         data.overhead_cycles += sum(costs)
         self._firings += 2 * h + n * (2 * b + a)
         return end
-
-    def _rows(self, plan: _Chain, step_cycles: Optional[int]) -> tuple:
-        """The per-level terms of :meth:`_sum` for ``step_cycles``: the
-        enclosing spans' ``(event_id, incl less n * step, excl)`` and the
-        repeated spans' per-pass ``(event_id, incl, excl)``, both
-        innermost first; the enclosing spans' own cycles; the pass's
-        length; the counts of enclosing spans, repeated spans and
-        atomics, which give the draw order; and the terms of the build's
-        extensions (:func:`~repro.core.chainsum.extension_terms`)."""
-        levels, event_ids = plan.levels, plan.event_ids
-        split = 0 if step_cycles is not None else len(levels) - 1
-        step = levels[-1].cycles if step_cycles is None else step_cycles
-        head_cycles = sum(level.cycles for level in levels[:split])
-        head_rows, body_rows = [], []
-        offset = 0
-        for i, level in enumerate(levels[:split]):
-            head_rows.append((event_ids[i], head_cycles - offset,
-                              level.cycles))
-            offset += level.cycles
-        child_incl = 0
-        offset = sum(level.cycles for level in levels[split:])
-        for i in reversed(range(split, len(levels))):
-            offset -= levels[i].cycles
-            incl = step - offset
-            body_rows.append((event_ids[i], incl, max(incl - child_incl, 0)))
-            child_incl = incl
-        head_rows.reverse()
-        return (head_rows, body_rows, head_cycles, step,
-                (split, len(levels) - split, int(plan.atomic is not None)),
-                extension_terms(self.build, plan, split, head_cycles, step))
 
     # ------------------------------------------------------------------
     # Harness observability (repro.obs)

@@ -127,28 +127,6 @@ class Scheduler:
         task.wake_value = None
         self._enqueue(task, self._pick_cpu(task), allow_preempt=True)
 
-    def set_affinity(self, task: Task, cpus: set[int]) -> None:
-        """``sched_setaffinity``: constrain and, if necessary, migrate."""
-        online = set(range(self.kernel.params.online_cpus))
-        allowed = cpus & online
-        if not allowed:
-            raise ValueError(f"affinity mask {cpus} has no online CPUs (online={online})")
-        task.cpus_allowed = allowed
-        if task.state is TaskState.RUNNING:
-            cpu = self.cpus[task.last_cpu]
-            if cpu.idx not in allowed and cpu.current is task:
-                self._deschedule(cpu, voluntary=False, requeue=False)
-                self._enqueue(task, min(allowed), allow_preempt=True)
-                self._cpu_reschedule(cpu)
-        elif task.state is TaskState.READY and task.last_cpu not in allowed:
-            for cpu in self.cpus:
-                try:
-                    cpu.runqueue.remove(task)
-                    break
-                except ValueError:
-                    continue
-            self._enqueue(task, min(allowed), allow_preempt=True)
-
     def stretch(self, cpu_idx: int, delta_ns: int) -> None:
         """Interrupt-context work delays whatever ``cpu_idx`` is doing.
 

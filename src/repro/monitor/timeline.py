@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.core.libktau import LibKtau
 from repro.monitor.cluster_monitor import ACTIVITY_METRIC, MonitorData
+from repro.obs.tracer import span_records
 from repro.sim.units import SEC
 from repro.tau.merge import merged_profile, rows_to_doc
 
@@ -87,32 +88,6 @@ def _node_thread_records(data: MonitorData, node: str, pid: int) -> list[dict]:
     return records
 
 
-def _rank_trace_records(trace: list[tuple[int, str, bool]], *,
-                        pid: int, tid: int, hz: float, boot_offset: int,
-                        epoch_ns: int) -> list[dict]:
-    """TAU trace records (cycles, routine, is_entry) as B/E spans."""
-    records: list[dict] = []
-    stack: list[str] = []
-    last_ts = 0.0
-    for cycles, name, is_entry in trace:
-        time_ns = (cycles - boot_offset) / hz * SEC
-        ts_us = _us(time_ns, epoch_ns)
-        last_ts = ts_us
-        if is_entry:
-            stack.append(name)
-        else:
-            # A lost entry record would mis-nest the viewer; drop the exit.
-            if not stack or stack[-1] != name:
-                continue
-            stack.pop()
-        records.append({"name": name, "ph": "B" if is_entry else "E",
-                        "pid": pid, "tid": tid, "ts": ts_us, "cat": "user"})
-    while stack:
-        records.append({"name": stack.pop(), "ph": "E", "pid": pid,
-                        "tid": tid, "ts": last_ts, "cat": "truncated"})
-    return records
-
-
 def integrated_timeline(data: MonitorData, job: "MpiJob") -> str:
     """Export a monitored run as a Chrome trace-event JSON string.
 
@@ -150,9 +125,11 @@ def integrated_timeline(data: MonitorData, job: "MpiJob") -> str:
         hz = data.node_hz[node]
         boot = data.node_boot_offset[node]
         if profiler.trace:
-            records.extend(_rank_trace_records(
-                profiler.trace, pid=pid, tid=tid, hz=hz,
-                boot_offset=boot, epoch_ns=data.start_ns))
+            records.extend(span_records(
+                ((_us((cycles - boot) / hz * SEC, data.start_ns), name,
+                  is_entry, "user", None)
+                 for cycles, name, is_entry in profiler.trace),
+                pid=pid, tid=tid))
             continue
         # No event trace: one summary span over the rank's lifetime,
         # annotated with its top merged user/kernel profile rows.

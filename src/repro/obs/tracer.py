@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterable, Iterator, Optional
 
 from repro.obs.runtime import wall_clock
 
@@ -113,6 +113,43 @@ class Tracer:
         """Write the Chrome trace-event file."""
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_chrome_json(process_name))
+
+
+def span_records(events: Iterable[tuple[float, str, Optional[bool], str,
+                                         Optional[int]]],
+                 *, pid: int, tid: int) -> list[dict]:
+    """Chrome trace records for one thread of a simulated trace.
+
+    ``events`` are ``(ts_us, name, is_entry, cat, value)`` in time order;
+    entries and exits become ``B``/``E`` records, and an ``is_entry`` of
+    ``None`` marks an instant (``i``) record carrying ``value``.  Circular
+    trace buffers can lose a region's entry record, so an exit that is
+    not the innermost open span's is dropped rather than mis-nest the
+    viewer, and spans still open at the end close at the last stamp under
+    the ``truncated`` category.
+    """
+    records: list[dict] = []
+    stack: list[str] = []
+    last_ts = 0.0
+    for ts, name, is_entry, cat, value in events:
+        last_ts = ts
+        if is_entry is None:
+            records.append({"name": name, "ph": "i", "s": "t", "pid": pid,
+                            "tid": tid, "ts": ts, "cat": cat,
+                            "args": {"value": value}})
+            continue
+        if is_entry:
+            stack.append(name)
+        elif stack and stack[-1] == name:
+            stack.pop()
+        else:
+            continue
+        records.append({"name": name, "ph": "B" if is_entry else "E",
+                        "pid": pid, "tid": tid, "ts": ts, "cat": cat})
+    while stack:
+        records.append({"name": stack.pop(), "ph": "E", "pid": pid,
+                        "tid": tid, "ts": last_ts, "cat": "truncated"})
+    return records
 
 
 def validate_trace_events(payload: str) -> tuple[int, int]:

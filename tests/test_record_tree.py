@@ -335,16 +335,11 @@ run_configs = st.one_of(configs, configs.map(
 
 def outcome(run, world):
     """``run()`` and what ``world`` observes after it.  A strict ring's
-    overflow aborts the call: its message stands for the result, and the
-    firing cache's miss count is left out, since the recorder resolves all
-    of a chain's points before it fires the first."""
+    overflow aborts the call: its message stands for the result."""
     try:
         result = run()
     except TraceOverflowError as exc:
-        seen = observe(*world)
-        firings, _misses, *rest = seen["firing_cache"]
-        seen["firing_cache"] = (firings, *rest)
-        return f"overflow: {exc}", seen
+        return f"overflow: {exc}", observe(*world)
     return result, observe(*world)
 
 
@@ -768,6 +763,19 @@ def test_frozen_task_records_nothing_but_pmcs():
     assert new == ref
     assert new[1]["profile"] == [] and new[1]["pending_overhead_ns"] == 0
     assert new[1]["pmc"][0] > 0
+
+
+def test_strict_overflow_counts_only_fired_points():
+    """A strict ring filled by the outer entry and two more records
+    overflows at a two-span chain's first entry.  The aborted call must
+    have resolved only the point that fired, as the per-call macros do,
+    so the firing cache's miss counts agree."""
+    chain = KSpan("do_IRQ", 5_000, KSpan("eth_interrupt", 1_000))
+    ref, new = record_both(_cfg(strict=True, ring=3, prefill=2),
+                           [(chain, None, None)])
+    assert new[0].startswith("overflow: ")
+    assert new[1]["firing_cache"][1] == ref[1]["firing_cache"][1] == 2
+    assert new == ref
 
 
 def test_summed_pmcs_truncate_each_span(monkeypatch):
