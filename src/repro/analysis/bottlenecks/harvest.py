@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.tracemerge import MergedEvent, merge_traces
+from repro.analysis.tracemerge import TimelineEvent, merge_traces
 from repro.cluster.launch import MpiJob
 from repro.core.libktau import LibKtau
 
@@ -31,7 +31,7 @@ class RankTrace:
     node: str
     hz: float
     boot_offset_cycles: int
-    merged: list[MergedEvent] = field(default_factory=list)
+    merged: list[TimelineEvent] = field(default_factory=list)
     #: ``(op, peer, nbytes, start_ns, end_ns)`` per wire operation, in
     #: engine nanoseconds (see :attr:`repro.cluster.mpi.MpiRank.msg_log`).
     msg_log: list[tuple[str, int, int, int, int]] = field(default_factory=list)

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.analysis.tracemerge import MergedEvent
+from repro.analysis.tracemerge import TimelineEvent
 from repro.sim.units import SEC
 
 #: Wait kinds (values appear in report JSON; keep stable).
@@ -85,7 +85,7 @@ def _to_global_ns(cycles: int, hz: float, boot_offset_cycles: int) -> int:
     return int(round((cycles - boot_offset_cycles) * SEC / hz))
 
 
-def extract_waits(merged: list[MergedEvent], *, rank: int, node: str,
+def extract_waits(merged: list[TimelineEvent], *, rank: int, node: str,
                   pid: int, hz: float,
                   boot_offset_cycles: int = 0) -> list[WaitInterval]:
     """Reconstruct a rank's wait intervals from its merged timeline.

@@ -20,7 +20,7 @@ import json
 from typing import Iterable, Optional
 
 from repro.analysis.profiles import JobData
-from repro.analysis.tracemerge import MergedEvent
+from repro.analysis.tracemerge import TimelineEvent
 from repro.core.wire import TaskProfileDump
 from repro.obs.tracer import span_records
 from repro.tau.profiler import TauProfileDump
@@ -37,8 +37,9 @@ def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def to_chrome_trace(events_by_process: dict[str, tuple[list[MergedEvent], float]],
-                    *, pid: int = 1) -> str:
+def to_chrome_trace(
+        events_by_process: dict[str, tuple[list[TimelineEvent], float]],
+        *, pid: int = 1) -> str:
     """Serialise merged timelines to a Chrome trace-event JSON string.
 
     ``events_by_process`` maps a display name (e.g. ``"rank0@ccn000"``)
@@ -56,11 +57,12 @@ def to_chrome_trace(events_by_process: dict[str, tuple[list[MergedEvent], float]
         })
         if not events:
             continue
-        t0 = events[0].cycles
+        t0 = events[0][0]
         records.extend(span_records(
-            (((event.cycles - t0) / hz * 1e6, event.name,
-              None if event.atomic else event.is_entry, event.layer,
-              event.value) for event in events), pid=pid, tid=tid))
+            (((cycles - t0) / hz * 1e6, name,
+              None if atomic else is_entry, layer, value)
+             for cycles, name, layer, is_entry, value, atomic in events),
+            pid=pid, tid=tid))
     return json.dumps({"traceEvents": records, "displayTimeUnit": "ms"})
 
 
@@ -157,8 +159,7 @@ def ktaud_snapshots_to_json(snapshots: Iterable) -> str:
                          for pid, dump in snap.profiles.items()},
             "traces": {str(pid): {
                 "lost": trace.lost,
-                "records": [[cycles, name, int(kind), value]
-                            for cycles, name, kind, value in trace.records],
+                "records": [list(record) for record in trace.records],
             } for pid, trace in snap.traces.items()},
         } for snap in snapshots],
     }

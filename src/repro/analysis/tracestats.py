@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.tracebuf import TraceKind
+from repro.core.tracebuf import ATOMIC, ENTRY
 from repro.core.wire import TaskProfileDump, TraceDump
 
 
@@ -63,9 +63,9 @@ def reduce_trace(trace: TraceDump) -> TraceReduction:
     count: dict[str, int] = {}
 
     for cycles, name, kind, _value in trace.records:
-        if kind is TraceKind.ATOMIC:
+        if kind == ATOMIC:
             continue
-        if kind is TraceKind.ENTRY:
+        if kind == ENTRY:
             stack.append([name, cycles, 0])
             active[name] = active.get(name, 0) + 1
             continue

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.tracebuf import TraceKind, TraceRecord
+from repro.core.tracebuf import ATOMIC, ENTRY, EXIT
 
 
 def layout(build, plan, step_cycles: Optional[int]) -> tuple:
@@ -141,21 +141,16 @@ def add_extensions(data, terms: tuple, closes: list, t: int, end: int,
     # Records that share a stamp share its int, as in the per-event path,
     # since the ring keeps them until a drain.
     head_entries, entries, atomic_id, exits, head_exits, start, step = trace
-    records = [TraceRecord(t + offset if offset else t, event_id,
-                           TraceKind.ENTRY)
+    records = [(t + offset if offset else t, event_id, ENTRY, 0)
                for offset, event_id in head_entries]
     stop = t + start
     for value in values if values is not None else (None,):
         base, stop = stop, stop + step
-        records += [TraceRecord(base + offset if offset else base, event_id,
-                                TraceKind.ENTRY)
+        records += [(base + offset if offset else base, event_id, ENTRY, 0)
                     for offset, event_id in entries]
         if atomic_id is not None:
-            records.append(TraceRecord(stop, atomic_id, TraceKind.ATOMIC,
-                                       value))
-        records += [TraceRecord(stop, event_id, TraceKind.EXIT)
-                    for event_id in exits]
-    records += [TraceRecord(stop, event_id, TraceKind.EXIT)
-                for event_id in head_exits]
+            records.append((stop, atomic_id, ATOMIC, value))
+        records += [(stop, event_id, EXIT, 0) for event_id in exits]
+    records += [(stop, event_id, EXIT, 0) for event_id in head_exits]
     data.trace.extend(records)
     return stop

@@ -35,7 +35,7 @@ from repro.core.config import KtauBuildConfig, KtauRuntimeControl
 from repro.core.counters import TaskCounters, rates_for_path
 from repro.core.overhead import OverheadModel, ZeroOverheadModel
 from repro.core.registry import EventRegistry, InstrumentationPoint, PointKind
-from repro.core.tracebuf import TraceBuffer, TraceKind, TraceRecord
+from repro.core.tracebuf import ATOMIC, ENTRY, EXIT, TraceBuffer
 from repro.obs import runtime as _obs
 from repro.sim.clock import CycleClock
 from repro.sim.units import SEC
@@ -426,7 +426,7 @@ class Ktau:
         active[event_id] = active.get(event_id, 0) + 1
         cost = self.overhead.start_cycles()
         if data.trace is not None:
-            data.trace.append(TraceRecord(now, event_id, TraceKind.ENTRY))
+            data.trace.append((now, event_id, ENTRY, 0))
             cost += self.overhead.TRACE_EXTRA_CYCLES
         if cost:
             data.pending_overhead_ns += self._ns_of[cost]
@@ -493,7 +493,7 @@ class Ktau:
                 edge[1] += incl
         cost = self.overhead.stop_cycles()
         if data.trace is not None:
-            data.trace.append(TraceRecord(now, event_id, TraceKind.EXIT))
+            data.trace.append((now, event_id, EXIT, 0))
             cost += self.overhead.TRACE_EXTRA_CYCLES
         if cost:
             data.pending_overhead_ns += self._ns_of[cost]
@@ -517,7 +517,7 @@ class Ktau:
         cost = self.overhead.atomic_cycles()
         if data.trace is not None:
             stamp = self.clock.read() if at_cycles is None else at_cycles
-            data.trace.append(TraceRecord(stamp, event_id, TraceKind.ATOMIC, value))
+            data.trace.append((stamp, event_id, ATOMIC, value))
             cost += self.overhead.TRACE_EXTRA_CYCLES
         if cost:
             data.pending_overhead_ns += self._ns_of[cost]

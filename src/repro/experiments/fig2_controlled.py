@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.analysis.profiles import JobData, harvest_job
-from repro.analysis.tracemerge import MergedEvent, events_within, merge_traces
+from repro.analysis.tracemerge import (TimelineEvent, events_within,
+                                       merge_traces)
 from repro.analysis.views import kernel_wide_view, node_process_view
 from repro.cluster.launch import block_placement, launch_mpi_job
 from repro.cluster.machines import make_chiba, make_neutron
@@ -196,7 +197,7 @@ def build_fig2d(data: JobData, rank: int = 0) -> Fig2DResult:
 @dataclass
 class Fig2EResult:
     rank: int
-    window: list[MergedEvent]
+    window: list[TimelineEvent]
     hz: float
     full_timeline_len: int = 0
     kernel_events_in_window: list[str] = field(default_factory=list)
@@ -227,8 +228,8 @@ def run_fig2e(seed: int = 1, occurrence: int = 2) -> Fig2EResult:
     return Fig2EResult(
         rank=rank, window=window, hz=node.kernel.clock.hz,
         full_timeline_len=len(merged),
-        kernel_events_in_window=[e.name for e in window if e.layer == "kernel"
-                                 and e.is_entry])
+        kernel_events_in_window=[name for _c, name, layer, is_entry, _v, _a
+                                 in window if layer == "kernel" and is_entry])
 
 
 # ---------------------------------------------------------------------------

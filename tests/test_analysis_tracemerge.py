@@ -1,8 +1,8 @@
 """Tests for merged user/kernel trace timelines."""
 
-from repro.analysis.tracemerge import (MergedEvent, events_within,
-                                       merge_traces, render_timeline)
-from repro.core.tracebuf import TraceKind
+from repro.analysis.tracemerge import (events_within, merge_traces,
+                                       render_timeline)
+from repro.core.tracebuf import ATOMIC, ENTRY, EXIT
 from repro.core.wire import TraceDump
 from repro.tau.profiler import TauProfileDump
 
@@ -20,11 +20,11 @@ class TestMergeTraces:
     def test_interleaves_by_timestamp(self):
         udump = make_udump([(10, "MPI_Send()", True), (100, "MPI_Send()", False)])
         ktrace = make_ktrace([
-            (20, "sys_writev", TraceKind.ENTRY, 0),
-            (90, "sys_writev", TraceKind.EXIT, 0),
+            (20, "sys_writev", ENTRY, 0),
+            (90, "sys_writev", EXIT, 0),
         ])
         merged = merge_traces(udump, ktrace)
-        assert [(e.name, e.is_entry) for e in merged] == [
+        assert [(e[1], e[3]) for e in merged] == [
             ("MPI_Send()", True), ("sys_writev", True),
             ("sys_writev", False), ("MPI_Send()", False)]
 
@@ -33,13 +33,13 @@ class TestMergeTraces:
         udump = make_udump([(0, "rhs", True), (50, "rhs", False),
                             (50, "MPI_Send()", True), (200, "MPI_Send()", False)])
         ktrace = make_ktrace([
-            (10, "do_page_fault", TraceKind.ENTRY, 0),
-            (50, "do_page_fault", TraceKind.EXIT, 0),
-            (50, "sys_writev", TraceKind.ENTRY, 0),
-            (199, "sys_writev", TraceKind.EXIT, 0),
+            (10, "do_page_fault", ENTRY, 0),
+            (50, "do_page_fault", EXIT, 0),
+            (50, "sys_writev", ENTRY, 0),
+            (199, "sys_writev", EXIT, 0),
         ])
         merged = merge_traces(udump, ktrace)
-        names = [(e.name, e.is_entry) for e in merged]
+        names = [(e[1], e[3]) for e in merged]
         assert names == [
             ("rhs", True), ("do_page_fault", True),
             ("do_page_fault", False), ("rhs", False),
@@ -48,10 +48,9 @@ class TestMergeTraces:
 
     def test_atomic_records_carried(self):
         udump = make_udump([])
-        ktrace = make_ktrace([(5, "net.pkt_tx_bytes", TraceKind.ATOMIC, 1500)])
+        ktrace = make_ktrace([(5, "net.pkt_tx_bytes", ATOMIC, 1500)])
         merged = merge_traces(udump, ktrace)
-        assert merged[0].value == 1500
-        assert not merged[0].is_entry and merged[0].atomic
+        assert merged == [(5, "net.pkt_tx_bytes", "kernel", False, 1500, True)]
 
 
 class TestEventsWithin:
@@ -61,20 +60,20 @@ class TestEventsWithin:
             (100, "MPI_Send()", True), (180, "MPI_Send()", False),
         ])
         ktrace = make_ktrace([
-            (110, "sys_writev", TraceKind.ENTRY, 0),
-            (170, "sys_writev", TraceKind.EXIT, 0),
+            (110, "sys_writev", ENTRY, 0),
+            (170, "sys_writev", EXIT, 0),
         ])
         return merge_traces(udump, ktrace)
 
     def test_selects_requested_occurrence(self):
         window = events_within(self.timeline(), "MPI_Send()", occurrence=1)
-        assert window[0].cycles == 100
-        assert window[-1].cycles == 180
-        assert any(e.name == "sys_writev" for e in window)
+        assert window[0][0] == 100
+        assert window[-1][0] == 180
+        assert any(e[1] == "sys_writev" for e in window)
 
     def test_first_occurrence_excludes_later_kernel_events(self):
         window = events_within(self.timeline(), "MPI_Send()", occurrence=0)
-        assert all(e.name != "sys_writev" for e in window)
+        assert all(e[1] != "sys_writev" for e in window)
 
     def test_missing_occurrence_returns_empty(self):
         assert events_within(self.timeline(), "MPI_Send()", occurrence=5) == []
@@ -89,14 +88,14 @@ class TestEdgeCases:
                             (10, "rhs", True), (90, "rhs", False),
                             (200, "MPI_Send()", False)])
         ktrace = make_ktrace([
-            (180, "sys_writev", TraceKind.EXIT, 0),
-            (20, "do_page_fault", TraceKind.ENTRY, 0),
-            (120, "sys_writev", TraceKind.ENTRY, 0),
-            (80, "do_page_fault", TraceKind.EXIT, 0),
+            (180, "sys_writev", EXIT, 0),
+            (20, "do_page_fault", ENTRY, 0),
+            (120, "sys_writev", ENTRY, 0),
+            (80, "do_page_fault", EXIT, 0),
         ])
         merged = merge_traces(udump, ktrace)
-        assert [e.cycles for e in merged] == sorted(e.cycles for e in merged)
-        assert [(e.name, e.is_entry) for e in merged] == [
+        assert [e[0] for e in merged] == sorted(e[0] for e in merged)
+        assert [(e[1], e[3]) for e in merged] == [
             ("rhs", True), ("do_page_fault", True),
             ("do_page_fault", False), ("rhs", False),
             ("MPI_Send()", True), ("sys_writev", True),
@@ -109,16 +108,16 @@ class TestEdgeCases:
         udump = make_udump([(0, "MPI_Recv()", True),
                             (500, "MPI_Recv()", False)])
         ktrace = TraceDump(pid=1, lost=37, records=[
-            (40, "tcp_recvmsg", TraceKind.EXIT, 0),
-            (50, "sock_recvmsg", TraceKind.EXIT, 0),
-            (60, "sys_readv", TraceKind.EXIT, 0),
-            (100, "sys_readv", TraceKind.ENTRY, 0),
-            (400, "sys_readv", TraceKind.EXIT, 0),
+            (40, "tcp_recvmsg", EXIT, 0),
+            (50, "sock_recvmsg", EXIT, 0),
+            (60, "sys_readv", EXIT, 0),
+            (100, "sys_readv", ENTRY, 0),
+            (400, "sys_readv", EXIT, 0),
         ])
         merged = merge_traces(udump, ktrace)
         assert len(merged) == 7
         window = events_within(merged, "MPI_Recv()")
-        assert [e.name for e in window[1:4]] == [
+        assert [e[1] for e in window[1:4]] == [
             "tcp_recvmsg", "sock_recvmsg", "sys_readv"]
         # rendering tolerates the leading orphan exits (depth never
         # goes negative, later nesting stays correct)
@@ -132,12 +131,12 @@ class TestEdgeCases:
         udump = make_udump([(10, "MPI_Send()", True),
                             (90, "MPI_Send()", False)])
         ktrace = TraceDump(pid=4242, lost=0, records=[
-            (20, "sys_writev", TraceKind.ENTRY, 0),
-            (80, "sys_writev", TraceKind.EXIT, 0),
+            (20, "sys_writev", ENTRY, 0),
+            (80, "sys_writev", EXIT, 0),
         ])
         assert udump.pid != ktrace.pid
         merged = merge_traces(udump, ktrace)
-        assert [(e.name, e.layer) for e in merged] == [
+        assert [(e[1], e[2]) for e in merged] == [
             ("MPI_Send()", "user"), ("sys_writev", "kernel"),
             ("sys_writev", "kernel"), ("MPI_Send()", "user")]
 
@@ -145,10 +144,10 @@ class TestEdgeCases:
 class TestRenderTimeline:
     def test_renders_nesting(self):
         events = [
-            MergedEvent(0, "MPI_Send()", "user", True),
-            MergedEvent(100, "sys_writev", "kernel", True),
-            MergedEvent(900, "sys_writev", "kernel", False),
-            MergedEvent(1000, "MPI_Send()", "user", False),
+            (0, "MPI_Send()", "user", True, 0, False),
+            (100, "sys_writev", "kernel", True, 0, False),
+            (900, "sys_writev", "kernel", False, 0, False),
+            (1000, "MPI_Send()", "user", False, 0, False),
         ]
         text = render_timeline(events, hz=1e9)
         lines = text.splitlines()
@@ -160,12 +159,12 @@ class TestRenderTimeline:
         does not close it: what follows stays at its own depth."""
         udump = make_udump([(0, "MPI_Send()", True), (100, "MPI_Send()", False)])
         ktrace = make_ktrace([
-            (10, "tcp_sendmsg", TraceKind.ENTRY, 0),
-            (20, "net.pkt_tx_bytes", TraceKind.ATOMIC, 1448),
-            (20, "tcp_sendmsg", TraceKind.EXIT, 0),
-            (30, "tcp_sendmsg", TraceKind.ENTRY, 0),
-            (40, "net.pkt_tx_bytes", TraceKind.ATOMIC, 0),
-            (40, "tcp_sendmsg", TraceKind.EXIT, 0),
+            (10, "tcp_sendmsg", ENTRY, 0),
+            (20, "net.pkt_tx_bytes", ATOMIC, 1448),
+            (20, "tcp_sendmsg", EXIT, 0),
+            (30, "tcp_sendmsg", ENTRY, 0),
+            (40, "net.pkt_tx_bytes", ATOMIC, 0),
+            (40, "tcp_sendmsg", EXIT, 0),
         ])
         lines = render_timeline(merge_traces(udump, ktrace), hz=1e9).splitlines()
 

@@ -8,7 +8,6 @@ from repro.analysis.bottlenecks import (IRQ_PREEMPTION, PREEMPTION,
                                         extract_waits, render_report,
                                         report_to_json)
 from repro.analysis.bottlenecks.report import COMPUTE_PATH
-from repro.analysis.tracemerge import MergedEvent
 from repro.monitor import (BOTTLENECK, Alert, MonitorConfig, MonitorData,
                            NodeInterval, StreamingBottleneckAttributor,
                            format_node_row, render_dashboard)
@@ -16,11 +15,11 @@ from repro.sim.units import MSEC, SEC
 
 
 def k(cycles, name, entry):
-    return MergedEvent(cycles, name, "kernel", entry)
+    return (cycles, name, "kernel", entry, 0, False)
 
 
 def u(cycles, name, entry):
-    return MergedEvent(cycles, name, "user", entry)
+    return (cycles, name, "user", entry, 0, False)
 
 
 def waits_of(events, **kw):

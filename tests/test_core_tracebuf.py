@@ -5,12 +5,11 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.tracebuf import (TraceBuffer, TraceKind, TraceOverflowError,
-                                 TraceRecord)
+from repro.core.tracebuf import ENTRY, TraceBuffer, TraceOverflowError
 
 
 def rec(i):
-    return TraceRecord(cycles=i, event_id=i % 7, kind=TraceKind.ENTRY)
+    return (i, i % 7, ENTRY, 0)
 
 
 class TestTraceBuffer:
@@ -18,7 +17,7 @@ class TestTraceBuffer:
         buf = TraceBuffer(8)
         for i in range(5):
             buf.append(rec(i))
-        assert [r.cycles for r in buf.drain()] == [0, 1, 2, 3, 4]
+        assert [r[0] for r in buf.drain()] == [0, 1, 2, 3, 4]
         assert len(buf) == 0
 
     def test_overwrite_loses_oldest(self):
@@ -26,7 +25,7 @@ class TestTraceBuffer:
         for i in range(5):
             buf.append(rec(i))
         assert buf.lost_count == 2
-        assert [r.cycles for r in buf.drain()] == [2, 3, 4]
+        assert [r[0] for r in buf.drain()] == [2, 3, 4]
 
     def test_peek_does_not_consume(self):
         buf = TraceBuffer(4)
@@ -42,7 +41,7 @@ class TestTraceBuffer:
         buf.append(rec(2))
         buf.append(rec(3))  # one lost
         assert buf.lost_count == 1
-        assert [r.cycles for r in buf.drain()] == [2, 3]
+        assert [r[0] for r in buf.drain()] == [2, 3]
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
@@ -86,10 +85,10 @@ def test_property_last_capacity_records_survive(capacity, bursts):
             written += 1
         lost += max(0, len(model) - capacity)
         model = model[-capacity:]
-        assert [r.cycles for r in buf.peek()] == model
+        assert [r[0] for r in buf.peek()] == model
         assert buf.lost_count == lost
         if drain:
-            assert [r.cycles for r in buf.drain()] == model
+            assert [r[0] for r in buf.drain()] == model
             assert len(buf) == 0
             model = []
     assert buf.total_records == written

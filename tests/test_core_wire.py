@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import KtauBuildConfig
 from repro.core.measurement import Ktau
 from repro.core.registry import PointKind
-from repro.core.tracebuf import TraceKind, TraceRecord
+from repro.core.tracebuf import ATOMIC, ENTRY, EXIT
 from repro.core import wire
 from repro.sim.clock import CycleClock
 from repro.sim.engine import Engine
@@ -92,8 +92,8 @@ class TestTraceRoundtrip:
         assert len(dump.records) == len(records)
         cycles, name, kind, value = dump.records[0]
         assert name == "sys_writev"
-        assert kind is TraceKind.ENTRY
-        atomics = [r for r in dump.records if r[2] is TraceKind.ATOMIC]
+        assert kind == ENTRY
+        atomics = [r for r in dump.records if r[2] == ATOMIC]
         assert atomics and atomics[0][3] == 1500
 
     def test_empty_trace(self):
@@ -141,8 +141,7 @@ class TestLongNames:
 
     def test_trace_name_cut_on_character_boundary(self):
         registry = SimpleNamespace(name_of=lambda event_id: LONG_NAME)
-        records = [TraceRecord(5, 0, TraceKind.ENTRY),
-                   TraceRecord(9, 0, TraceKind.EXIT)]
+        records = [(5, 0, ENTRY, 0), (9, 0, EXIT, 0)]
         packed = wire.pack_trace(4, 0, records, registry)
         assert wire.trace_size(records, registry) == len(packed)
         dump = wire.unpack_trace(packed)
@@ -159,7 +158,7 @@ class TestLongNames:
 @settings(max_examples=40, deadline=None)
 @given(entries=st.lists(
     st.tuples(st.integers(0, 2**40), st.integers(0, 5),
-              st.sampled_from([TraceKind.ENTRY, TraceKind.EXIT, TraceKind.ATOMIC]),
+              st.sampled_from([ENTRY, EXIT, ATOMIC]),
               st.integers(0, 2**30)),
     max_size=50))
 def test_property_trace_roundtrip(entries):
@@ -169,13 +168,8 @@ def test_property_trace_roundtrip(entries):
              "do_softirq"]
     for name in names:
         ktau.registry.bind(ktau.registry.point(name))
-    records = [TraceRecord(c, i, k, v) for (c, i, k, v) in entries]
-    packed = wire.pack_trace(3, 7, records, ktau.registry)
+    packed = wire.pack_trace(3, 7, entries, ktau.registry)
     dump = wire.unpack_trace(packed)
     assert dump.lost == 7
-    assert len(dump.records) == len(records)
-    for original, (cycles, name, kind, value) in zip(records, dump.records):
-        assert cycles == original.cycles
-        assert name == names[original.event_id]
-        assert kind is original.kind
-        assert value == original.value
+    assert dump.records == [(cycles, names[event_id], kind, value)
+                            for cycles, event_id, kind, value in entries]

@@ -6,6 +6,8 @@ safe, so the serial/parallel equivalence tests live here: the same sweep
 executed in-process and across worker processes must produce *identical*
 exported profiles and trace statistics."""
 
+import pytest
+
 from repro.analysis.export import profiles_to_json
 from repro.analysis.profiles import harvest_job
 from repro.cluster.launch import block_placement, launch_mpi_job
@@ -217,3 +219,31 @@ def test_faulted_runs_bit_identical():
     again = run_faulted(21)
     assert first == again
     assert first != run_faulted(22)
+
+
+# ---------------------------------------------------------------------------
+# Collection timing
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("setting", ["disabled", "threshold_50_1_1"])
+def test_collection_timing_does_not_change_fig2_traced(setting):
+    """The traced fig2 run gives its pinned digest with the cyclic
+    collector off and with it collecting every 50 allocations: no output
+    may depend on when, or whether, a collection runs."""
+    import gc
+
+    from tests.test_golden_profiles import _GOLD, fig2_traced_sha
+
+    enabled, threshold = gc.isenabled(), gc.get_threshold()
+    try:
+        if setting == "disabled":
+            gc.disable()
+        else:
+            gc.set_threshold(50, 1, 1)
+        digest = fig2_traced_sha()
+    finally:
+        gc.set_threshold(*threshold)
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+    assert digest == _GOLD["fig2_traced_sha256"]

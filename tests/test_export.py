@@ -5,20 +5,19 @@ import json
 import pytest
 
 from repro.analysis.export import to_chrome_trace
-from repro.analysis.tracemerge import MergedEvent
 from repro.obs.tracer import validate_trace_events
 
 
 def span(t0, t1, name, layer="user"):
-    return [MergedEvent(t0, name, layer, True),
-            MergedEvent(t1, name, layer, False)]
+    return [(t0, name, layer, True, 0, False),
+            (t1, name, layer, False, 0, False)]
 
 
 class TestExport:
     def test_basic_roundtrip(self):
         events = (span(0, 1000, "MPI_Send()") +
                   span(100, 900, "sys_writev", "kernel"))
-        events.sort(key=lambda e: (e.cycles, not e.is_entry))
+        events.sort(key=lambda e: (e[0], not e[3]))
         payload = to_chrome_trace({"rank0": (events, 1e9)})
         pairs, instants = validate_trace_events(payload)
         assert pairs == 2
@@ -28,8 +27,7 @@ class TestExport:
         assert {"MPI_Send()", "sys_writev", "thread_name"} <= names
 
     def test_atomic_becomes_instant(self):
-        events = [MergedEvent(50, "net.pkt_tx_bytes", "kernel", False, 1500,
-                              atomic=True)]
+        events = [(50, "net.pkt_tx_bytes", "kernel", False, 1500, True)]
         payload = to_chrome_trace({"rank0": (events, 1e9)})
         _pairs, instants = validate_trace_events(payload)
         assert instants == 1
@@ -39,21 +37,20 @@ class TestExport:
 
     def test_zero_valued_atomic_is_an_instant_not_an_exit(self):
         events = span(0, 100, "dev_queue_xmit", "kernel")
-        events.insert(1, MergedEvent(100, "net.pkt_tx_bytes", "kernel", False,
-                                     0, atomic=True))
+        events.insert(1, (100, "net.pkt_tx_bytes", "kernel", False, 0, True))
         pairs, instants = validate_trace_events(
             to_chrome_trace({"rank0": (events, 1e9)}))
         assert (pairs, instants) == (1, 1)
 
     def test_orphaned_exit_dropped(self):
-        events = [MergedEvent(10, "lost_region", "kernel", False)] + \
+        events = [(10, "lost_region", "kernel", False, 0, False)] + \
             span(20, 30, "ok", "kernel")
         payload = to_chrome_trace({"rank0": (events, 1e9)})
         pairs, _ = validate_trace_events(payload)
         assert pairs == 1
 
     def test_unclosed_entry_closed_at_end(self):
-        events = [MergedEvent(10, "open_forever", "user", True)]
+        events = [(10, "open_forever", "user", True, 0, False)]
         payload = to_chrome_trace({"rank0": (events, 1e9)})
         pairs, _ = validate_trace_events(payload)
         assert pairs == 1

@@ -149,7 +149,8 @@ def test_cli_monitor_byte_identical_to_golden(experiment, tmp_path, capsys):
 # The two fig2 benchmark workloads at their default seed: the same outputs
 # perfbench/run.py pins, checked here by the tier-1 suite.
 # ---------------------------------------------------------------------------
-def test_fig2_traced_byte_identical_to_golden():
+def fig2_traced_sha() -> str:
+    """SHA-256 of the fig2_traced workload's canonical output at seed 1."""
     from repro.analysis.export import canonical_json
     from repro.experiments.bottleneck import run_bottleneck_fig2
     from repro.monitor import MonitorConfig
@@ -157,9 +158,12 @@ def test_fig2_traced_byte_identical_to_golden():
     result = run_bottleneck_fig2(
         1, top_k=10, monitor_config=MonitorConfig(period_ns=100 * MSEC,
                                                   bottleneck_top_k=10))
-    assert _sha(canonical_json({"report": result.report.to_doc(),
-                                "monitor": result.monitor.to_doc()})) \
-        == _GOLD["fig2_traced_sha256"]
+    return _sha(canonical_json({"report": result.report.to_doc(),
+                                "monitor": result.monitor.to_doc()}))
+
+
+def test_fig2_traced_byte_identical_to_golden():
+    assert fig2_traced_sha() == _GOLD["fig2_traced_sha256"]
 
 
 def test_fig2_counters_byte_identical_to_golden():

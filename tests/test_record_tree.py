@@ -42,7 +42,7 @@ from repro.core.measurement import Ktau
 from repro.core.overhead import OverheadModel
 from repro.core.points import ALL_GROUPS, Group
 from repro.core.registry import PointKind
-from repro.core.tracebuf import TraceKind, TraceOverflowError, TraceRecord
+from repro.core.tracebuf import ENTRY, EXIT, TraceOverflowError
 from repro.cluster.launch import block_placement, launch_mpi_job
 from repro.cluster.machines import make_chiba
 from repro.kernel import irq as irq_mod
@@ -235,7 +235,7 @@ def make_world(cfg):
         counters.advance(900, True)
     if data.trace is not None:  # so that a call can overflow the ring
         for i in range(min(cfg["prefill"], cfg["ring"] - len(data.trace))):
-            data.trace.append(TraceRecord(i, 0, TraceKind.ENTRY))
+            data.trace.append((i, 0, ENTRY, 0))
     data.frozen = cfg["frozen"]
     return ktau, data, counters
 
@@ -737,7 +737,7 @@ def test_tx_at_107_mhz_ends_each_segment_at_its_whole_cost():
     assert new == ref
     _, obs = new
     records, _lost, _written = obs["trace"]
-    exits = [r.cycles for r in records if r.kind == TraceKind.EXIT]
+    exits = [cycles for cycles, _id, kind, _v in records if kind == EXIT]
     assert exits[2::3] == [T0 + k * clock.cycles_for_ns(cost) for k in (1, 2, 3)]
     assert new[0] == 3 * legs  # the PMCs still advance by every leg
 

@@ -7,7 +7,7 @@ from repro.cluster.launch import block_placement, launch_mpi_job
 from repro.cluster.machines import make_chiba
 from repro.core.config import KtauBuildConfig
 from repro.core.libktau import LibKtau
-from repro.core.tracebuf import TraceKind
+from repro.core.tracebuf import ATOMIC, ENTRY, EXIT
 from repro.core.wire import TraceDump
 from repro.sim.units import MSEC
 from repro.workloads.lu import LuParams, lu_app
@@ -20,28 +20,28 @@ def trace_of(records):
 class TestReduceTrace:
     def test_flat_event(self):
         red = reduce_trace(trace_of([
-            (100, "a", TraceKind.ENTRY, 0),
-            (300, "a", TraceKind.EXIT, 0),
+            (100, "a", ENTRY, 0),
+            (300, "a", EXIT, 0),
         ]))
         assert red.perf["a"] == (1, 200, 200)
         assert red.states["a"].min_cycles == 200
 
     def test_nested_exclusive(self):
         red = reduce_trace(trace_of([
-            (0, "outer", TraceKind.ENTRY, 0),
-            (10, "inner", TraceKind.ENTRY, 0),
-            (40, "inner", TraceKind.EXIT, 0),
-            (50, "outer", TraceKind.EXIT, 0),
+            (0, "outer", ENTRY, 0),
+            (10, "inner", ENTRY, 0),
+            (40, "inner", EXIT, 0),
+            (50, "outer", EXIT, 0),
         ]))
         assert red.perf["outer"] == (1, 50, 20)
         assert red.perf["inner"] == (1, 30, 30)
 
     def test_recursion_outermost_inclusive(self):
         red = reduce_trace(trace_of([
-            (0, "r", TraceKind.ENTRY, 0),
-            (10, "r", TraceKind.ENTRY, 0),
-            (20, "r", TraceKind.EXIT, 0),
-            (30, "r", TraceKind.EXIT, 0),
+            (0, "r", ENTRY, 0),
+            (10, "r", ENTRY, 0),
+            (20, "r", EXIT, 0),
+            (30, "r", EXIT, 0),
         ]))
         count, incl, excl = red.perf["r"]
         assert count == 2
@@ -50,15 +50,15 @@ class TestReduceTrace:
 
     def test_unmatched_and_unclosed_counted(self):
         red = reduce_trace(trace_of([
-            (0, "lost", TraceKind.EXIT, 0),
-            (10, "open", TraceKind.ENTRY, 0),
+            (0, "lost", EXIT, 0),
+            (10, "open", ENTRY, 0),
         ]))
         assert red.unmatched_exits == 1
         assert red.unclosed_entries == 1
 
     def test_atomic_records_ignored(self):
         red = reduce_trace(trace_of([
-            (5, "pkt", TraceKind.ATOMIC, 1500),
+            (5, "pkt", ATOMIC, 1500),
         ]))
         assert not red.perf
 
