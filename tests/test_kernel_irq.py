@@ -97,7 +97,7 @@ class TestDelivery:
         assert kernel.ktau.registry.bound_count == 0
 
 
-    @pytest.mark.xfail(strict=True, reason=(
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "deliver stamps interrupt spans with clock.cycles_at(now), which "
         "omits the clock's boot offset; every other record uses "
         "clock.read()"))
@@ -123,9 +123,9 @@ class TestDelivery:
         engine.run_until_idle()
         reg = kernel.ktau.registry
         stamps = {}
-        for record in kernel.ktau.zombies[task.pid].trace.peek():
-            stamps.setdefault(reg.name_of(record.event_id), []).append(
-                record.cycles)
+        for cycles, event_id, _kind, _value in (
+                kernel.ktau.zombies[task.pid].trace.peek()):
+            stamps.setdefault(reg.name_of(event_id), []).append(cycles)
         syscalls, irqs = stamps["sys_getppid"], stamps["do_IRQ"]
         assert len(syscalls) == 4 and len(irqs) == 2
         assert syscalls[1] < min(irqs) <= max(irqs) < syscalls[2]
