@@ -39,10 +39,12 @@ monitor-demo:
 		--alerts-out monitor_fig2.alerts.json
 
 # Exits non-zero unless the offline report and the online BOTTLENECK
-# alert both attribute the perturbed node (ccn007).
+# alert both attribute the perturbed node (ccn007).  --metrics prints the
+# obs snapshot on stderr, with the peak RSS at the end of each phase
+# (bottleneck.maxrss_mb.{run,harvest,report}).
 bottlenecks-demo:
 	$(PYTHON) -m repro analyze bottlenecks --experiment fig2 \
-		--report-out bottleneck_fig2.json
+		--report-out bottleneck_fig2.json --metrics
 
 # Exits non-zero unless the cache thrasher is flagged by the counter
 # dimension (COUNTER_OUTLIER) while every time-rate detector stays

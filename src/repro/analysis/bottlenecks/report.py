@@ -4,8 +4,9 @@
 :class:`~repro.analysis.bottlenecks.harvest.RankTrace` inputs and
 produces a :class:`BottleneckReport` answering *who blocked whom*:
 
-1. Every rank's wait intervals are reconstructed
-   (:func:`~repro.analysis.bottlenecks.waits.extract_waits`).
+1. Every rank's wait intervals were reconstructed at harvest
+   (:func:`~repro.analysis.bottlenecks.waits.extract_waits`), one rank
+   at a time; the report reads them from ``RankTrace.waits``.
 2. Each ``tcp_recv_stall`` is matched against the rank's MPI message
    log: the receive operation whose window covers the stall names the
    **remote rank** whose late send caused it.
@@ -40,7 +41,7 @@ from typing import NamedTuple, Optional
 from repro.analysis.bottlenecks.harvest import RankTrace
 from repro.analysis.bottlenecks.waits import (IRQ_PREEMPTION, PREEMPTION,
                                               TCP_RECV_STALL, VOLUNTARY_WAIT,
-                                              WaitInterval, extract_waits)
+                                              WaitInterval)
 from repro.analysis.export import canonical_json
 from repro.obs import runtime as _obs
 from repro.sim.units import SEC
@@ -295,11 +296,7 @@ def build_report(inputs: list[RankTrace], *, top_k: int = 10,
                  seed: Optional[int] = None) -> BottleneckReport:
     """Run the full attribution pipeline over harvested rank traces."""
     by_rank: dict[int, RankTrace] = {rt.rank: rt for rt in inputs}
-    rank_waits: dict[int, list[WaitInterval]] = {}
-    for rt in sorted(inputs, key=lambda r: r.rank):
-        rank_waits[rt.rank] = extract_waits(
-            rt.merged, rank=rt.rank, node=rt.node, pid=rt.pid, hz=rt.hz,
-            boot_offset_cycles=rt.boot_offset_cycles)
+    rank_waits = {rank: rt.waits for rank, rt in by_rank.items()}
 
     rank_intervals = {rank: _index_intervals(waits)
                       for rank, waits in rank_waits.items()}

@@ -237,6 +237,7 @@ def _cmd_ktaud(args: argparse.Namespace) -> int:
     from repro.analysis.export import ktaud_snapshots_to_json
     from repro.core.clients.ktaud import Ktaud
     from repro.core.clients.runktau import run_ktau
+    from repro.core.config import KtauBuildConfig
     from repro.kernel.kernel import Kernel
     from repro.kernel.params import KernelParams
     from repro.sim.engine import Engine
@@ -244,7 +245,11 @@ def _cmd_ktaud(args: argparse.Namespace) -> int:
     from repro.sim.units import MSEC, SEC
 
     engine = Engine()
-    kernel = Kernel(engine, KernelParams(), "node0", RngHub(args.seed))
+    # Draining traces needs a kernel built with tracing (default ring).
+    build = (KtauBuildConfig().with_tracing() if args.drain_traces
+             else KtauBuildConfig())
+    kernel = Kernel(engine, KernelParams(ktau=build), "node0",
+                    RngHub(args.seed))
 
     def program(ctx):
         for _ in range(args.iterations):

@@ -91,14 +91,13 @@ def layout(build, plan, step_cycles: Optional[int]) -> tuple:
             extras)
 
 
-def add_extensions(data, terms: tuple, closes: list, t: int, end: int,
-                   values: Optional[Sequence[int]], name_of) -> int:
+def add_extensions(data, terms: tuple, closes: list, t: int,
+                   values: Optional[Sequence[int]], name_of) -> None:
     """Apply ``terms`` (a :func:`layout`'s ``extras``) to task ``data``
-    for one summed call from ``t`` to ``end`` whose ``closes`` are
+    for one summed call starting at ``t`` whose ``closes`` are
     ``(event_id, count, incl, excl)`` (``name_of`` names an event ID):
     advance its PMCs and counter profile, add its call-graph edges and
-    append its trace records.  Returns ``end``, as the int the call's
-    last trace records share if any."""
+    append its trace records."""
     rows, parents, trace = terms
     n = 1 if values is None else len(values)
     counters = data.counters
@@ -137,20 +136,21 @@ def add_extensions(data, terms: tuple, closes: list, t: int, end: int,
                 edge[0] += times
                 edge[1] += incl
     if trace is None or data.trace is None:
-        return end
-    # Records that share a stamp share its int, as in the per-event path,
-    # since the ring keeps them until a drain.
+        return
+    # One flat list of the call's record words, written with one extend.
     head_entries, entries, atomic_id, exits, head_exits, start, step = trace
-    records = [(t + offset if offset else t, event_id, ENTRY, 0)
-               for offset, event_id in head_entries]
+    words: list[int] = []
+    for offset, event_id in head_entries:
+        words += (t + offset, event_id, ENTRY, 0)
     stop = t + start
     for value in values if values is not None else (None,):
         base, stop = stop, stop + step
-        records += [(base + offset if offset else base, event_id, ENTRY, 0)
-                    for offset, event_id in entries]
+        for offset, event_id in entries:
+            words += (base + offset, event_id, ENTRY, 0)
         if atomic_id is not None:
-            records.append((stop, atomic_id, ATOMIC, value))
-        records += [(stop, event_id, EXIT, 0) for event_id in exits]
-    records += [(stop, event_id, EXIT, 0) for event_id in head_exits]
-    data.trace.extend(records)
-    return stop
+            words += (stop, atomic_id, ATOMIC, value)
+        for event_id in exits:
+            words += (stop, event_id, EXIT, 0)
+    for event_id in head_exits:
+        words += (stop, event_id, EXIT, 0)
+    data.trace.extend(words)

@@ -426,7 +426,7 @@ class Ktau:
         active[event_id] = active.get(event_id, 0) + 1
         cost = self.overhead.start_cycles()
         if data.trace is not None:
-            data.trace.append((now, event_id, ENTRY, 0))
+            data.trace.append(now, event_id, ENTRY, 0)
             cost += self.overhead.TRACE_EXTRA_CYCLES
         if cost:
             data.pending_overhead_ns += self._ns_of[cost]
@@ -493,7 +493,7 @@ class Ktau:
                 edge[1] += incl
         cost = self.overhead.stop_cycles()
         if data.trace is not None:
-            data.trace.append((now, event_id, EXIT, 0))
+            data.trace.append(now, event_id, EXIT, 0)
             cost += self.overhead.TRACE_EXTRA_CYCLES
         if cost:
             data.pending_overhead_ns += self._ns_of[cost]
@@ -517,7 +517,7 @@ class Ktau:
         cost = self.overhead.atomic_cycles()
         if data.trace is not None:
             stamp = self.clock.read() if at_cycles is None else at_cycles
-            data.trace.append((stamp, event_id, ATOMIC, value))
+            data.trace.append(stamp, event_id, ATOMIC, value)
             cost += self.overhead.TRACE_EXTRA_CYCLES
         if cost:
             data.pending_overhead_ns += self._ns_of[cost]
@@ -684,8 +684,8 @@ class Ktau:
                     pair[1] += excl
         end = t + head_cycles + n * step
         if extras is not None:
-            end = add_extensions(data, extras, closes, t, end, values,
-                                 self.registry.name_of)
+            add_extensions(data, extras, closes, t, values,
+                           self.registry.name_of)
             if extras[0] is not None and data.counters is not None:
                 self._counter_samples += h + n * b  # one per exit
         if data.stack:

@@ -86,7 +86,9 @@ class KtauProcFS:
         data = self._task_data(pid)
         if data is None or data.trace is None:
             return 0
-        return wire.trace_size(data.trace.peek(), self._ktau.registry)
+        trace = data.trace
+        return wire.trace_size(len(trace), trace.event_ids(),
+                               self._ktau.registry)
 
     def trace_read(self, pid: int, bufsize: int) -> tuple[bytes, int]:
         """Drain and return ``pid``'s trace buffer (destructive read).
@@ -100,9 +102,8 @@ class KtauProcFS:
         data = self._task_data(pid)
         if data is None or data.trace is None:
             return b"", 0
-        records = data.trace.drain()
-        packed = wire.pack_trace(pid, data.trace.lost_count, records,
-                                 self._ktau.registry)
+        packed = wire.pack_trace(pid, data.trace.lost_count,
+                                 data.trace.drain(), self._ktau.registry)
         return packed[:bufsize], len(packed)
 
     # ------------------------------------------------------------------

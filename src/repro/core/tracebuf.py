@@ -1,22 +1,23 @@
 """Per-task circular trace buffers.
 
 When tracing is configured, KTAU attaches a fixed-size circular buffer to
-each process; entries are ``(cycles, event_id, kind, value)`` records,
-plain tuples of ints in wire-field order: ``cycles`` is the node-local
-TSC timestamp, ``event_id`` indexes the node's event-mapping table,
-``kind`` is one of :data:`ENTRY`, :data:`EXIT` and :data:`ATOMIC`, and
-``value`` carries the atomic-event payload (zero for entry/exit
-records).  CPython's cyclic collector stops tracking a tuple that holds
-only ints, so buffered records add nothing to its full passes.  If
-user-space (KTAUD or a self-tracing client) does not drain the buffer fast
-enough, the oldest records are overwritten and *lost* — the paper calls
-this out explicitly, and tests exercise it.
+each process; entries are ``(cycles, event_id, kind, value)`` records in
+wire-field order: ``cycles`` is the node-local TSC timestamp,
+``event_id`` indexes the node's event-mapping table, ``kind`` is one of
+:data:`ENTRY`, :data:`EXIT` and :data:`ATOMIC`, and ``value`` carries the
+atomic-event payload (zero for entry/exit records).  As in the kernel,
+the buffer holds binary records, not objects: one flat ``array('Q')``
+of :data:`WORDS` unsigned 64-bit words per record, so a buffered record
+costs 32 bytes and nothing the cyclic collector sees.  If user-space
+(KTAUD or a self-tracing client) does not drain the buffer fast enough,
+the oldest records are overwritten and *lost* — the paper calls this out
+explicitly, and tests exercise it.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterator
+from array import array
+from typing import Iterator, Sequence
 
 #: Record kinds, as the plain ints records carry.  Not enum members: a
 #: member is an object the collector tracks, so every tuple holding one
@@ -25,6 +26,9 @@ ENTRY, EXIT, ATOMIC = 0, 1, 2
 
 #: One record: ``(cycles, event_id, kind, value)``.
 Record = tuple[int, int, int, int]
+
+#: Words per record in the buffer's flat array.
+WORDS = 4
 
 
 class TraceOverflowError(RuntimeError):
@@ -40,10 +44,17 @@ class TraceOverflowError(RuntimeError):
 class TraceBuffer:
     """Fixed-capacity circular buffer of trace records.
 
-    ``drain`` returns and removes the buffered records in order;
-    ``lost_count`` reports how many records were overwritten before being
-    read (cumulative).  With ``strict=True`` an overwrite raises
-    :class:`TraceOverflowError` instead of silently losing the record.
+    The buffer holds the newest ``capacity`` records written since the
+    last drain.  ``drain`` removes them and returns their words, oldest
+    first; ``lost_count`` reports how many records were overwritten
+    before being read (cumulative).  With ``strict=True`` an overwrite
+    raises :class:`TraceOverflowError` instead of silently losing the
+    record.
+
+    Overwritten records are cut from the front of the array only once it
+    holds twice ``capacity``, so a write costs amortised constant time
+    and the array never holds more than ``2 * capacity`` records.  What
+    the buffer returns and counts depends only on the record counts.
     """
 
     def __init__(self, capacity: int, strict: bool = False):
@@ -51,45 +62,77 @@ class TraceBuffer:
             raise ValueError("trace buffer capacity must be positive")
         self.capacity = capacity
         self.strict = strict
-        self._buf: deque[Record] = deque(maxlen=capacity)
+        self._words = array("Q")
+        self._full = capacity * WORDS  # words in a full buffer
         self.lost_count = 0  # cumulative records overwritten unread
         self.total_records = 0  # cumulative records ever written
 
-    def append(self, record: Record) -> None:
-        if len(self._buf) == self.capacity:
+    def _overflow(self) -> TraceOverflowError:
+        return TraceOverflowError(
+            f"trace buffer overflow: capacity {self.capacity} "
+            f"reached, oldest record would be lost unread "
+            f"(total written: {self.total_records})")
+
+    def append(self, cycles: int, event_id: int, kind: int,
+               value: int) -> None:
+        """Write one record's four words."""
+        words = self._words
+        if len(words) >= self._full:
             if self.strict:
-                raise TraceOverflowError(
-                    f"trace buffer overflow: capacity {self.capacity} "
-                    f"reached, oldest record would be lost unread "
-                    f"(total written: {self.total_records})")
+                raise self._overflow()
             self.lost_count += 1
-        self._buf.append(record)
+            words.extend((cycles, event_id, kind, value))
+            if len(words) >= 2 * self._full:
+                del words[:-self._full]
+        else:
+            words.extend((cycles, event_id, kind, value))
         self.total_records += 1
 
-    def extend(self, records: list[Record]) -> None:
-        """Append ``records`` in order: the ring drops and counts exactly
-        the records that appending them one by one would."""
-        if self.strict:
-            for record in records:
-                self.append(record)
-            return
-        self.lost_count += max(0, len(self._buf) + len(records)
-                               - self.capacity)
-        self._buf.extend(records)
-        self.total_records += len(records)
+    def extend(self, words: Sequence[int]) -> None:
+        """Write whole records given as one flat sequence of their words,
+        in order: the buffer drops and counts exactly the records that
+        appending them one by one would, and a strict buffer raises at
+        the same record."""
+        n = len(words) // WORDS
+        held = len(self)
+        if held + n > self.capacity:
+            if self.strict:
+                fit = self.capacity - held
+                self._words.extend(words[:fit * WORDS])
+                self.total_records += fit
+                raise self._overflow()
+            self.lost_count += held + n - self.capacity
+        self._words.extend(words)
+        self.total_records += n
+        if len(self._words) >= 2 * self._full:
+            del self._words[:-self._full]
 
     def __len__(self) -> int:
-        return len(self._buf)
+        return min(len(self._words) // WORDS, self.capacity)
+
+    def _live(self) -> array:
+        """The buffered records' words: the array itself, or a copy of
+        its newest ``capacity`` records once it holds more."""
+        words = self._words
+        return words[-self._full:] if len(words) > self._full else words
 
     def peek(self) -> list[Record]:
-        """Buffered records oldest-first, without removing them."""
-        return list(self._buf)
+        """Buffered records oldest-first, as tuples, without removing
+        them."""
+        it = iter(self._live())
+        return list(zip(it, it, it, it))
 
-    def drain(self) -> list[Record]:
-        """Remove and return all buffered records, oldest-first."""
-        out = list(self._buf)
-        self._buf.clear()
-        return out
+    def event_ids(self) -> array:
+        """The buffered records' event IDs, oldest-first."""
+        start = max(0, len(self._words) - self._full)
+        return self._words[start + 1::WORDS]
+
+    def drain(self) -> array:
+        """Remove all buffered records and return their words,
+        oldest-first."""
+        words = self._live()
+        self._words = array("Q")
+        return words
 
     def __iter__(self) -> Iterator[Record]:
         return iter(self.peek())

@@ -42,11 +42,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from itertools import starmap
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.core.measurement import KtauTaskData
 from repro.core.registry import EventRegistry
-from repro.core.tracebuf import ATOMIC, Record
+from repro.core.tracebuf import ATOMIC, WORDS
 
 MAGIC_PROFILE = b"KTAU"
 MAGIC_TRACE = b"KTRC"
@@ -70,6 +72,10 @@ _TRACE_REC = struct.Struct("<QIBQ")
 #: Offset of the kind byte in a packed trace record: the size of the
 #: ``cycles`` and ``event_id`` fields that precede it in ``_TRACE_REC``.
 _KIND_OFFSET = struct.calcsize(_TRACE_REC.format[:3])
+#: ``_TRACE_REC`` as a numpy record type, to pack a whole drain at once.
+_TRACE_DTYPE = np.dtype([("cycles", "<u8"), ("event_id", "<u4"),
+                         ("kind", "u1"), ("value", "<u8")])
+assert _TRACE_DTYPE.itemsize == _TRACE_REC.size
 
 #: Packed bytes per trace record and per profile-section entry, for
 #: clients that cost an extraction by its volume.
@@ -208,17 +214,23 @@ def pack_profiles(tasks: dict[int, KtauTaskData], registry: EventRegistry) -> by
     return bytes(out)
 
 
-def pack_trace(pid: int, lost: int, records: list[Record],
+def pack_trace(pid: int, lost: int, words: Sequence[int],
                registry: EventRegistry) -> bytes:
     """Serialise a drained trace buffer (mapping shipped as a side table).
 
-    The trace format references events by ID; a compact mapping table is
+    ``words`` are the drained records' words, four per record in
+    wire-field order (:meth:`repro.core.tracebuf.TraceBuffer.drain`);
+    they are packed column by column, with no object per record.  The
+    trace format references events by ID; a compact mapping table is
     appended after the records (id/name pairs for the IDs actually used).
-    The records are ring tuples in wire-field order, packed as they stand.
     """
-    out = bytearray(_TRACE_HDR.pack(MAGIC_TRACE, VERSION, pid, lost, len(records)))
-    out += b"".join(starmap(_TRACE_REC.pack, records))
-    used = sorted({rec[1] for rec in records})
+    table = np.asarray(words, dtype=np.uint64).reshape(-1, WORDS)
+    block = np.empty(len(table), _TRACE_DTYPE)
+    for column, name in enumerate(_TRACE_DTYPE.names):
+        block[name] = table[:, column]
+    out = bytearray(_TRACE_HDR.pack(MAGIC_TRACE, VERSION, pid, lost, len(table)))
+    out += block.tobytes()
+    used = np.unique(table[:, 1]).tolist()
     out += _U32.pack(len(used))
     for event_id in used:
         out += _MAP_ENTRY.pack(event_id)
@@ -226,15 +238,17 @@ def pack_trace(pid: int, lost: int, records: list[Record],
     return bytes(out)
 
 
-def trace_size(records: list[Record], registry: EventRegistry) -> int:
-    """Length of :func:`pack_trace`'s buffer for ``records``, without packing.
+def trace_size(nrec: int, event_ids: Iterable[int],
+               registry: EventRegistry) -> int:
+    """Length of :func:`pack_trace`'s buffer for ``nrec`` records whose
+    event IDs are ``event_ids``, without packing.
 
     Header, fixed-size record block and mapping count, plus one mapping
     entry per used event ID with its name as :func:`pack_trace` cuts it.
     """
     names = sum(_MAP_ENTRY.size + 1 + len(_str_bytes(registry.name_of(event_id)))
-                for event_id in sorted({rec[1] for rec in records}))
-    return _TRACE_HDR.size + len(records) * _TRACE_REC.size + _U32.size + names
+                for event_id in sorted(set(event_ids)))
+    return _TRACE_HDR.size + nrec * _TRACE_REC.size + _U32.size + names
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from repro.experiments.fig2_controlled import (CONTROLLED_LU,
                                                PERTURBED_NODE_INDEX,
                                                spawn_intruder)
 from repro.monitor import MonitorConfig, MonitorData
+from repro.obs import runtime as _obs
 from repro.sim.units import MSEC
 from repro.workloads.lu import LuParams, lu_app
 
@@ -66,6 +67,19 @@ class BottleneckRunResult:
     monitor: Optional[MonitorData] = None
 
 
+def _publish_maxrss(phase: str) -> None:
+    """With obs metrics on, publish the process's peak RSS so far, in MiB,
+    as gauge ``bottleneck.maxrss_mb.<phase>`` (``ru_maxrss`` is in KiB on
+    Linux), so a run's metrics show which phase sets the high-water
+    mark."""
+    if _obs.metrics_on:
+        import resource
+
+        from repro.obs.metrics import REGISTRY
+        REGISTRY.gauge(f"bottleneck.maxrss_mb.{phase}").set(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+
+
 def _traced_run(nnodes: int, nranks: int, params: LuParams, seed: int, *,
                 top_k: int, procs_per_node: int = 2, pin: bool = False,
                 monitor_config: Optional[MonitorConfig] = None,
@@ -90,8 +104,11 @@ def _traced_run(nnodes: int, nranks: int, params: LuParams, seed: int, *,
         monitor_config=monitor_config,
         placement=block_placement(procs_per_node, nranks),
         comm_prefix="lu", tau_tracing=True, pin=pin)
+    _publish_maxrss("run")
     inputs = harvest_bottleneck_inputs(job)
+    _publish_maxrss("harvest")
     report = build_report(inputs, top_k=top_k, seed=seed)
+    _publish_maxrss("report")
     monitor_data = monitor.harvest() if monitor is not None else None
     cluster.teardown()
     return BottleneckRunResult(report=report, perturbed_node=perturbed,

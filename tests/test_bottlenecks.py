@@ -109,14 +109,18 @@ def stall_rank(rank, node, pid, start, end, recv_from=None, log_span=None):
     if recv_from is not None:
         lo, hi = log_span or (start - 300, end + 300)
         log.append(("recv", recv_from, 1024, lo, hi))
-    return RankTrace(rank=rank, pid=pid, node=node, hz=1e9,
-                     boot_offset_cycles=0, merged=events, msg_log=log)
+    return RankTrace(rank=rank, pid=pid, node=node,
+                     waits=extract_waits(events, rank=rank, node=node,
+                                         pid=pid, hz=1e9),
+                     msg_log=log)
 
 
 def preempted_rank(rank, node, pid, start, end):
     events = [k(start, "schedule", True), k(end, "schedule", False)]
-    return RankTrace(rank=rank, pid=pid, node=node, hz=1e9,
-                     boot_offset_cycles=0, merged=events, msg_log=[])
+    return RankTrace(rank=rank, pid=pid, node=node,
+                     waits=extract_waits(events, rank=rank, node=node,
+                                         pid=pid, hz=1e9),
+                     msg_log=[])
 
 
 class TestBuildReport:
@@ -153,8 +157,10 @@ class TestBuildReport:
     def test_computing_blocker_charges_compute_pseudo_path(self):
         inputs = [
             stall_rank(0, "a", 1, 2_000, 10_000, recv_from=1),
-            RankTrace(rank=1, pid=2, node="b", hz=1e9, boot_offset_cycles=0,
-                      merged=[], msg_log=[]),
+            RankTrace(rank=1, pid=2, node="b",
+                      waits=extract_waits([], rank=1, node="b", pid=2,
+                                          hz=1e9),
+                      msg_log=[]),
         ]
         report = build_report(inputs, top_k=5)
         (chain,) = report.chains

@@ -8,10 +8,15 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import KtauBuildConfig
 from repro.core.measurement import Ktau
 from repro.core.registry import PointKind
-from repro.core.tracebuf import ATOMIC, ENTRY, EXIT
+from repro.core.tracebuf import ATOMIC, ENTRY, EXIT, WORDS
 from repro.core import wire
 from repro.sim.clock import CycleClock
 from repro.sim.engine import Engine
+
+
+def flat(records):
+    """Record tuples as the flat words ``pack_trace`` takes."""
+    return [word for record in records for word in record]
 
 
 def build_ktau():
@@ -84,12 +89,12 @@ class TestTraceRoundtrip:
     def test_roundtrip(self):
         engine, ktau = populated_ktau()
         data = ktau.tasks[10]
-        records = data.trace.drain()
-        assert records  # instrumentation above wrote trace records
-        packed = wire.pack_trace(10, data.trace.lost_count, records, ktau.registry)
+        words = data.trace.drain()
+        assert words  # instrumentation above wrote trace records
+        packed = wire.pack_trace(10, data.trace.lost_count, words, ktau.registry)
         dump = wire.unpack_trace(packed)
         assert dump.pid == 10
-        assert len(dump.records) == len(records)
+        assert len(dump.records) == len(words) // WORDS
         cycles, name, kind, value = dump.records[0]
         assert name == "sys_writev"
         assert kind == ENTRY
@@ -142,8 +147,9 @@ class TestLongNames:
     def test_trace_name_cut_on_character_boundary(self):
         registry = SimpleNamespace(name_of=lambda event_id: LONG_NAME)
         records = [(5, 0, ENTRY, 0), (9, 0, EXIT, 0)]
-        packed = wire.pack_trace(4, 0, records, registry)
-        assert wire.trace_size(records, registry) == len(packed)
+        packed = wire.pack_trace(4, 0, flat(records), registry)
+        assert wire.trace_size(len(records), [r[1] for r in records],
+                               registry) == len(packed)
         dump = wire.unpack_trace(packed)
         assert [rec[1] for rec in dump.records] == [CUT_NAME, CUT_NAME]
 
@@ -168,7 +174,7 @@ def test_property_trace_roundtrip(entries):
              "do_softirq"]
     for name in names:
         ktau.registry.bind(ktau.registry.point(name))
-    packed = wire.pack_trace(3, 7, entries, ktau.registry)
+    packed = wire.pack_trace(3, 7, flat(entries), ktau.registry)
     dump = wire.unpack_trace(packed)
     assert dump.lost == 7
     assert dump.records == [(cycles, names[event_id], kind, value)

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.config import KtauBuildConfig
 from repro.core.measurement import InstrumentationImbalanceError, Ktau
-from repro.core.tracebuf import TraceBuffer, TraceOverflowError
+from repro.core.tracebuf import WORDS, TraceBuffer, TraceOverflowError
 from repro.sim.clock import CycleClock
 from repro.sim.engine import Engine
 
@@ -95,17 +95,17 @@ class TestStrictTaskExit:
 class TestStrictTraceBuffer:
     def test_overflow_raises_in_strict_mode(self):
         buf = TraceBuffer(2, strict=True)
-        buf.append((1, 1, 0))
-        buf.append((2, 1, 0))
+        buf.append(1, 1, 0, 0)
+        buf.append(2, 1, 0, 0)
         with pytest.raises(TraceOverflowError, match="capacity 2"):
-            buf.append((3, 1, 0))
+            buf.append(3, 1, 0, 0)
 
     def test_drain_makes_room(self):
         buf = TraceBuffer(2, strict=True)
-        buf.append((1, 1, 0))
-        buf.append((2, 1, 0))
-        assert len(buf.drain()) == 2
-        buf.append((3, 1, 0))  # no raise after drain
+        buf.append(1, 1, 0, 0)
+        buf.append(2, 1, 0, 0)
+        assert len(buf.drain()) == 2 * WORDS
+        buf.append(3, 1, 0, 0)  # no raise after drain
 
     def test_ktau_propagates_strict_into_task_buffers(self):
         build = KtauBuildConfig(tracing=True, trace_buffer_entries=4)
@@ -146,6 +146,6 @@ class TestNonStrictUnchanged:
     def test_trace_overflow_overwrites_and_counts_loss(self):
         buf = TraceBuffer(2)
         for i in range(5):
-            buf.append((i, 1, 0))
+            buf.append(i, 1, 0, 0)
         assert buf.lost_count == 3
-        assert [rec[0] for rec in buf.drain()] == [3, 4]
+        assert list(buf.drain()[0::WORDS]) == [3, 4]

@@ -152,6 +152,23 @@ class TestInstrumentation:
             + counters["ktau.firing_cache_misses"]
         assert counters["ktau.tasks_exited"] > 0
 
+    def test_traced_run_publishes_phase_maxrss(self):
+        """A traced bottleneck run publishes its peak RSS at the end of
+        the run, harvest and report phases when metrics are on, nothing
+        when they are off, and the same report either way."""
+        from repro.analysis.bottlenecks import report_to_json
+        from repro.experiments.bottleneck import run_bottleneck_lu
+
+        plain = report_to_json(run_bottleneck_lu(seed=1).report)
+        assert len(obs.REGISTRY) == 0
+        obs.enable(metrics=True, progress=False)
+        measured = report_to_json(run_bottleneck_lu(seed=1).report)
+        gauges = obs.snapshot()["gauges"]
+        marks = [gauges[f"bottleneck.maxrss_mb.{phase}"]
+                 for phase in ("run", "harvest", "report")]
+        assert 0 < marks[0] <= marks[1] <= marks[2]
+        assert measured == plain
+
     def test_parallel_map_serial_metrics(self):
         obs.enable(metrics=True, progress=False)
         assert parallel_map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
@@ -301,6 +318,10 @@ class TestDeterminism:
         assert first == dump()
         doc = json.loads(first)
         assert len(doc["snapshots"]) > 0
+        # --drain-traces builds the kernel with tracing, so the drains
+        # carry records.
+        assert any(trace["records"] for snap in doc["snapshots"]
+                   for trace in snap["traces"].values())
         assert ktaud_snapshots_to_json([]) == '{"snapshots":[]}'
 
 

@@ -235,7 +235,7 @@ def make_world(cfg):
         counters.advance(900, True)
     if data.trace is not None:  # so that a call can overflow the ring
         for i in range(min(cfg["prefill"], cfg["ring"] - len(data.trace))):
-            data.trace.append((i, 0, ENTRY, 0))
+            data.trace.append(i, 0, ENTRY, 0)
     data.frozen = cfg["frozen"]
     return ktau, data, counters
 

@@ -12,11 +12,15 @@ timelines, wait intervals and blocker choices: on hypothesis-generated
 traces with same-stamp entry/exit ties, orphan exits, exits that skip
 frames, unclosed entries and nested IRQ roots; on random interval sets;
 and at every stage of a small traced LU run.  ``trace_size`` must equal
-the length of the packed drain on random rings, wrapped ones included.
+the length of the packed drain on random rings, wrapped ones included,
+and the harvest must free each rank's merged timeline before it merges
+the next rank's.
 """
 
 import gc
 import struct
+import weakref
+from array import array
 from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
@@ -34,7 +38,7 @@ from repro.core.config import KtauBuildConfig
 from repro.core.measurement import Ktau
 from repro.core.procfs import KtauProcFS
 from repro.core.registry import PointKind
-from repro.core.tracebuf import ATOMIC, ENTRY, EXIT
+from repro.core.tracebuf import ATOMIC, ENTRY, EXIT, WORDS
 from repro.sim.clock import CycleClock
 from repro.sim.engine import Engine
 
@@ -260,9 +264,10 @@ def registry_with_ids():
 def test_block_path_matches_per_record_path(kernel, user, lost, hz, boot):
     reg, ids = registry_with_ids()
     records = [(c, ids[name], kind, v) for c, name, kind, v in kernel]
-    packed = wire.pack_trace(42, lost, records, reg)
+    words = array("Q", [word for record in records for word in record])
+    packed = wire.pack_trace(42, lost, words, reg)
     assert packed == ref_pack_trace(42, lost, records, reg)
-    assert wire.trace_size(records, reg) == len(packed)
+    assert wire.trace_size(len(records), words[1::WORDS], reg) == len(packed)
 
     kdump = wire.unpack_trace(packed)
     assert kdump == ref_unpack_trace(packed)
@@ -401,7 +406,7 @@ def test_traced_lu_run_matches_per_record_path(monkeypatch):
 
     monkeypatch.setattr(KtauProcFS, "trace_read", trace_read)
     monkeypatch.setattr(harvest_mod, "merge_traces", merge)
-    monkeypatch.setattr(report_mod, "extract_waits", waits_of)
+    monkeypatch.setattr(harvest_mod, "extract_waits", waits_of)
     monkeypatch.setattr(report_mod, "_blocker_activity", activity)
     result = run_bottleneck_lu(seed=1)
     assert checked["drains"] == checked["merges"] == checked["ranks"] == 8
@@ -409,14 +414,38 @@ def test_traced_lu_run_matches_per_record_path(monkeypatch):
     assert result.report.total_waits == sum(map(len, rank_waits.values()))
 
 
+def test_harvest_holds_one_timeline_at_a_time(monkeypatch):
+    """Each rank's merged timeline is reduced to its waits and freed
+    before the next rank's merge starts, so the harvest never holds more
+    than one rank's timeline."""
+    from repro.experiments.bottleneck import run_bottleneck_lu
+
+    class Timeline(list):
+        """A merged timeline a weak reference can watch."""
+
+    timelines: list[weakref.ref] = []
+
+    def merge(udump, ktrace):
+        assert [ref() for ref in timelines] == [None] * len(timelines)
+        timeline = Timeline(merge_traces(udump, ktrace))
+        timelines.append(weakref.ref(timeline))
+        return timeline
+
+    monkeypatch.setattr(harvest_mod, "merge_traces", merge)
+    run_bottleneck_lu(seed=1)
+    assert len(timelines) == 8
+    assert [ref() for ref in timelines] == [None] * 8
+
+
 # ----------------------------------------------------------------------
 # Records the cyclic collector never walks
 # ----------------------------------------------------------------------
 def test_trace_records_are_untracked_int_tuples():
-    """Ring records, unpacked records and merged rows are exact tuples of
-    ints, strs and bools, with plain int kinds, so after a collection
-    CPython tracks none of them and a long trace adds nothing to the
-    collector's full passes."""
+    """The ring holds its records as words in one array, with no object
+    per record; the records ``peek`` yields, the unpacked records and
+    the merged rows are exact tuples of ints, strs and bools, with plain
+    int kinds, so after a collection CPython tracks none of them and a
+    long trace adds nothing to the collector's full passes."""
     from repro.cluster.launch import block_placement, launch_mpi_job
     from repro.cluster.machines import make_chiba
     from repro.core.libktau import LibKtau
@@ -431,16 +460,23 @@ def test_trace_records_are_untracked_int_tuples():
                          placement=block_placement(1, 2), tau_tracing=True)
     job.run(limit_s=600)
     node, task = job.world.rank_nodes[0], job.world.rank_tasks[0]
-    ring = node.kernel.ktau.zombies[task.pid].trace.peek()
+    trace = node.kernel.ktau.zombies[task.pid].trace
+    storage = dict(vars(trace))
+    ring = trace.peek()
     kdump = LibKtau(node.kernel.ktau_proc).read_trace(task.pid)
     merged = merge_traces(job.profilers[0].dump(), kdump)
     cluster.teardown()
     gc.collect()
 
+    assert {type(v) for v in storage.values()} == {int, bool, array}
+    (words,) = [v for v in storage.values() if type(v) is array]
+    assert words.typecode == "Q" and len(words) == WORDS * len(ring)
     assert ring and len(kdump.records) == len(ring)
     assert len(merged) > len(ring)  # the user trace is in it too
     for rows in (ring, kdump.records, merged):
         assert not any(map(gc.is_tracked, rows))
+    assert all(type(rec) is tuple and len(rec) == WORDS
+               and {type(word) for word in rec} == {int} for rec in ring)
     kinds = [rec[2] for rec in ring + kdump.records]
     assert {type(kind) for kind in kinds} == {int}
     assert set(kinds) == {ENTRY, EXIT, ATOMIC}
