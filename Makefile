@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test lint check claims \
-	bench bench-smoke obs-demo monitor-demo chaos-smoke \
+	bench bench-smoke bench-pairs obs-demo monitor-demo chaos-smoke \
 	bottlenecks-demo counters-demo
 
 test:
@@ -25,6 +25,13 @@ bench:
 # digest is pinned in perfbench/run.py.
 bench-smoke:
 	$(PYTHON) perfbench/run.py --smoke --out perfbench_smoke.json
+
+# Alternating full-run pairs of BASE and this checkout, judged metric by
+# metric (tools/bench_pairs.py); not run in CI.
+BASE ?= HEAD
+PAIRS ?= 10
+bench-pairs:
+	$(PYTHON) tools/bench_pairs.py $(BASE) --pairs $(PAIRS)
 
 chaos-smoke:
 	$(PYTHON) -m repro chaos --plan kill-and-partition \

@@ -38,30 +38,6 @@ from repro.core.registry import EventRegistry, InstrumentationPoint, PointKind
 from repro.core.tracebuf import ATOMIC, ENTRY, EXIT, TraceBuffer
 from repro.obs import runtime as _obs
 from repro.sim.clock import CycleClock
-from repro.sim.units import SEC
-
-
-class _NsOfCycles(dict):
-    """``round(cycles * SEC / hz)`` by cycle count for one clock rate (the
-    expression :meth:`~repro.sim.clock.CycleClock.ns_for_cycles` uses),
-    filled in as charges meet new cycle counts."""
-
-    __slots__ = ("hz",)
-
-    def __init__(self, hz: float):
-        super().__init__()
-        self.hz = hz
-
-    def __missing__(self, cycles: int) -> int:
-        ns = self[cycles] = round(cycles * SEC / self.hz)
-        return ns
-
-
-#: One rounding memo per clock rate, shared by every kernel at that rate:
-#: overhead draws take a few thousand distinct values, the same on every
-#: node.  An entry depends only on its rate and cycle count, so sharing
-#: the memo across kernels, runs and tests cannot change a result.
-_NS_OF_CYCLES: dict[float, _NsOfCycles] = {}
 
 
 class InstrumentationImbalanceError(RuntimeError):
@@ -151,10 +127,11 @@ class _Chain:
     (outermost first) and the leaf's atomic point, resolved once per
     firing-state version.  ``event_ids`` (outermost first) and
     ``atomic_id`` are set while a call can be summed; ``rows`` caches its
-    :func:`~repro.core.chainsum.layout` for one ``step_cycles``."""
+    :func:`~repro.core.chainsum.layout` for one ``step_cycles``, and
+    ``sums`` a summed call's terms by its pass count."""
 
     __slots__ = ("levels", "atomic", "distinct", "version", "event_ids",
-                 "atomic_id", "rows_key", "rows")
+                 "atomic_id", "rows_key", "rows", "sums")
 
     def __init__(self, chain, registry: EventRegistry, clock: CycleClock):
         self.levels: list[_Level] = []
@@ -174,6 +151,30 @@ class _Chain:
         self.atomic_id: Optional[int] = None
         self.rows_key: object = ()
         self.rows: tuple = ()
+        self.sums: dict[int, tuple] = {}
+
+    def terms(self, build: KtauBuildConfig, step_cycles: Optional[int],
+              n: int) -> tuple:
+        """The terms of a summed call of ``n`` passes: ``(closes, span,
+        starts, stops, order, firings, extras)``.  ``closes`` are
+        ``(event_id, count, incl, excl)``, innermost first; ``span`` is
+        the call's length; ``starts`` and ``stops`` count its start and
+        stop draws (one stop per exit), taken in the
+        :meth:`~repro.core.overhead.OverheadModel.charge` ``order``;
+        ``firings`` counts its points' firings; ``extras`` is the
+        layout's."""
+        if self.rows_key != step_cycles:
+            self.rows = layout(build, self, step_cycles)
+            self.rows_key, self.sums = step_cycles, {}
+        rows, head_cycles, step, (h, b, a), extras = self.rows
+        closes = [(event_id, 1, incl + n * step, excl) if enclosing
+                  else (event_id, n, n * incl, n * excl)
+                  for event_id, enclosing, incl, excl in rows]
+        terms = self.sums[n] = (closes, head_cycles + n * step,
+                                h + n * (b + a), h + n * b,
+                                (h, b + a, b, n), 2 * h + n * (2 * b + a),
+                                extras)
+        return terms
 
 
 class KtauTaskData:
@@ -269,6 +270,10 @@ class Ktau:
         self.build = build
         self.control = control if control is not None else KtauRuntimeControl(build)
         self.overhead = overhead if overhead is not None else ZeroOverheadModel()
+        self.overhead.bind(clock.hz, build.tracing)
+        #: a disabled point's flag check, in cycles and in ns
+        check = self.overhead.DISABLED_CHECK_CYCLES
+        self._check = (check, clock.ns_for_cycles(check))
         self.strict = strict
         self.registry = EventRegistry()
         self.tasks: dict[int, KtauTaskData] = {}
@@ -276,13 +281,10 @@ class Ktau:
         # Hot-path accelerators.  Firing state is invariant until the
         # runtime control changes, so it is cached by point against the
         # control's version counter.  Span chains are laid out once, by
-        # chain object, and resolved once per version.  Each charge rounds
-        # its own cycles to ns through the clock rate's memo.
+        # chain object, and resolved once per version.
         self._state_cache: dict[InstrumentationPoint, int] = {}
         self._state_cache_version = -1
         self._chains: dict[object, _Chain] = {}
-        self._ns_of = _NS_OF_CYCLES.setdefault(clock.hz,
-                                               _NsOfCycles(clock.hz))
         # Harness observability (repro.obs): always-on plain counters for
         # the firing-state cache, published as deltas at flush points
         # (task exit, /proc snapshot) — never per firing.
@@ -341,10 +343,9 @@ class Ktau:
         if state is None:
             state = self._resolve_state(point)
         if state == 1:
-            cycles = self.overhead.DISABLED_CHECK_CYCLES
-            if cycles:
-                data.pending_overhead_ns += self._ns_of[cycles]
-                data.overhead_cycles += cycles
+            cycles, ns = self._check
+            data.pending_overhead_ns += ns
+            data.overhead_cycles += cycles
         return state
 
     def _resolve_state(self, point: InstrumentationPoint) -> int:
@@ -424,13 +425,11 @@ class Ktau:
             None if counters is None else counters.read()))
         active = data.active_counts
         active[event_id] = active.get(event_id, 0) + 1
-        cost = self.overhead.start_cycles()
+        cycles, ns = self.overhead.draw_start()
         if data.trace is not None:
             data.trace.append(now, event_id, ENTRY, 0)
-            cost += self.overhead.TRACE_EXTRA_CYCLES
-        if cost:
-            data.pending_overhead_ns += self._ns_of[cost]
-            data.overhead_cycles += cost
+        data.pending_overhead_ns += ns
+        data.overhead_cycles += cycles
 
     def _close(self, data: KtauTaskData, now: int) -> None:
         """Close the innermost frame (the caller checked it is the exiting
@@ -491,13 +490,11 @@ class Ktau:
             else:
                 edge[0] += 1
                 edge[1] += incl
-        cost = self.overhead.stop_cycles()
+        cycles, ns = self.overhead.draw_stop()
         if data.trace is not None:
             data.trace.append(now, event_id, EXIT, 0)
-            cost += self.overhead.TRACE_EXTRA_CYCLES
-        if cost:
-            data.pending_overhead_ns += self._ns_of[cost]
-            data.overhead_cycles += cost
+        data.pending_overhead_ns += ns
+        data.overhead_cycles += cycles
 
     def atomic(self, data: KtauTaskData, point: InstrumentationPoint, value: int,
                at_cycles: Optional[int] = None) -> None:
@@ -514,14 +511,12 @@ class Ktau:
             stats = AtomicData()
             data.atomic[event_id] = stats
         stats.record(value)
-        cost = self.overhead.atomic_cycles()
+        cycles, ns = self.overhead.draw_atomic()
         if data.trace is not None:
             stamp = self.clock.read() if at_cycles is None else at_cycles
             data.trace.append(stamp, event_id, ATOMIC, value)
-            cost += self.overhead.TRACE_EXTRA_CYCLES
-        if cost:
-            data.pending_overhead_ns += self._ns_of[cost]
-            data.overhead_cycles += cost
+        data.pending_overhead_ns += ns
+        data.overhead_cycles += cycles
 
     # ------------------------------------------------------------------
     # Kernel span chains
@@ -555,11 +550,12 @@ class Ktau:
         once; so are the counter profile and the PMCs (each span's advance
         is truncated on its own, as ``TaskCounters.advance`` does), the
         call-graph edges, and the trace records, appended in the per-event
-        order with one ``extend``.  The overhead draws are still taken one
-        at a time in the per-event order and each is rounded to
-        nanoseconds on its own, so the samplers' streams and the pending
-        overhead match the per-event result; points bind in the per-event
-        order.  Every other call (a strict build, a frozen task, a point
+        order with one ``extend``.  The overhead draws are charged with
+        one :meth:`~repro.core.overhead.OverheadModel.charge`, each draw
+        rounded to nanoseconds on its own and in the per-event order
+        wherever a sampler refills, so the samplers' streams and the
+        pending overhead match the per-event result; points bind in the
+        per-event order.  Every other call (a strict build, a frozen task, a point
         that does not fire, a repeated or already open point) is walked:
         each span's entry and exit, and the atomic, fire one by one
         through the macros' firing check.  Only a live call outside
@@ -643,15 +639,15 @@ class Ktau:
              values: Optional[Sequence[int]],
              step_cycles: Optional[int]) -> int:
         """:meth:`record` in one accounting step."""
-        if plan.rows_key != step_cycles:
-            plan.rows = layout(self.build, plan, step_cycles)
-            plan.rows_key = step_cycles
-        rows, head_cycles, step, (h, b, a), extras = plan.rows
         n = 1 if values is None else len(values)
+        terms = plan.sums.get(n) if plan.rows_key == step_cycles else None
+        if terms is None:
+            terms = plan.terms(self.build, step_cycles, n)
+        closes, span, starts, stops, order, firings, extras = terms
         active = data.active_counts
         for event_id in plan.event_ids:  # opened and closed again
             active[event_id] = 0
-        if a:
+        if plan.atomic_id is not None:
             stats = data.atomic.get(plan.atomic_id)
             if stats is None:
                 stats = data.atomic[plan.atomic_id] = AtomicData()
@@ -665,9 +661,6 @@ class Ktau:
         user_ctx = data.user_context
         profile, pairs = data.profile, data.context_pairs
         # Innermost first, the order the per-event path closes them in.
-        closes = [(event_id, 1, incl + n * step, excl) if enclosing
-                  else (event_id, n, n * incl, n * excl)
-                  for event_id, enclosing, incl, excl in rows]
         for event_id, count, incl, excl in closes:
             perf = profile.get(event_id)
             if perf is None:
@@ -682,26 +675,18 @@ class Ktau:
                 else:
                     pair[0] += count
                     pair[1] += excl
-        end = t + head_cycles + n * step
         if extras is not None:
             add_extensions(data, extras, closes, t, values,
                            self.registry.name_of)
             if extras[0] is not None and data.counters is not None:
-                self._counter_samples += h + n * b  # one per exit
+                self._counter_samples += stops  # one per exit
         if data.stack:
-            data.stack[-1].child_cycles += end - t
-
-        starts, stops = self.overhead.starts, self.overhead.stops
-        costs = list(map(next, (starts,) * h
-                         + ((starts,) * (b + a) + (stops,) * b) * n
-                         + (stops,) * h))
-        if data.trace is not None:
-            extra = self.overhead.TRACE_EXTRA_CYCLES
-            costs = [cost + extra for cost in costs]
-        data.pending_overhead_ns += sum(map(self._ns_of.__getitem__, costs))
-        data.overhead_cycles += sum(costs)
-        self._firings += 2 * h + n * (2 * b + a)
-        return end
+            data.stack[-1].child_cycles += span
+        cycles, ns = self.overhead.charge(starts, stops, order)
+        data.pending_overhead_ns += ns
+        data.overhead_cycles += cycles
+        self._firings += firings
+        return t + span
 
     # ------------------------------------------------------------------
     # Harness observability (repro.obs)

@@ -21,25 +21,37 @@ TLB misses.  We model each cost as ``min + Gamma(k, theta)`` with ``k`` and
 When instrumentation is compiled in but disabled at boot/runtime the only
 cost is a flag check (a load + branch), modelled as a small constant.
 
-Sampling is batched through numpy for speed and handed out as Python
-ints, one refill of 4096 draws at a time, through endless C-level
-iterators (``starts`` and ``stops``); the model is deterministic given
-its RNG stream.
+Sampling is batched through numpy, 4096 draws per refill, and each batch
+is kept as a *ledger*: two int32 prefix-sum arrays, one over the draws'
+cycles and one over each draw's cost rounded to nanoseconds on its own
+(``round((cycles + extra) * SEC / hz)`` for the clock rate and tracing
+extra that :meth:`OverheadModel.bind` sets), plus a read position.  Any
+run of draws inside one batch then costs two index reads per array,
+whatever its length.  The start and stop samplers refill from one shared
+RNG stream, so a call whose draws would refill either sampler takes them
+in the per-event order instead; the model is deterministic given its RNG
+stream.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
-from typing import Iterator
+from itertools import repeat
+from typing import Optional
 
 import numpy as np
 
+from repro.sim.units import SEC
+
+#: draws per refill
+BATCH = 4096
+
 
 class _GammaTail:
-    """``min + Gamma(k, theta)`` sampler with batched draws."""
+    """``min + Gamma(k, theta)`` sampler, handed out through a ledger of
+    one batch of draws at a time."""
 
     #: draws per refill
-    BATCH = 4096
+    BATCH = BATCH
 
     def __init__(self, rng: np.random.Generator, minimum: float, mean: float, std: float):
         excess = mean - minimum
@@ -49,22 +61,94 @@ class _GammaTail:
         self.k = (excess / std) ** 2
         self.theta = std * std / excess
         self._rng = rng
-        #: The endless draw stream.  A batch is drawn only when the one
-        #: before it runs out, so the shared RNG stream refills at the
-        #: same draw whichever way the stream is consumed.
-        self.draws: Iterator[int] = chain.from_iterable(
-            map(self.sample, repeat(self.BATCH)))
+        #: clock rate the nanosecond ledger rounds at (None: cycles only)
+        #: and the cycles a tracing build adds to every draw
+        self.hz: Optional[float] = None
+        self.extra = 0
+        #: The ledger: ``cycles[i]`` sums the batch's first ``i`` draws and
+        #: ``ns[i]`` their rounded costs; ``pos`` draws are taken.  Both
+        #: are views of one int32 array, allocated here and refilled in
+        #: place.  A batch is drawn only when a draw is asked of a used-up
+        #: one, so the shared RNG stream refills at the same draw however
+        #: the draws are taken.
+        self._sums = np.zeros((2, BATCH + 1), np.int32)
+        self.cycles, self.ns = map(memoryview, self._sums)
+        self.pos = BATCH
 
-    def sample(self, n: int) -> memoryview:
-        """One refill: ``n`` draws as an int64 memoryview."""
-        # Truncating a batch to int64 once equals int() of each positive
-        # float draw; iterating a memoryview of it yields Python ints
-        # without keeping a list of int objects alive.
-        return memoryview(self.sample_array(n).astype(np.int64))
+    def sample(self, n: int) -> np.ndarray:
+        """One refill: ``n`` draws truncated to int64 (the same value as
+        ``int()`` of each positive float draw)."""
+        return self.sample_array(n).astype(np.int64)
 
     def sample_array(self, n: int) -> np.ndarray:
         """Draw ``n`` samples at once (used by the Table 4 harness)."""
         return self.minimum + self._rng.gamma(self.k, self.theta, size=n)
+
+    def bind(self, hz: Optional[float], extra: int) -> None:
+        """Round the ledger at ``hz``, each cost ``extra`` cycles up; a
+        batch already drawn is re-rounded."""
+        self.hz, self.extra = hz, extra
+        if self._sums[0, -1]:
+            self._round(np.diff(self._sums[0]).astype(np.int64))
+
+    def _round(self, draws: np.ndarray) -> None:
+        """Fill the nanosecond ledger from the int64 ``draws`` (consumed;
+        left as is without a clock rate): ``rint`` of the float64
+        quotient, which equals Python's ``round`` of the same quotient
+        while ``(c + extra) * SEC`` stays below 2**53, so the
+        int64-to-float64 conversion is exact, as are the float64 sums of
+        the rounded costs."""
+        if self.hz is None:
+            return
+        draws += self.extra
+        assert int(draws.max()) * SEC < 2**53, "a cost in ns must round exactly"
+        draws *= SEC
+        costs = draws / self.hz
+        np.rint(costs, out=costs)
+        np.cumsum(costs, out=costs)
+        assert costs[-1] < 2**31, "a batch's prefix sums must fit int32"
+        self._sums[1, 1:] = costs
+
+    def refill(self) -> None:
+        """Draw the next batch and start reading it."""
+        draws = self.sample(BATCH)
+        assert int(draws.sum()) < 2**31, "a batch's prefix sums must fit int32"
+        np.cumsum(draws, out=self._sums[0, 1:])
+        self._round(draws)
+        self.pos = 0
+
+    def take(self, k: int) -> tuple[int, int]:
+        """The next ``k`` draws' ``(cycles, ns)`` sums, refilling as each
+        batch runs out (cycles without the extra)."""
+        cycles = ns = 0
+        while k:
+            if self.pos == BATCH:
+                self.refill()
+            i = self.pos
+            j = min(BATCH, i + k)
+            cycles += self.cycles[j] - self.cycles[i]
+            ns += self.ns[j] - self.ns[i]
+            self.pos, k = j, k - (j - i)
+        return cycles, ns
+
+    def draw(self) -> tuple[int, int]:
+        """One draw's ``(cycles + extra, ns)``."""
+        i = self.pos
+        if i == BATCH:
+            self.refill()
+            i = 0
+        self.pos = i + 1
+        cycles, ns = self.cycles, self.ns
+        return cycles[i + 1] - cycles[i] + self.extra, ns[i + 1] - ns[i]
+
+    def next_cycles(self) -> int:
+        """One draw's raw cycles; needs no clock rate."""
+        i = self.pos
+        if i == BATCH:
+            self.refill()
+            i = 0
+        self.pos = i + 1
+        return self.cycles[i + 1] - self.cycles[i]
 
 
 class OverheadModel:
@@ -87,15 +171,47 @@ class OverheadModel:
     def __init__(self, rng: np.random.Generator):
         self._start = _GammaTail(rng, *self.START)
         self._stop = _GammaTail(rng, *self.STOP)
-        # The per-event draws, in cycles: an enabled entry costs a start,
-        # an exit a stop, and an atomic event is modelled like a start.
-        # ``starts`` and ``stops`` are the streams themselves, for callers
-        # that take many draws at once; the ``*_cycles`` callables are
-        # their ``__next__``.
-        self.starts = self._start.draws
-        self.stops = self._stop.draws
-        self.start_cycles = self.atomic_cycles = self.starts.__next__
-        self.stop_cycles = self.stops.__next__
+        # The per-event draws: an enabled entry costs a start, an exit a
+        # stop, and an atomic event is modelled like a start.  The
+        # ``*_cycles`` callables hand out raw cycles and need no clock
+        # rate; the ``draw_*`` callables hand out ``(cycles, ns)``
+        # charges once the model is bound.
+        self.start_cycles = self.atomic_cycles = self._start.next_cycles
+        self.stop_cycles = self._stop.next_cycles
+        self.draw_start = self.draw_atomic = self._start.draw
+        self.draw_stop = self._stop.draw
+
+    def bind(self, hz: float, tracing: bool) -> None:
+        """Charge in nanoseconds at clock rate ``hz``, every draw
+        :attr:`TRACE_EXTRA_CYCLES` dearer in a ``tracing`` build."""
+        extra = self.TRACE_EXTRA_CYCLES if tracing else 0
+        self._start.bind(hz, extra)
+        self._stop.bind(hz, extra)
+
+    def charge(self, starts: int, stops: int,
+               order: tuple[int, int, int, int]) -> tuple[int, int]:
+        """``(cycles, ns)`` of a summed call's ``starts`` start draws and
+        ``stops`` stop draws, taken in the per-event ``order`` ``(head,
+        pass_starts, pass_stops, n)``: ``head`` starts, then ``n`` times
+        ``pass_starts`` starts and ``pass_stops`` stops, then ``head``
+        stops.  Each cost is rounded on its own.  When neither sampler
+        refills, the order cannot matter and the sums are read off the
+        ledgers."""
+        a, b = self._start, self._stop
+        i, j = a.pos, b.pos
+        if i + starts <= BATCH and j + stops <= BATCH:
+            a.pos, b.pos = i + starts, j + stops
+            ac, an, bc, bn = a.cycles, a.ns, b.cycles, b.ns
+            return (ac[i + starts] - ac[i] + bc[j + stops] - bc[j]
+                    + a.extra * (starts + stops),
+                    an[i + starts] - an[i] + bn[j + stops] - bn[j])
+        head, pass_starts, pass_stops, n = order
+        runs = [(a, head), *((a, pass_starts), (b, pass_stops)) * n, (b, head)]
+        cycles = ns = 0
+        for tail, k in runs:
+            c, t = tail.take(k)
+            cycles, ns = cycles + c, ns + t
+        return cycles + a.extra * (starts + stops), ns
 
     # -- bulk access for the Table 4 experiment --------------------------
     def sample_start_array(self, n: int) -> np.ndarray:
@@ -116,6 +232,14 @@ class ZeroOverheadModel(OverheadModel):
     DISABLED_CHECK_CYCLES = TRACE_EXTRA_CYCLES = 0
 
     def __init__(self) -> None:  # noqa: D107 - no RNG needed
-        self.starts = self.stops = repeat(0)
         self.start_cycles = self.stop_cycles = self.atomic_cycles = \
-            self.starts.__next__
+            repeat(0).__next__
+        self.draw_start = self.draw_stop = self.draw_atomic = \
+            repeat((0, 0)).__next__
+
+    def bind(self, hz: float, tracing: bool) -> None:
+        pass
+
+    def charge(self, starts: int, stops: int,
+               order: tuple[int, int, int, int]) -> tuple[int, int]:
+        return 0, 0

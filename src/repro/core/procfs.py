@@ -62,7 +62,7 @@ class KtauProcFS:
         """
         self._check_transient()
         snap = self._ktau.snapshot(pids, include_zombies=include_zombies)
-        return len(wire.pack_profiles(snap, self._ktau.registry))
+        return wire.profile_size(snap, self._ktau.registry)
 
     def profile_read(self, bufsize: int, pids: Optional[list[int]] = None,
                      include_zombies: bool = False) -> tuple[bytes, int]:

@@ -214,6 +214,37 @@ def pack_profiles(tasks: dict[int, KtauTaskData], registry: EventRegistry) -> by
     return bytes(out)
 
 
+def profile_size(tasks: dict[int, KtauTaskData], registry: EventRegistry) -> int:
+    """Length of :func:`pack_profiles`'s buffer for the same snapshot,
+    without packing.
+
+    Fixed-size header, entries and section counts, plus every string's
+    length byte and its bytes as :func:`pack_profiles` cuts them.
+    """
+    cut: dict[str, int] = {}
+
+    def strlen(s: str) -> int:
+        n = cut.get(s)
+        if n is None:
+            n = cut[s] = 1 + len(_str_bytes(s))
+        return n
+
+    size = _HDR.size
+    for _event_id, name, group in registry.mapping_table():
+        size += _MAP_ENTRY.size + strlen(name) + strlen(group)
+    for data in tasks.values():
+        size += (_TASK_FIXED.size + strlen(data.comm) + 5 * _U32.size
+                 + len(data.profile) * _PERF_ENTRY.size
+                 + len(data.atomic) * _ATOMIC_ENTRY.size
+                 + len(data.context_pairs) * _CTX_FIXED.size
+                 + len(data.counter_profile) * _COUNTER_ENTRY.size
+                 + len(data.callgraph) * _EDGE_FIXED.size
+                 + (PMC_BLOCK_SIZE if data.counters is not None else 1))
+        size += sum(strlen(ctx) for ctx, _ in data.context_pairs)
+        size += sum(strlen(parent) for parent, _ in data.callgraph)
+    return size
+
+
 def pack_trace(pid: int, lost: int, words: Sequence[int],
                registry: EventRegistry) -> bytes:
     """Serialise a drained trace buffer (mapping shipped as a side table).

@@ -60,13 +60,14 @@ class SyscallTable:
         kernel = self.kernel
         data = task.ktau
         if data is not None:
-            kernel.ktau.entry(data, kernel.point(name))
+            point = kernel.point(name)
+            kernel.ktau.entry(data, point)
         try:
             yield KCompute(SYSCALL_ENTRY_COST_NS)
             result = yield from handler(kernel, task, **args)
         finally:
             if data is not None:
-                kernel.ktau.exit(data, kernel.point(name))
+                kernel.ktau.exit(data, point)
         return result
 
 

@@ -1,8 +1,6 @@
 """Tests for event mapping (registry), the overhead model and the
 rounding of its charges."""
 
-from itertools import islice
-
 import numpy as np
 import pytest
 
@@ -157,18 +155,41 @@ class TestOverheadModel:
 
     def test_zero_model_streams_yield_zero(self):
         model = ZeroOverheadModel()
-        assert list(islice(model.starts, 100)) == [0] * 100
-        assert list(islice(model.stops, 100)) == [0] * 100
+        model.bind(450e6, True)
+        for draw in (model.draw_start, model.draw_stop, model.draw_atomic):
+            assert [draw() for _ in range(100)] == [(0, 0)] * 100
+        assert model.charge(5000, 4000, (500, 9, 7, 500)) == (0, 0)
 
     def test_streams_are_the_per_event_draws(self):
-        """Draws taken from the streams and through the ``*_cycles``
-        callables come from one sequence per sampler."""
+        """Draws taken through a summed charge, the ``draw_*`` charges
+        and the ``*_cycles`` callables come from one sequence per
+        sampler."""
         a = OverheadModel(RngHub(7).stream("x"))
         b = OverheadModel(RngHub(7).stream("x"))
-        mixed = [a.start_cycles(), *islice(a.starts, 5000), a.atomic_cycles(),
-                 a.stop_cycles(), *islice(a.stops, 3)]
-        assert mixed == [*(b.start_cycles() for _ in range(5002)),
-                         *(b.stop_cycles() for _ in range(4))]
+        a.bind(450e6, False)
+        mixed = [a.start_cycles(), a.charge(5000, 0, (0, 5000, 0, 1))[0],
+                 a.draw_atomic()[0], a.draw_stop()[0],
+                 a.charge(0, 3, (0, 0, 3, 1))[0]]
+        starts = [b.start_cycles() for _ in range(5002)]
+        stops = [b.stop_cycles() for _ in range(4)]
+        assert mixed == [starts[0], sum(starts[1:5001]), starts[5001],
+                         stops[0], sum(stops[1:])]
+
+    def test_sample_runs_once_per_refill(self, monkeypatch):
+        """``sample`` is called once per batch, whichever way the draws
+        are taken (perfbench counts its calls as refills)."""
+        model = OverheadModel(RngHub(7).stream("x"))
+        model.bind(450e6, False)
+        calls = []
+        sample = _GammaTail.sample
+        monkeypatch.setattr(_GammaTail, "sample", lambda tail, n: (
+            calls.append(tail), sample(tail, n))[1])
+        batch = _GammaTail.BATCH
+        model.charge(2 * batch + 1, 0, (0, 2 * batch + 1, 0, 1))
+        for _ in range(batch):
+            model.draw_start()
+        model.start_cycles()
+        assert calls == [model._start] * 4
 
 
 def make_ktau(hz, overhead=None):
@@ -176,17 +197,102 @@ def make_ktau(hz, overhead=None):
                 overhead=overhead)
 
 
+def per_event(twin, order, extra, hz):
+    """``(cycles, ns)`` of a summed call's draws taken one by one from the
+    unbound ``twin`` in the per-event ``order``, and the samplers in the
+    order they refilled."""
+    head, pass_starts, pass_stops, n = order
+    runs = [("start", head), *(("start", pass_starts),
+                               ("stop", pass_stops)) * n, ("stop", head)]
+    cycles, refills = [], []
+    for which, k in runs:
+        tail = getattr(twin, f"_{which}")
+        for _ in range(k):
+            if tail.pos == tail.BATCH:
+                refills.append(which)
+            cycles.append(tail.next_cycles() + extra)
+    return (sum(cycles), sum(round(c * SEC / hz) for c in cycles)), refills
+
+
+class TestLedger:
+    #: Single draws that leave the start sampler 6 draws and the stop
+    #: sampler 2 before a refill, so that a ``CROSSING`` call refills the
+    #: start sampler first; and 5 and 1, so that it refills the stop one
+    #: first.
+    PRIMINGS = {"start_first": (_GammaTail.BATCH - 6, _GammaTail.BATCH - 2),
+                "stop_first": (_GammaTail.BATCH - 5, _GammaTail.BATCH - 1)}
+    #: one enclosing level, then three passes of three starts, two stops
+    CROSSING = (1, 3, 2, 3)
+
+    @pytest.mark.parametrize("hz", RATES_HZ)
+    @pytest.mark.parametrize("tracing", [False, True])
+    @pytest.mark.parametrize("priming", sorted(PRIMINGS))
+    def test_charges_equal_the_per_event_draws(self, hz, tracing, priming):
+        """Summed calls mixed with single start, stop and atomic draws
+        charge what the per-event draws of an identically seeded model
+        add up to, each draw rounded on its own, across refills in either
+        order; the draws that follow match too."""
+        model = OverheadModel(RngHub(17).stream("ovh"))
+        twin = OverheadModel(RngHub(17).stream("ovh"))
+        extra = model.TRACE_EXTRA_CYCLES if tracing else 0
+        starts, stops = self.PRIMINGS[priming]
+        for _ in range(starts):
+            assert model.start_cycles() == twin.start_cycles()
+        for _ in range(stops):
+            assert model.stop_cycles() == twin.stop_cycles()
+        model.bind(hz, tracing)  # re-rounds the batches already drawn
+
+        def charge(order):
+            head, pass_starts, pass_stops, n = order
+            return model.charge(head + n * pass_starts, head + n * pass_stops,
+                                order)
+
+        expected, refills = per_event(twin, self.CROSSING, extra, hz)
+        assert refills == (["start", "stop"] if priming == "start_first"
+                           else ["stop", "start"])
+        assert charge(self.CROSSING) == expected
+        ops = np.random.default_rng(int(hz) + len(priming))
+        for _ in range(1500):
+            pick = int(ops.integers(0, 4))
+            if pick == 3:
+                order = (int(ops.integers(0, 3)), int(ops.integers(1, 5)),
+                         int(ops.integers(1, 4)), int(ops.integers(1, 40)))
+                assert charge(order) == per_event(twin, order, extra, hz)[0]
+                continue
+            draw, raw = ((model.draw_start, twin.start_cycles),
+                         (model.draw_stop, twin.stop_cycles),
+                         (model.draw_atomic, twin.atomic_cycles))[pick]
+            cycles = raw() + extra
+            assert draw() == (cycles, round(cycles * SEC / hz))
+        assert [model.start_cycles() for _ in range(10)] == \
+               [twin.start_cycles() for _ in range(10)]
+        assert [model.stop_cycles() for _ in range(10)] == \
+               [twin.stop_cycles() for _ in range(10)]
+
+
 class TestRoundingMemo:
+    """The ledger's nanosecond prefix is the rounding memo: each draw's
+    cost is rounded once, at refill, at the model's clock rate."""
+
     @pytest.mark.parametrize("hz", RATES_HZ)
     def test_memo_is_round_of_each_charge(self, hz):
-        """Over a full batch of start and stop draws, with and without the
-        tracing extra, the memo holds ``round(c * SEC / hz)``."""
-        model = OverheadModel(RngHub(13).stream("ovh"))
-        draws = [*islice(model.starts, _GammaTail.BATCH),
-                 *islice(model.stops, _GammaTail.BATCH)]
-        memo = make_ktau(hz)._ns_of
-        for cycles in draws + [c + model.TRACE_EXTRA_CYCLES for c in draws]:
-            assert memo[cycles] == round(cycles * SEC / hz)
+        """Over several batches of start and stop draws, with and without
+        the tracing extra, the vectorised rounding equals
+        ``round(c * SEC / hz)``, every prefix fits int32 and every cost
+        times ``SEC`` stays below 2**53."""
+        for tracing in (False, True):
+            model = OverheadModel(RngHub(13).stream("ovh"))
+            model.bind(hz, tracing)
+            extra = model.TRACE_EXTRA_CYCLES if tracing else 0
+            for tail in (model._start, model._stop):
+                for _ in range(3):
+                    tail.refill()
+                    assert tail.cycles.format == tail.ns.format == "i"
+                    costs = np.diff(tail.cycles) + extra
+                    assert int(costs.max()) * SEC < 2**53
+                    assert tail.cycles[-1] < 2**31 and tail.ns[-1] < 2**31
+                    assert np.diff(tail.ns).tolist() == [
+                        round(c * SEC / hz) for c in costs.tolist()]
 
     @pytest.mark.parametrize("hz", RATES_HZ)
     def test_run_charges_each_draw_rounded(self, hz):
@@ -209,18 +315,20 @@ class TestRoundingMemo:
             round(cycles * SEC / hz) for cycles in draws)
 
     def test_one_memo_per_clock_rate(self):
-        """Kernels at one rate share a memo; kernels at different rates in
-        one process keep separate ones."""
-        slow, other, fast = (make_ktau(hz, OverheadModel(RngHub(3).stream("o")))
-                             for hz in (450e6, 450e6, 550e6))
-        assert slow._ns_of is other._ns_of
-        assert slow._ns_of is not fast._ns_of
-        for ktau in (slow, fast):
+        """Kernels at different rates in one process round the same draws
+        at their own rate."""
+        slow, fast = (make_ktau(hz, OverheadModel(RngHub(3).stream("o")))
+                      for hz in (450e6, 550e6))
+        twin = OverheadModel(RngHub(3).stream("o"))
+        draws = []
+        for _ in range(50):
+            draws += [twin.start_cycles(), twin.stop_cycles()]
+        for hz, ktau in ((450e6, slow), (550e6, fast)):
             data = ktau.register_task(1, "t")
             point = ktau.registry.point("sys_read")
             for _ in range(50):
                 ktau.entry(data, point)
                 ktau.exit(data, point)
-        for hz, memo in ((450e6, slow._ns_of), (550e6, fast._ns_of)):
-            assert memo and all(ns == round(cycles * SEC / hz)
-                                for cycles, ns in memo.items())
+            assert data.overhead_cycles == sum(draws)
+            assert data.pending_overhead_ns == sum(
+                round(cycles * SEC / hz) for cycles in draws)

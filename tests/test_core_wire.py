@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import KtauBuildConfig
-from repro.core.measurement import Ktau
+from repro.core.counters import TaskCounters
+from repro.core.measurement import AtomicData, Ktau, PerfData
+from repro.core.procfs import KtauProcFS
 from repro.core.registry import PointKind
 from repro.core.tracebuf import ATOMIC, ENTRY, EXIT, WORDS
 from repro.core import wire
@@ -179,3 +181,66 @@ def test_property_trace_roundtrip(entries):
     assert dump.lost == 7
     assert dump.records == [(cycles, names[event_id], kind, value)
                             for cycles, event_id, kind, value in entries]
+
+
+#: Strings for the profile's string fields: short ones, and ones whose
+#: UTF-8 form passes the 255-byte limit, multibyte characters included.
+wire_strings = st.one_of(st.text(max_size=6),
+                         st.text(alphabet="aé€😀", min_size=64, max_size=300))
+u64s = st.integers(0, 2**64 - 1)
+event_ids = st.integers(0, 40)
+task_specs = st.fixed_dictionaries({
+    "comm": wire_strings,
+    "perf": st.dictionaries(event_ids, st.tuples(u64s, u64s, u64s),
+                            max_size=4),
+    "atomic": st.dictionaries(event_ids, st.lists(st.integers(0, 2**40),
+                                                  min_size=1, max_size=3),
+                              max_size=3),
+    "pairs": st.dictionaries(st.tuples(wire_strings, event_ids),
+                             st.lists(u64s, min_size=2, max_size=2),
+                             max_size=4),
+    "counter_profile": st.dictionaries(event_ids,
+                                       st.lists(u64s, min_size=6, max_size=6),
+                                       max_size=3),
+    "edges": st.dictionaries(st.tuples(wire_strings, event_ids),
+                             st.lists(u64s, min_size=2, max_size=2),
+                             max_size=4),
+    "counters": st.booleans(),
+    "zombie": st.booleans(),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(mapping=st.lists(st.tuples(wire_strings, wire_strings), max_size=5),
+       specs=st.lists(task_specs, max_size=4))
+def test_property_profile_size_is_packed_length(mapping, specs):
+    """``/proc/ktau/profile``'s size call, which counts without packing,
+    equals the length of the buffer the read call packs, for live tasks
+    and zombies alike."""
+    engine, ktau = build_ktau()
+    ktau.registry = SimpleNamespace(mapping_table=lambda: [
+        (event_id, name, group)
+        for event_id, (name, group) in enumerate(mapping)])
+    for pid, spec in enumerate(specs, 1):
+        data = ktau.register_task(pid, spec["comm"])
+        for event_id, (count, incl, excl) in spec["perf"].items():
+            perf = data.profile[event_id] = PerfData()
+            perf.count, perf.incl_cycles, perf.excl_cycles = count, incl, excl
+        for event_id, values in spec["atomic"].items():
+            stats = data.atomic[event_id] = AtomicData()
+            for value in values:
+                stats.record(value)
+        data.context_pairs.update(spec["pairs"])
+        data.counter_profile.update(spec["counter_profile"])
+        data.callgraph.update(spec["edges"])
+        if spec["counters"]:
+            data.counters = TaskCounters()
+            data.counters.advance(12_345, True)
+        if spec["zombie"]:
+            ktau.on_task_exit(pid)
+    procfs = KtauProcFS(ktau)
+    for zombies in (False, True):
+        snap = ktau.snapshot(include_zombies=zombies)
+        packed = wire.pack_profiles(snap, ktau.registry)
+        assert wire.profile_size(snap, ktau.registry) == len(packed)
+        assert procfs.profile_size(include_zombies=zombies) == len(packed)
