@@ -76,45 +76,44 @@ class _GammaTail:
         self.pos = BATCH
 
     def sample(self, n: int) -> np.ndarray:
-        """One refill: ``n`` draws truncated to int64 (the same value as
-        ``int()`` of each positive float draw)."""
-        return self.sample_array(n).astype(np.int64)
+        """One refill: ``n`` draws truncated to whole cycles, as float64
+        (the same value as ``int()`` of each positive draw)."""
+        draws = self.sample_array(n)
+        return np.trunc(draws, out=draws)
 
     def sample_array(self, n: int) -> np.ndarray:
         """Draw ``n`` samples at once (used by the Table 4 harness)."""
         return self.minimum + self._rng.gamma(self.k, self.theta, size=n)
 
     def bind(self, hz: Optional[float], extra: int) -> None:
-        """Round the ledger at ``hz``, each cost ``extra`` cycles up; a
-        batch already drawn is re-rounded."""
+        """Round the ledger at ``hz``, each cost ``extra`` cycles up."""
         self.hz, self.extra = hz, extra
-        if self._sums[0, -1]:
-            self._round(np.diff(self._sums[0]).astype(np.int64))
-
-    def _round(self, draws: np.ndarray) -> None:
-        """Fill the nanosecond ledger from the int64 ``draws`` (consumed;
-        left as is without a clock rate): ``rint`` of the float64
-        quotient, which equals Python's ``round`` of the same quotient
-        while ``(c + extra) * SEC`` stays below 2**53, so the
-        int64-to-float64 conversion is exact, as are the float64 sums of
-        the rounded costs."""
-        if self.hz is None:
-            return
-        draws += self.extra
-        assert int(draws.max()) * SEC < 2**53, "a cost in ns must round exactly"
-        draws *= SEC
-        costs = draws / self.hz
-        np.rint(costs, out=costs)
-        np.cumsum(costs, out=costs)
-        assert costs[-1] < 2**31, "a batch's prefix sums must fit int32"
-        self._sums[1, 1:] = costs
 
     def refill(self) -> None:
-        """Draw the next batch and start reading it."""
+        """Draw the next batch and start reading it.
+
+        The batch stays in float64, where sums of whole numbers below
+        2**53 are exact.  Each cost in ns is ``rint`` of the float64
+        quotient ``(c + extra) * SEC / hz``, which equals Python's
+        ``round`` of the same quotient while ``(c + extra) * SEC`` stays
+        below 2**53 (then the float64 product is exact, as the int-to-
+        float conversion in Python's division is); the batch's total
+        bounds every draw's cost, so one check covers them all."""
         draws = self.sample(BATCH)
-        assert int(draws.sum()) < 2**31, "a batch's prefix sums must fit int32"
-        np.cumsum(draws, out=self._sums[0, 1:])
-        self._round(draws)
+        sums = np.cumsum(draws)
+        total = sums.item(-1)
+        assert total < 2**31, "a batch's prefix sums must fit int32"
+        self._sums[0, 1:] = sums
+        if self.hz is not None:
+            assert (total + self.extra * BATCH) * SEC < 2**53, \
+                "a cost in ns must round exactly"
+            draws += self.extra
+            draws *= SEC
+            draws /= self.hz
+            np.rint(draws, out=draws)
+            np.cumsum(draws, out=draws)
+            assert draws.item(-1) < 2**31, "a batch's prefix sums must fit int32"
+            self._sums[1, 1:] = draws
         self.pos = 0
 
     def take(self, k: int) -> tuple[int, int]:

@@ -68,3 +68,19 @@ def test_judge_reads_artifacts_and_flags_failed_runs():
     assert rows["wall_s"]["failed"] == (0, 1)
     assert "failed runs base/change 0/1" in bench_pairs.render(
         list(rows.values()))
+
+
+def test_a_run_without_the_metric_reads_failed_not_a_crash():
+    """Every timed rep of a workload errored in one run: its end_to_end is
+    empty, and that metric is judged failed on either side."""
+    base = [artifact(b) for b in BASE]
+    change = [artifact(b * 0.9) for b in BASE]
+    change[2]["workloads"]["lu_profile"]["end_to_end"] = {}
+    rows = rows_by_metric(base, change)
+    assert rows["wall_s"]["verdict"] == rows["peak_rss_mb"]["verdict"] == \
+        "failed"
+    base[0]["workloads"]["lu_profile"]["end_to_end"] = {}
+    change = [artifact(b * 0.9) for b in BASE]
+    assert rows_by_metric(base, change)["wall_s"]["verdict"] == "failed"
+    assert "no value in some run" in bench_pairs.render(
+        list(rows_by_metric(base, change).values()))

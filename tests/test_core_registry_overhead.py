@@ -235,12 +235,12 @@ class TestLedger:
         model = OverheadModel(RngHub(17).stream("ovh"))
         twin = OverheadModel(RngHub(17).stream("ovh"))
         extra = model.TRACE_EXTRA_CYCLES if tracing else 0
+        model.bind(hz, tracing)
         starts, stops = self.PRIMINGS[priming]
         for _ in range(starts):
             assert model.start_cycles() == twin.start_cycles()
         for _ in range(stops):
             assert model.stop_cycles() == twin.stop_cycles()
-        model.bind(hz, tracing)  # re-rounds the batches already drawn
 
         def charge(order):
             head, pass_starts, pass_stops, n = order

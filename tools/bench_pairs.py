@@ -76,22 +76,26 @@ def verdict(base: list[float], change: list[float],
 def judge(base_runs: list[dict], change_runs: list[dict],
           directions: dict[str, str]) -> list[dict]:
     """One row per workload and end-to-end metric of paired perfbench
-    artifacts; ``directions`` maps a metric to ``"lower"`` or
-    ``"higher"`` (better).  A workload whose checks failed in some run is
-    judged ``"failed"``."""
+    artifacts; ``directions`` maps each end-to-end metric to ``"lower"``
+    or ``"higher"`` (better).  A workload whose checks failed in some
+    change run, or that some run reports no value of the metric for
+    (every timed rep errored), is judged ``"failed"`` on that metric."""
     rows = []
-    for workload in sorted(base_runs[0]["workloads"]):
-        sides = [[run["workloads"][workload] for run in runs]
+    workloads = sorted({w for run in base_runs + change_runs
+                        for w in run["workloads"]})
+    for workload in workloads:
+        sides = [[run["workloads"].get(workload, {}) for run in runs]
                  for runs in (base_runs, change_runs)]
-        failed = [sum(w["failed"] for w in side) for side in sides]
-        for metric in sorted(sides[0][0]["end_to_end"]):
-            values = [[w["end_to_end"][metric]["median"] for w in side]
-                      for side in sides]
-            row = verdict(*values, directions.get(metric, "lower") == "lower")
-            row.update(workload=workload, metric=metric,
-                       failed=tuple(failed))
-            if failed[1]:
-                row["verdict"] = "failed"
+        failed = tuple(sum(w.get("failed", 1) for w in side) for side in sides)
+        for metric in sorted(directions):
+            values = [[w.get("end_to_end", {}).get(metric, {}).get("median")
+                       for w in side] for side in sides]
+            row = {"workload": workload, "metric": metric, "failed": failed,
+                   "verdict": "failed"}
+            if not any(None in side for side in values):
+                row.update(verdict(*values, directions[metric] == "lower"))
+                if failed[1]:
+                    row["verdict"] = "failed"
             rows.append(row)
     return rows
 
@@ -99,14 +103,18 @@ def judge(base_runs: list[dict], change_runs: list[dict],
 def render(rows: list[dict]) -> str:
     lines = []
     for row in rows:
+        failed = (f"  failed runs base/change {row['failed'][0]}/"
+                  f"{row['failed'][1]}" if any(row["failed"]) else "")
+        if "runs" not in row:
+            lines.append(f"{row['workload']:14} {row['metric']:12} "
+                         f"no value in some run  failed{failed}")
+            continue
         (b1, bm, b3), (c1, cm, c3) = row["base"], row["change"]
         lines.append(
             f"{row['workload']:14} {row['metric']:12} "
             f"base {bm:.6g} [{b1:.6g}, {b3:.6g}]  "
             f"change {cm:.6g} [{c1:.6g}, {c3:.6g}]  x{row['ratio']:.3f}  "
-            f"won {row['won']}/{row['pairs']}  {row['verdict']}"
-            + (f"  failed runs base/change {row['failed'][0]}/"
-               f"{row['failed'][1]}" if any(row["failed"]) else ""))
+            f"won {row['won']}/{row['pairs']}  {row['verdict']}" + failed)
         lines.append("    pairs base/change: " + ", ".join(
             f"{b:.4g}/{c:.4g}" for b, c in row["runs"]))
     return "\n".join(lines)
