@@ -140,15 +140,6 @@ class _GammaTail:
         cycles, ns = self.cycles, self.ns
         return cycles[i + 1] - cycles[i] + self.extra, ns[i + 1] - ns[i]
 
-    def next_cycles(self) -> int:
-        """One draw's raw cycles; needs no clock rate."""
-        i = self.pos
-        if i == BATCH:
-            self.refill()
-            i = 0
-        self.pos = i + 1
-        return self.cycles[i + 1] - self.cycles[i]
-
 
 class OverheadModel:
     """Cycle costs of KTAU measurement operations.
@@ -171,12 +162,9 @@ class OverheadModel:
         self._start = _GammaTail(rng, *self.START)
         self._stop = _GammaTail(rng, *self.STOP)
         # The per-event draws: an enabled entry costs a start, an exit a
-        # stop, and an atomic event is modelled like a start.  The
-        # ``*_cycles`` callables hand out raw cycles and need no clock
-        # rate; the ``draw_*`` callables hand out ``(cycles, ns)``
-        # charges once the model is bound.
-        self.start_cycles = self.atomic_cycles = self._start.next_cycles
-        self.stop_cycles = self._stop.next_cycles
+        # stop, and an atomic event is modelled like a start.  Each hands
+        # out a ``(cycles, ns)`` charge; an unbound model charges raw
+        # cycles and 0 ns.
         self.draw_start = self.draw_atomic = self._start.draw
         self.draw_stop = self._stop.draw
 
@@ -231,8 +219,6 @@ class ZeroOverheadModel(OverheadModel):
     DISABLED_CHECK_CYCLES = TRACE_EXTRA_CYCLES = 0
 
     def __init__(self) -> None:  # noqa: D107 - no RNG needed
-        self.start_cycles = self.stop_cycles = self.atomic_cycles = \
-            repeat(0).__next__
         self.draw_start = self.draw_stop = self.draw_atomic = \
             repeat((0, 0)).__next__
 

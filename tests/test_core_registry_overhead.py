@@ -115,14 +115,14 @@ class TestOverheadModel:
     def test_scalar_sampling_respects_minimum(self):
         model = OverheadModel(RngHub(3).stream("ovh2"))
         for _ in range(1000):
-            assert model.start_cycles() >= 160
-            assert model.stop_cycles() >= 214
+            assert model.draw_start()[0] >= 160
+            assert model.draw_stop()[0] >= 214
 
     def test_deterministic_given_stream(self):
         a = OverheadModel(RngHub(7).stream("x"))
         b = OverheadModel(RngHub(7).stream("x"))
-        assert [a.start_cycles() for _ in range(50)] == \
-               [b.start_cycles() for _ in range(50)]
+        assert [a.draw_start()[0] for _ in range(50)] == \
+               [b.draw_start()[0] for _ in range(50)]
 
     def test_draws_equal_int_of_each_float64_draw(self):
         """The int64 batches hand out exactly ``int()`` of each float64
@@ -132,12 +132,12 @@ class TestOverheadModel:
         rng = RngHub(11).stream("ovh")
         old = {"start": _Float64Tail(model._start, rng),
                "stop": _Float64Tail(model._stop, rng)}
-        draws = (("start", model.start_cycles), ("stop", model.stop_cycles),
-                 ("start", model.atomic_cycles))
+        draws = (("start", model.draw_start), ("stop", model.draw_stop),
+                 ("start", model.draw_atomic))
         order = RngHub(5).stream("order").integers(0, 3, size=26_000)
         for pick in order:
             which, draw = draws[pick]
-            value = draw()
+            value = draw()[0]
             assert type(value) is int
             assert value == old[which].sample()
         assert old["start"].refills >= 3 and old["stop"].refills >= 3
@@ -148,9 +148,9 @@ class TestOverheadModel:
 
     def test_zero_model(self):
         model = ZeroOverheadModel()
-        assert model.start_cycles() == 0
-        assert model.stop_cycles() == 0
-        assert model.atomic_cycles() == 0
+        assert model.draw_start()[0] == 0
+        assert model.draw_stop()[0] == 0
+        assert model.draw_atomic()[0] == 0
         assert model.DISABLED_CHECK_CYCLES == 0
 
     def test_zero_model_streams_yield_zero(self):
@@ -162,16 +162,16 @@ class TestOverheadModel:
 
     def test_streams_are_the_per_event_draws(self):
         """Draws taken through a summed charge, the ``draw_*`` charges
-        and the ``*_cycles`` callables come from one sequence per
+        and an unbound twin's ``draw_*`` cycles come from one sequence per
         sampler."""
         a = OverheadModel(RngHub(7).stream("x"))
         b = OverheadModel(RngHub(7).stream("x"))
         a.bind(450e6, False)
-        mixed = [a.start_cycles(), a.charge(5000, 0, (0, 5000, 0, 1))[0],
+        mixed = [a.draw_start()[0], a.charge(5000, 0, (0, 5000, 0, 1))[0],
                  a.draw_atomic()[0], a.draw_stop()[0],
                  a.charge(0, 3, (0, 0, 3, 1))[0]]
-        starts = [b.start_cycles() for _ in range(5002)]
-        stops = [b.stop_cycles() for _ in range(4)]
+        starts = [b.draw_start()[0] for _ in range(5002)]
+        stops = [b.draw_stop()[0] for _ in range(4)]
         assert mixed == [starts[0], sum(starts[1:5001]), starts[5001],
                          stops[0], sum(stops[1:])]
 
@@ -188,7 +188,7 @@ class TestOverheadModel:
         model.charge(2 * batch + 1, 0, (0, 2 * batch + 1, 0, 1))
         for _ in range(batch):
             model.draw_start()
-        model.start_cycles()
+        model.draw_start()[0]
         assert calls == [model._start] * 4
 
 
@@ -210,7 +210,7 @@ def per_event(twin, order, extra, hz):
         for _ in range(k):
             if tail.pos == tail.BATCH:
                 refills.append(which)
-            cycles.append(tail.next_cycles() + extra)
+            cycles.append(tail.draw()[0] + extra)
     return (sum(cycles), sum(round(c * SEC / hz) for c in cycles)), refills
 
 
@@ -238,9 +238,9 @@ class TestLedger:
         model.bind(hz, tracing)
         starts, stops = self.PRIMINGS[priming]
         for _ in range(starts):
-            assert model.start_cycles() == twin.start_cycles()
+            assert model.draw_start()[0] - extra == twin.draw_start()[0]
         for _ in range(stops):
-            assert model.stop_cycles() == twin.stop_cycles()
+            assert model.draw_stop()[0] - extra == twin.draw_stop()[0]
 
         def charge(order):
             head, pass_starts, pass_stops, n = order
@@ -259,15 +259,15 @@ class TestLedger:
                          int(ops.integers(1, 4)), int(ops.integers(1, 40)))
                 assert charge(order) == per_event(twin, order, extra, hz)[0]
                 continue
-            draw, raw = ((model.draw_start, twin.start_cycles),
-                         (model.draw_stop, twin.stop_cycles),
-                         (model.draw_atomic, twin.atomic_cycles))[pick]
-            cycles = raw() + extra
+            draw, raw = ((model.draw_start, twin.draw_start),
+                         (model.draw_stop, twin.draw_stop),
+                         (model.draw_atomic, twin.draw_atomic))[pick]
+            cycles = raw()[0] + extra
             assert draw() == (cycles, round(cycles * SEC / hz))
-        assert [model.start_cycles() for _ in range(10)] == \
-               [twin.start_cycles() for _ in range(10)]
-        assert [model.stop_cycles() for _ in range(10)] == \
-               [twin.stop_cycles() for _ in range(10)]
+        assert [model.draw_start()[0] - extra for _ in range(10)] == \
+               [twin.draw_start()[0] for _ in range(10)]
+        assert [model.draw_stop()[0] - extra for _ in range(10)] == \
+               [twin.draw_stop()[0] for _ in range(10)]
 
 
 class TestRoundingMemo:
@@ -308,8 +308,8 @@ class TestRoundingMemo:
                            step_cycles=1_000) == 3_000_000
         draws = []
         for _ in values:
-            draws += [twin.start_cycles() for _ in range(3)]
-            draws += [twin.stop_cycles() for _ in range(2)]
+            draws += [twin.draw_start()[0] for _ in range(3)]
+            draws += [twin.draw_stop()[0] for _ in range(2)]
         assert data.overhead_cycles == sum(draws)
         assert data.pending_overhead_ns == sum(
             round(cycles * SEC / hz) for cycles in draws)
@@ -322,7 +322,7 @@ class TestRoundingMemo:
         twin = OverheadModel(RngHub(3).stream("o"))
         draws = []
         for _ in range(50):
-            draws += [twin.start_cycles(), twin.stop_cycles()]
+            draws += [twin.draw_start()[0], twin.draw_stop()[0]]
         for hz, ktau in ((450e6, slow), (550e6, fast)):
             data = ktau.register_task(1, "t")
             point = ktau.registry.point("sys_read")

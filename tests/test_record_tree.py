@@ -219,10 +219,10 @@ def make_world(cfg):
     clock = CycleClock(Engine(), hz=cfg["hz"], boot_offset_cycles=T0)
     overhead = OverheadModel(RngHub(cfg["seed"]).stream("ovh"))
     for _ in range(cfg["primed"]):  # move the next refill into the recording
-        overhead.start_cycles()
-        overhead.stop_cycles()
+        overhead.draw_start()[0]
+        overhead.draw_stop()[0]
     for _ in range(cfg["extra_stops"]):  # so the stop sampler refills first
-        overhead.stop_cycles()
+        overhead.draw_stop()[0]
     ktau = Ktau(clock, build, control=control, overhead=overhead,
                 strict=cfg.get("strict", False))
     data = ktau.register_task(7, "rank0")
@@ -261,8 +261,8 @@ def observe(ktau, data, counters):
         "pmc": counters.read(),
         "firing_cache": (ktau._firings, ktau._cache_misses,
                          ktau._cache_invalidations, ktau._counter_samples),
-        "next_start": [ktau.overhead.start_cycles() for _ in range(10)],
-        "next_stop": [ktau.overhead.stop_cycles() for _ in range(10)],
+        "next_start": [ktau.overhead.draw_start()[0] for _ in range(10)],
+        "next_stop": [ktau.overhead.draw_stop()[0] for _ in range(10)],
     }
 
 
